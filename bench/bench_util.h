@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -183,6 +184,15 @@ class JsonReporter
             return set(key, static_cast<double>(v));
         }
 
+        /** Host cost of this row's runs alone; rows without one
+         *  carry the process-wide totals. */
+        Row &
+        setHost(const sim::HostRunTotals &host)
+        {
+            host_ = host;
+            return *this;
+        }
+
       private:
         friend class JsonReporter;
         struct Cell {
@@ -192,6 +202,7 @@ class JsonReporter
             std::string str;
         };
         std::vector<Cell> cells_;
+        std::optional<sim::HostRunTotals> host_;
     };
 
     /** Append and return a fresh row (no-op storage when disabled). */
@@ -225,8 +236,9 @@ class JsonReporter
         jw.beginObject("options");
         jw.kv("quick", quickMode());
         jw.endObject();
-        // Host-throughput summary of every simulation this process
-        // ran (sim::hostRunTotals). Wall-clock data: these two keys
+        // Host-throughput summary of the row's own runs (Row::setHost)
+        // or else of every simulation this process ran
+        // (sim::hostRunTotals). Wall-clock data: these two keys
         // are nondeterministic by design and ignored by both
         // tools/bench_compare.py (determinism gate) and the baseline
         // diff; tools/perf_compare.py reads *only* them.
@@ -240,8 +252,9 @@ class JsonReporter
                 else
                     jw.kv(cell.key, cell.str);
             }
-            jw.kv("wall_ns_per_cycle", host.wallNsPerCycle());
-            jw.kv("events_per_sec", host.eventsPerSec());
+            const sim::HostRunTotals &row_host = row.host_.value_or(host);
+            jw.kv("wall_ns_per_cycle", row_host.wallNsPerCycle());
+            jw.kv("events_per_sec", row_host.eventsPerSec());
             jw.endObject();
         }
         jw.endArray();

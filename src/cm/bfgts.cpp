@@ -406,8 +406,10 @@ BfgtsManager::auditCheck(sim::AuditEngine &audit, sim::Tick tick) const
     for (std::size_t i = 0; i < conf_.size(); ++i) {
         if (!audit.check(conf_[i] >= 0.0 && conf_[i] <= 255.0,
                          "cm.confidence",
-                         "confidence entry " + std::to_string(i)
-                             + " escaped the saturating 0..255 range",
+                         [i] {
+                             return "confidence entry " + std::to_string(i)
+                                  + " escaped the saturating 0..255 range";
+                         },
                          tick)) {
             break; // one witness per sweep keeps Collect mode cheap
         }
@@ -416,12 +418,16 @@ BfgtsManager::auditCheck(sim::AuditEngine &audit, sim::Tick tick) const
         const DtxStats &s = stats_[i];
         audit.check(s.similarity >= 0.0 && s.similarity <= 1.0,
                     "bloom.similarity",
-                    "similarity EWMA of stats slot " + std::to_string(i)
-                        + " escaped [0,1]",
+                    [i] {
+                        return "similarity EWMA of stats slot "
+                             + std::to_string(i) + " escaped [0,1]";
+                    },
                     tick);
         audit.check(s.avgSize >= 0.0, "cm.stats",
-                    "negative average footprint in stats slot "
-                        + std::to_string(i),
+                    [i] {
+                        return "negative average footprint in stats slot "
+                             + std::to_string(i);
+                    },
                     tick);
         audit.check(s.waitingOn == htm::kNoTx
                         || (ids_.staticOf(s.waitingOn)
@@ -429,16 +435,20 @@ BfgtsManager::auditCheck(sim::AuditEngine &audit, sim::Tick tick) const
                             && ids_.threadOf(s.waitingOn)
                                    < ids_.numThreads()),
                     "cm.stats",
-                    "stats slot " + std::to_string(i)
-                        + " records an out-of-range serialization "
-                          "target",
+                    [i] {
+                        return "stats slot " + std::to_string(i)
+                             + " records an out-of-range serialization "
+                               "target";
+                    },
                     tick);
     }
     for (std::size_t i = 0; i < pressure_.size(); ++i) {
         audit.check(pressure_[i] >= 0.0 && pressure_[i] <= 1.0,
                     "cm.pressure",
-                    "conflict-pressure EWMA of site "
-                        + std::to_string(i) + " escaped [0,1]",
+                    [i] {
+                        return "conflict-pressure EWMA of site "
+                             + std::to_string(i) + " escaped [0,1]";
+                    },
                     tick);
     }
 }

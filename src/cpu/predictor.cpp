@@ -1,6 +1,7 @@
 #include "predictor.h"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 
 #include "sim/audit.h"
@@ -14,22 +15,34 @@ PredictorSystem::PredictorSystem(int num_cpus,
     : numCpus_(num_cpus), ids_(ids), config_(config)
 {
     sim_assert(num_cpus >= 1);
-    units_.reserve(static_cast<std::size_t>(num_cpus));
-    for (int i = 0; i < num_cpus; ++i) {
-        Unit unit;
-        unit.cpuTable.assign(static_cast<std::size_t>(num_cpus),
-                             htm::kNoTx);
-        unit.cache = std::make_unique<mem::Cache>(config.confCache);
-        units_.push_back(std::move(unit));
-    }
+    const auto cpus = static_cast<std::size_t>(num_cpus);
+    cpuTable_.assign(cpus, htm::kNoTx);
+    runningMask_.assign((cpus + 63) / 64, 0);
+    const htm::STxId last = ids_.numStaticTx() - 1;
+    lineWrites_.assign(tableLine(last, last) + 1, 0);
+    units_.assign(cpus, Unit{mem::Cache(config.confCache),
+                             std::vector<std::uint64_t>(
+                                 lineWrites_.size(), 0),
+                             0});
+}
+
+void
+PredictorSystem::setRunning(sim::CpuId cpu, bool running)
+{
+    const auto index = static_cast<std::size_t>(cpu);
+    const std::uint64_t bit = 1ULL << (index % 64);
+    if (running)
+        runningMask_[index / 64] |= bit;
+    else
+        runningMask_[index / 64] &= ~bit;
 }
 
 void
 PredictorSystem::broadcastBegin(sim::CpuId cpu, htm::DTxId dtx)
 {
     sim_assert(cpu >= 0 && cpu < numCpus_);
-    for (Unit &unit : units_)
-        unit.cpuTable[static_cast<std::size_t>(cpu)] = dtx;
+    cpuTable_[static_cast<std::size_t>(cpu)] = dtx;
+    setRunning(cpu, dtx != htm::kNoTx);
     cpuTableUpdates_.inc();
 }
 
@@ -37,34 +50,64 @@ void
 PredictorSystem::broadcastEnd(sim::CpuId cpu)
 {
     sim_assert(cpu >= 0 && cpu < numCpus_);
-    for (Unit &unit : units_)
-        unit.cpuTable[static_cast<std::size_t>(cpu)] = htm::kNoTx;
+    cpuTable_[static_cast<std::size_t>(cpu)] = htm::kNoTx;
+    setRunning(cpu, false);
     cpuTableUpdates_.inc();
 }
 
 mem::Addr
-PredictorSystem::confAddr(sim::CpuId cpu, htm::STxId row,
-                          htm::STxId col) const
+PredictorSystem::regionBase(sim::CpuId cpu)
 {
     // Each CPU's copy of the confidence table lives in its own
-    // region; 1MB spacing keeps regions disjoint for any realistic
-    // table size (max tables in the paper are ~800 bytes).
-    const mem::Addr base = 0x10000000ULL
-                         + static_cast<mem::Addr>(cpu) * (1ULL << 20);
+    // line-aligned region; 1MB spacing keeps regions disjoint for any
+    // realistic table size (max tables in the paper are ~800 bytes).
+    return 0x10000000ULL + static_cast<mem::Addr>(cpu) * (1ULL << 20);
+}
+
+mem::Addr
+PredictorSystem::entryOffset(htm::STxId row, htm::STxId col) const
+{
     const auto index = static_cast<mem::Addr>(row)
                          * static_cast<mem::Addr>(ids_.numStaticTx())
                      + static_cast<mem::Addr>(col);
-    return base + index * config_.entryBytes;
+    return index * config_.entryBytes;
+}
+
+std::size_t
+PredictorSystem::tableLine(htm::STxId row, htm::STxId col) const
+{
+    return static_cast<std::size_t>(
+        mem::lineNumber(entryOffset(row, col)));
 }
 
 void
 PredictorSystem::onConfidenceWrite(htm::STxId row, htm::STxId col)
 {
-    for (int cpu = 0; cpu < numCpus_; ++cpu) {
-        units_[static_cast<std::size_t>(cpu)].cache->invalidate(
-            confAddr(cpu, row, col));
-    }
+    // Every cache holding the line refetches it; lookup() and
+    // refetches() turn the write count into per-CPU refetches.
+    const std::size_t line = tableLine(row, col);
+    sim_assert(line < lineWrites_.size());
+    ++lineWrites_[line];
     snoopInvalidations_.inc();
+}
+
+bool
+PredictorSystem::lookup(sim::CpuId self, htm::STxId row, htm::STxId col)
+{
+    Unit &unit = units_[static_cast<std::size_t>(self)];
+    mem::Addr victim = mem::kNoLine;
+    if (unit.cache.access(regionBase(self) + entryOffset(row, col),
+                          &victim))
+        return true;
+    if (victim != mem::kNoLine) {
+        const auto evicted = static_cast<std::size_t>(
+            victim - mem::lineNumber(regionBase(self)));
+        unit.settledRefetches +=
+            lineWrites_[evicted] - unit.stamps[evicted];
+    }
+    const std::size_t line = tableLine(row, col);
+    unit.stamps[line] = lineWrites_[line];
+    return false;
 }
 
 PredictResult
@@ -73,45 +116,53 @@ PredictorSystem::predict(sim::CpuId self, htm::STxId stx,
                          std::uint32_t threshold)
 {
     sim_assert(self >= 0 && self < numCpus_);
-    Unit &unit = units_[static_cast<std::size_t>(self)];
     predictions_.inc();
 
     PredictResult result;
     result.latency = config_.triggerCost;
 
-    for (int remote = 0; remote < numCpus_; ++remote) {
-        if (remote == self)
-            continue;
-        result.latency += config_.perEntryCost;
-        const htm::DTxId running =
-            unit.cpuTable[static_cast<std::size_t>(remote)];
-        if (running == htm::kNoTx)
-            continue;
-        // confidx = CPUTable[i] >> shift_value (paper Example 1).
-        const htm::STxId confidx = ids_.staticOf(running);
-        const bool hit = unit.cache->access(confAddr(self, stx,
-                                                     confidx));
-        result.latency += hit ? unit.cache->hitLatency()
-                              : config_.missLatency;
-        const std::uint32_t conf = read_conf(stx, confidx);
-        result.maxConfidence = std::max(result.maxConfidence, conf);
-        if (conf > threshold) {
-            result.conflictPredicted = true;
-            result.waitOn = running;
-            conflictsPredicted_.inc();
-            return result;
+    // Example 1 scans remote CPU Table entries in ascending CPU
+    // order, paying perEntryCost for each, until the first predicted
+    // conflict. Only running entries need a lookup; the scan cost is
+    // charged once the number of entries scanned is known.
+    for (std::size_t word = 0; word < runningMask_.size(); ++word) {
+        for (std::uint64_t bits = runningMask_[word]; bits != 0;
+             bits &= bits - 1) {
+            const auto remote = static_cast<sim::CpuId>(
+                word * 64 + static_cast<unsigned>(std::countr_zero(bits)));
+            if (remote == self)
+                continue;
+            const htm::DTxId running =
+                cpuTable_[static_cast<std::size_t>(remote)];
+            // confidx = CPUTable[i] >> shift_value (paper Example 1).
+            const htm::STxId confidx = ids_.staticOf(running);
+            result.latency += lookup(self, stx, confidx)
+                                  ? config_.confCache.hitLatency
+                                  : config_.missLatency;
+            const std::uint32_t conf = read_conf(stx, confidx);
+            result.maxConfidence = std::max(result.maxConfidence, conf);
+            if (conf > threshold) {
+                // Entries 0..remote were scanned, except self's own.
+                const auto scanned = static_cast<sim::Cycles>(
+                    remote + (self > remote ? 1 : 0));
+                result.latency += scanned * config_.perEntryCost;
+                result.conflictPredicted = true;
+                result.waitOn = running;
+                conflictsPredicted_.inc();
+                return result;
+            }
         }
     }
+    result.latency +=
+        static_cast<sim::Cycles>(numCpus_ - 1) * config_.perEntryCost;
     return result;
 }
 
 htm::DTxId
-PredictorSystem::cpuTableEntry(sim::CpuId viewer, sim::CpuId owner) const
+PredictorSystem::cpuTableEntry(sim::CpuId owner) const
 {
-    sim_assert(viewer >= 0 && viewer < numCpus_);
     sim_assert(owner >= 0 && owner < numCpus_);
-    return units_[static_cast<std::size_t>(viewer)]
-        .cpuTable[static_cast<std::size_t>(owner)];
+    return cpuTable_[static_cast<std::size_t>(owner)];
 }
 
 void
@@ -123,20 +174,15 @@ PredictorSystem::auditCheck(sim::AuditEngine &audit,
     for (int owner = 0; owner < numCpus_; ++owner) {
         const htm::DTxId truth =
             expected[static_cast<std::size_t>(owner)];
-        for (int viewer = 0; viewer < numCpus_; ++viewer) {
-            const htm::DTxId seen =
-                units_[static_cast<std::size_t>(viewer)]
-                    .cpuTable[static_cast<std::size_t>(owner)];
-            audit.check(seen == truth, "predictor.cputable",
-                        "CPU Table of cpu "
-                            + std::to_string(viewer)
-                            + " disagrees with the running dTxID on "
-                              "cpu "
-                            + std::to_string(owner),
-                        tick, static_cast<sim::CpuId>(owner),
-                        sim::kNoThread, -1,
-                        static_cast<std::int64_t>(truth));
-        }
+        audit.check(cpuTable_[static_cast<std::size_t>(owner)] == truth,
+                    "predictor.cputable",
+                    [owner] {
+                        return "CPU Table disagrees with the running "
+                               "dTxID on cpu "
+                             + std::to_string(owner);
+                    },
+                    tick, static_cast<sim::CpuId>(owner),
+                    sim::kNoThread, -1, static_cast<std::int64_t>(truth));
     }
 }
 
@@ -144,7 +190,32 @@ const mem::Cache &
 PredictorSystem::confCache(sim::CpuId cpu) const
 {
     sim_assert(cpu >= 0 && cpu < numCpus_);
-    return *units_[static_cast<std::size_t>(cpu)].cache;
+    return units_[static_cast<std::size_t>(cpu)].cache;
+}
+
+std::uint64_t
+PredictorSystem::refetches(sim::CpuId cpu) const
+{
+    sim_assert(cpu >= 0 && cpu < numCpus_);
+    const Unit &unit = units_[static_cast<std::size_t>(cpu)];
+    const mem::Addr base = regionBase(cpu);
+    std::uint64_t total = unit.settledRefetches;
+    for (std::size_t line = 0; line < lineWrites_.size(); ++line) {
+        if (unit.cache.contains(base + line * mem::kLineBytes))
+            total += lineWrites_[line] - unit.stamps[line];
+    }
+    return total;
+}
+
+std::uint64_t
+PredictorSystem::memoryFootprintBytes() const
+{
+    const std::uint64_t per_cpu =
+        config_.confCache.sizeBytes
+        + lineWrites_.size() * sizeof(std::uint64_t);
+    return cpuTable_.size() * sizeof(htm::DTxId)
+         + lineWrites_.size() * sizeof(std::uint64_t)
+         + units_.size() * per_cpu;
 }
 
 } // namespace cpu

@@ -2,7 +2,7 @@
  * @file
  * The BFGTS hardware scheduling accelerator (paper Section 4.1).
  *
- * One TxPredictor per CPU, each holding:
+ * Every CPU has a predictor unit holding:
  *  - a CPU Table: the dTxID currently executing on every other CPU,
  *    kept coherent by snooping begin/commit/abort broadcasts on the
  *    interconnect (TLB-shootdown style);
@@ -18,6 +18,16 @@
  * Table, look up confidence[sTxID][sTxID(remote)], and report the
  * first remote transaction whose confidence exceeds the threshold.
  *
+ * The model keeps what is identical by construction only once, so
+ * host cost does not grow with the CPU count on the write and
+ * broadcast paths:
+ *  - the snooped CPU Tables always agree, so there is one shared
+ *    table (a broadcast still costs what the cycle model charges);
+ *  - a snoop refetch leaves the confidence cache's contents unchanged
+ *    and matters only for the refetch count. Each table line counts
+ *    its writes; a CPU records that count when it installs the line
+ *    and, on eviction, is credited the writes that landed meanwhile.
+ *
  * The predictor does not own the confidence *values* -- those live in
  * the BFGTS software runtime's tables -- it owns the cached *timing*
  * of reading them, so predict() takes a read functor.
@@ -27,7 +37,6 @@
 #define BFGTS_CPU_PREDICTOR_H
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "htm/tx_id.h"
@@ -45,10 +54,7 @@ namespace cpu {
 struct PredictorConfig {
     /** Tx confidence cache (Table 2: 2kB, 16-way, 1 cycle). */
     mem::CacheConfig confCache{
-        .sizeBytes = 2 * 1024,
-        .associativity = 16,
-        .hitLatency = 1,
-        .refetchPolicy = mem::RefetchPolicy::OnInvalidate};
+        .sizeBytes = 2 * 1024, .associativity = 16, .hitLatency = 1};
 
     /** Cycles to trigger the predictor on TX_BEGIN. */
     sim::Cycles triggerCost = 1;
@@ -96,8 +102,8 @@ class PredictorSystem
                     const PredictorConfig &config = {});
 
     /**
-     * Broadcast: @p cpu started executing @p dtx. All other
-     * predictors update their CPU Table entry for @p cpu.
+     * Broadcast: @p cpu started executing @p dtx. Every predictor's
+     * CPU Table entry for @p cpu now reads @p dtx.
      */
     void broadcastBegin(sim::CpuId cpu, htm::DTxId dtx);
 
@@ -105,8 +111,10 @@ class PredictorSystem
     void broadcastEnd(sim::CpuId cpu);
 
     /**
-     * The software runtime wrote confidence[row][col]; invalidate the
-     * line in every predictor's confidence cache (they refetch).
+     * The software runtime wrote confidence[row][col]; every
+     * predictor's confidence cache holding that line snoops the
+     * invalidation and refetches it. O(1): the refetches are counted
+     * lazily (see refetches()).
      */
     void onConfidenceWrite(htm::STxId row, htm::STxId col);
 
@@ -122,49 +130,45 @@ class PredictorSystem
                           const ConfidenceFn &read_conf,
                           std::uint32_t threshold);
 
-    /** CPU Table entry of @p owner as seen by @p viewer (tests). */
-    htm::DTxId cpuTableEntry(sim::CpuId viewer, sim::CpuId owner) const;
+    /** CPU Table entry of @p owner, as every predictor sees it. */
+    htm::DTxId cpuTableEntry(sim::CpuId owner) const;
 
     /**
-     * Invariant audit (sim/audit.h): the snooped CPU Tables are
-     * coherent -- every predictor unit agrees on which dTxID runs on
-     * every CPU, and those entries match @p expected (the committer's
-     * ground truth, expected[cpu] == kNoTx when that CPU runs no
-     * transaction). Reports "predictor.cputable".
+     * Invariant audit (sim/audit.h): the snooped CPU Table matches
+     * @p expected (the committer's ground truth, expected[cpu] ==
+     * kNoTx when that CPU runs no transaction). Reports
+     * "predictor.cputable". O(CPUs).
      */
     void auditCheck(sim::AuditEngine &audit,
                     const std::vector<htm::DTxId> &expected,
                     sim::Tick tick) const;
 
     /**
-     * Test hook for the audit mutation selftest: corrupt one unit's
-     * CPU Table entry so predictor.cputable must fire. Never call
-     * outside tests.
+     * Test hook for the audit mutation selftest: corrupt one CPU
+     * Table entry so predictor.cputable must fire. Never call outside
+     * tests.
      */
     void
-    testCorruptCpuTable(sim::CpuId viewer, sim::CpuId owner,
-                        htm::DTxId dtx)
+    testCorruptCpuTable(sim::CpuId owner, htm::DTxId dtx)
     {
-        units_[static_cast<std::size_t>(viewer)]
-            .cpuTable[static_cast<std::size_t>(owner)] = dtx;
+        cpuTable_[static_cast<std::size_t>(owner)] = dtx;
     }
 
     /** Confidence cache of @p cpu (stats/tests). */
     const mem::Cache &confCache(sim::CpuId cpu) const;
 
-    /** Modeled bytes held per CPU (CPU Table entries plus the
-     *  confidence-cache capacity); host-profiler memory gauge. Grows
-     *  linearly with CPUs -- the ROADMAP item-2 scaling hazard. */
-    std::uint64_t
-    memoryFootprintBytes() const
-    {
-        std::uint64_t bytes = 0;
-        for (const Unit &unit : units_) {
-            bytes += unit.cpuTable.size() * sizeof(htm::DTxId);
-            bytes += config_.confCache.sizeBytes;
-        }
-        return bytes;
-    }
+    /**
+     * Snoop refetches in @p cpu's confidence cache: one per
+     * confidence write to a line while that line was resident. The
+     * settled credit of evicted lines plus the pending credit of
+     * resident ones.
+     */
+    std::uint64_t refetches(sim::CpuId cpu) const;
+
+    /** Bytes of predictor state (the shared CPU Table, every CPU's
+     *  confidence-cache capacity and refetch stamps, the per-line
+     *  write counts); host-profiler memory gauge. */
+    std::uint64_t memoryFootprintBytes() const;
 
     const sim::Counter &predictions() const { return predictions_; }
     const sim::Counter &conflictsPredicted() const
@@ -186,17 +190,42 @@ class PredictorSystem
 
   private:
     struct Unit {
-        std::vector<htm::DTxId> cpuTable;
-        std::unique_ptr<mem::Cache> cache;
+        mem::Cache cache;
+        /** lineWrites_[line] when this unit installed the line. */
+        std::vector<std::uint64_t> stamps;
+        /** Refetches credited for lines since evicted. */
+        std::uint64_t settledRefetches = 0;
     };
 
-    /** Synthetic physical address of confidence[row][col] for @p cpu. */
-    mem::Addr confAddr(sim::CpuId cpu, htm::STxId row,
-                       htm::STxId col) const;
+    /** Base address of @p cpu's copy of the confidence table. */
+    static mem::Addr regionBase(sim::CpuId cpu);
+
+    /** Byte offset of confidence[row][col] within a table copy. */
+    mem::Addr entryOffset(htm::STxId row, htm::STxId col) const;
+
+    /** Line of confidence[row][col] within a table copy. */
+    std::size_t tableLine(htm::STxId row, htm::STxId col) const;
+
+    /**
+     * Look confidence[row][col] up in @p self's cache, settling the
+     * refetch credit of any line the miss evicts.
+     * @return true on hit.
+     */
+    bool lookup(sim::CpuId self, htm::STxId row, htm::STxId col);
+
+    /** Record whether @p cpu runs a transaction (predict() walk). */
+    void setRunning(sim::CpuId cpu, bool running);
 
     int numCpus_;
     const htm::TxIdSpace &ids_;
     PredictorConfig config_;
+    /** The CPU Table every unit snoops into (one copy: the copies
+     *  are identical by construction). */
+    std::vector<htm::DTxId> cpuTable_;
+    /** Bit per CPU: set while its CPU Table entry names a dTxID. */
+    std::vector<std::uint64_t> runningMask_;
+    /** Confidence writes per table line. */
+    std::vector<std::uint64_t> lineWrites_;
     std::vector<Unit> units_;
     sim::Counter predictions_;
     sim::Counter conflictsPredicted_;

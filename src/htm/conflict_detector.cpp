@@ -230,8 +230,10 @@ ConflictDetector::auditCheck(sim::AuditEngine &audit,
                              it->second.readers.end(), tx)
                        != it->second.readers.end();
             audit.check(registered, "htm.registry",
-                        "read-set line " + std::to_string(line)
-                            + " missing from line registry",
+                        [line] {
+                            return "read-set line " + std::to_string(line)
+                                 + " missing from line registry";
+                        },
                         tick, tx->cpu, tx->thread, -1, dtx);
             ++expected_reads;
         }
@@ -240,8 +242,10 @@ ConflictDetector::auditCheck(sim::AuditEngine &audit,
             auto it = lines_.find(line);
             audit.check(it != lines_.end() && it->second.writer == tx,
                         "htm.registry",
-                        "write-set line " + std::to_string(line)
-                            + " not registered to its writer",
+                        [line] {
+                            return "write-set line " + std::to_string(line)
+                                 + " not registered to its writer";
+                        },
                         tick, tx->cpu, tx->thread, -1, dtx);
             ++expected_writes;
         }
@@ -265,8 +269,10 @@ ConflictDetector::auditCheck(sim::AuditEngine &audit,
                 foreign_reader = true;
         }
         audit.check(!foreign_reader, "htm.isolation",
-                    "line " + std::to_string(line)
-                        + " has a writer and a foreign reader",
+                    [line] {
+                        return "line " + std::to_string(line)
+                             + " has a writer and a foreign reader";
+                    },
                     tick, ls.writer->cpu, ls.writer->thread, -1,
                     static_cast<std::int64_t>(ls.writer->dTxId));
     }

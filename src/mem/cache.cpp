@@ -23,7 +23,7 @@ Cache::setIndex(Addr line) const
 }
 
 bool
-Cache::access(Addr addr)
+Cache::access(Addr addr, Addr *victim_line)
 {
     const Addr line = lineNumber(addr);
     const int set = setIndex(line);
@@ -31,6 +31,8 @@ Cache::access(Addr addr)
                        * config_.associativity];
     ++useClock_;
     Way *victim = base;
+    if (victim_line != nullptr)
+        *victim_line = kNoLine;
     for (int w = 0; w < config_.associativity; ++w) {
         Way &way = base[w];
         if (way.valid && way.tag == line) {
@@ -45,6 +47,8 @@ Cache::access(Addr addr)
         }
     }
     misses_.inc();
+    if (victim_line != nullptr && victim->valid)
+        *victim_line = victim->tag;
     victim->tag = line;
     victim->valid = true;
     victim->lastUse = useClock_;
@@ -76,14 +80,7 @@ Cache::invalidate(Addr addr)
         Way &way = base[w];
         if (way.valid && way.tag == line) {
             invalidations_.inc();
-            if (config_.refetchPolicy == RefetchPolicy::OnInvalidate) {
-                // The modified confidence cache fetches the line back
-                // as soon as the invalidation lands; it never goes
-                // stale-absent. Model: line stays resident.
-                refetches_.inc();
-            } else {
-                way.valid = false;
-            }
+            way.valid = false;
             return;
         }
     }

@@ -7,8 +7,9 @@
  * It models the three caches in Table 2: 64kB 2-way L1s, the 32MB
  * 16-way L2, and the 2kB 16-way Tx confidence cache of the hardware
  * scheduling accelerator. The confidence cache's special behaviour --
- * "fetch cache lines evicted by an invalidate snoop" -- is supported
- * via RefetchPolicy::OnInvalidate.
+ * "fetch cache lines evicted by an invalidate snoop" -- leaves its
+ * residency unchanged, so cpu::PredictorSystem accounts for those
+ * refetches itself and never invalidates it.
  */
 
 #ifndef BFGTS_MEM_CACHE_H
@@ -23,23 +24,14 @@
 
 namespace mem {
 
-/** What happens to a line invalidated by a coherence snoop. */
-enum class RefetchPolicy {
-    /** Line is dropped; the next access misses (normal cache). */
-    Drop,
-    /**
-     * Line is re-fetched in the background and stays resident
-     * (the paper's modified Tx confidence cache).
-     */
-    OnInvalidate,
-};
+/** access() reports this victim when no valid line was displaced. */
+constexpr Addr kNoLine = ~Addr{0};
 
 /** Geometry and latency of one cache. */
 struct CacheConfig {
     std::uint64_t sizeBytes = 64 * 1024;
     int associativity = 2;
     sim::Cycles hitLatency = 1;
-    RefetchPolicy refetchPolicy = RefetchPolicy::Drop;
 };
 
 /**
@@ -56,20 +48,17 @@ class Cache
     /**
      * Look up @p addr; install it on a miss.
      *
-     * @param addr Any byte address; aligned internally.
+     * @param addr        Any byte address; aligned internally.
+     * @param victim_line When non-null, receives the line number a
+     *                    miss evicted, or kNoLine when none was.
      * @return true on hit.
      */
-    bool access(Addr addr);
+    bool access(Addr addr, Addr *victim_line = nullptr);
 
     /** True if the line holding @p addr is resident (no LRU update). */
     bool contains(Addr addr) const;
 
-    /**
-     * Coherence invalidation of the line holding @p addr.
-     *
-     * Under RefetchPolicy::OnInvalidate a resident line stays resident
-     * (modeling the background refetch) and the refetch is counted.
-     */
+    /** Coherence invalidation: drop the line holding @p addr. */
     void invalidate(Addr addr);
 
     /** Drop every line. */
@@ -82,7 +71,6 @@ class Cache
     const sim::Counter &hits() const { return hits_; }
     const sim::Counter &misses() const { return misses_; }
     const sim::Counter &invalidations() const { return invalidations_; }
-    const sim::Counter &refetches() const { return refetches_; }
 
   private:
     struct Way {
@@ -101,7 +89,6 @@ class Cache
     sim::Counter hits_;
     sim::Counter misses_;
     sim::Counter invalidations_;
-    sim::Counter refetches_;
 };
 
 } // namespace mem

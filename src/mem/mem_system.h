@@ -27,12 +27,10 @@ struct MemSystemConfig {
     int numCpus = 16;
     CacheConfig l1{.sizeBytes = 64 * 1024,
                    .associativity = 2,
-                   .hitLatency = 1,
-                   .refetchPolicy = RefetchPolicy::Drop};
+                   .hitLatency = 1};
     CacheConfig l2{.sizeBytes = 32ULL * 1024 * 1024,
                    .associativity = 16,
-                   .hitLatency = 32,
-                   .refetchPolicy = RefetchPolicy::Drop};
+                   .hitLatency = 32};
     sim::Cycles memLatency = 100;
     sim::Cycles busOccupancy = 4;
 };

@@ -158,8 +158,10 @@ auditWaitGraph(sim::AuditEngine &audit,
             audit.check(
                 active[i].timestamp != active[j].timestamp,
                 "htm.timestamp",
-                "two active transactions share timestamp "
-                    + std::to_string(active[i].timestamp),
+                [&] {
+                    return "two active transactions share timestamp "
+                         + std::to_string(active[i].timestamp);
+                },
                 tick, sim::kNoCpu, sim::kNoThread, -1, active[i].dtx);
         }
     }

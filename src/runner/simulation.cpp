@@ -904,7 +904,7 @@ Simulation::auditSweep()
         const cm::BfgtsVariant variant = bfgts->config().variant;
         if (variant == cm::BfgtsVariant::Hw
             || variant == cm::BfgtsVariant::HwBackoff) {
-            // The snooped hardware CPU Tables mirror the software
+            // The snooped hardware CPU Table mirrors the software
             // view the broadcasts are generated from.
             std::vector<htm::DTxId> expected(
                 static_cast<std::size_t>(config_.numCpus),
@@ -1047,8 +1047,7 @@ Simulation::visitStatGroups(
                 predictors_->confCache(cpu).hits().value());
             cache_misses.inc(
                 predictors_->confCache(cpu).misses().value());
-            refetches.inc(
-                predictors_->confCache(cpu).refetches().value());
+            refetches.inc(predictors_->refetches(cpu));
         }
         sim::StatGroup group("predictor");
         group.addCounter("predictions", &predictors_->predictions());

@@ -39,6 +39,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/types.h"
@@ -144,7 +146,7 @@ class AuditEngine
      * Returns @p ok so callers can chain dependent checks.
      */
     bool
-    check(bool ok, const char *check_id, const std::string &message,
+    check(bool ok, const char *check_id, std::string_view message,
           Tick tick = 0, CpuId cpu = kNoCpu,
           ThreadId thread = kNoThread, std::int64_t stx = -1,
           std::int64_t dtx = -1)
@@ -162,6 +164,27 @@ class AuditEngine
         violation.message = message;
         report(std::move(violation));
         return false;
+    }
+
+    /**
+     * As above, with the message built by @p message() only when
+     * @p ok is false: checks that run per entry on every sweep must
+     * not format a string each time they pass.
+     */
+    template <typename MessageFn>
+        requires std::is_invocable_r_v<std::string, MessageFn &>
+    bool
+    check(bool ok, const char *check_id, MessageFn &&message,
+          Tick tick = 0, CpuId cpu = kNoCpu,
+          ThreadId thread = kNoThread, std::int64_t stx = -1,
+          std::int64_t dtx = -1)
+    {
+        if (ok) {
+            countCheck();
+            return true;
+        }
+        return check(false, check_id, std::string_view(message()), tick,
+                     cpu, thread, stx, dtx);
     }
 
   private:

@@ -586,10 +586,9 @@ TEST(AuditPredictor, CpuTableFiresOnIncoherentUnit)
     predictors.auditCheck(engine, expected, 10);
     EXPECT_EQ(engine.violationCount(), 0u);
 
-    // One unit missed a snoop: its CPU Table disagrees with the
-    // committer's ground truth.
-    predictors.testCorruptCpuTable(/*viewer=*/0, /*owner=*/1,
-                                   ids.make(3, 3));
+    // A missed snoop: the CPU Table disagrees with the committer's
+    // ground truth.
+    predictors.testCorruptCpuTable(/*owner=*/1, ids.make(3, 3));
     predictors.auditCheck(engine, expected, 20);
     EXPECT_TRUE(engine.fired("predictor.cputable"));
 }

@@ -328,10 +328,9 @@ TEST_F(BfgtsHwTest, StartBroadcastsToPredictors)
 {
     const cm::TxInfo a = machine_.tx(1, 2);
     manager_.onTxStart(a);
-    EXPECT_EQ(machine_.predictors.cpuTableEntry(0, a.cpu), a.dTx);
+    EXPECT_EQ(machine_.predictors.cpuTableEntry(a.cpu), a.dTx);
     manager_.onTxCommit(a, {1, 2, 3});
-    EXPECT_EQ(machine_.predictors.cpuTableEntry(0, a.cpu),
-              htm::kNoTx);
+    EXPECT_EQ(machine_.predictors.cpuTableEntry(a.cpu), htm::kNoTx);
 }
 
 TEST_F(BfgtsHwTest, AbortAlsoBroadcastsEnd)
@@ -339,8 +338,7 @@ TEST_F(BfgtsHwTest, AbortAlsoBroadcastsEnd)
     const cm::TxInfo a = machine_.tx(1, 2);
     manager_.onTxStart(a);
     manager_.onTxAbort(a, machine_.tx(2, 1));
-    EXPECT_EQ(machine_.predictors.cpuTableEntry(3, a.cpu),
-              htm::kNoTx);
+    EXPECT_EQ(machine_.predictors.cpuTableEntry(a.cpu), htm::kNoTx);
 }
 
 TEST_F(BfgtsHwTest, HwBeginIsCheaperThanSwScan)

@@ -18,14 +18,12 @@ using mem::CacheConfig;
 using mem::kLineBytes;
 
 CacheConfig
-tinyCache(int assoc = 2, mem::RefetchPolicy policy
-                         = mem::RefetchPolicy::Drop)
+tinyCache(int assoc = 2)
 {
     // 8 lines total.
     return CacheConfig{.sizeBytes = 8 * kLineBytes,
                        .associativity = assoc,
-                       .hitLatency = 1,
-                       .refetchPolicy = policy};
+                       .hitLatency = 1};
 }
 
 TEST(Cache, MissThenHit)
@@ -103,14 +101,19 @@ TEST(Cache, InvalidateMissIsCountedAsNothing)
     EXPECT_EQ(cache.invalidations().value(), 0u);
 }
 
-TEST(Cache, RefetchOnInvalidateKeepsLineResident)
+TEST(Cache, AccessReportsTheEvictedLine)
 {
-    Cache cache(tinyCache(2, mem::RefetchPolicy::OnInvalidate));
-    cache.access(0x80);
-    cache.invalidate(0x80);
-    EXPECT_TRUE(cache.contains(0x80));
-    EXPECT_EQ(cache.refetches().value(), 1u);
-    EXPECT_TRUE(cache.access(0x80));
+    // 2-way, 4 sets: lines 0, 4, 8 map to set 0.
+    Cache cache(tinyCache());
+    Addr victim = 0;
+    cache.access(0 * kLineBytes, &victim);
+    EXPECT_EQ(victim, mem::kNoLine); // filled an empty way
+    cache.access(4 * kLineBytes, &victim);
+    EXPECT_EQ(victim, mem::kNoLine);
+    EXPECT_TRUE(cache.access(0 * kLineBytes, &victim));
+    EXPECT_EQ(victim, mem::kNoLine); // hits evict nothing
+    cache.access(8 * kLineBytes, &victim);
+    EXPECT_EQ(victim, 4u); // line 4 was LRU
 }
 
 TEST(Cache, FlushDropsEverything)
@@ -138,9 +141,7 @@ TEST(Cache, FullyAssociativeNeverConflictsBelowCapacity)
 {
     Cache cache(CacheConfig{.sizeBytes = 8 * kLineBytes,
                             .associativity = 8,
-                            .hitLatency = 1,
-                            .refetchPolicy
-                            = mem::RefetchPolicy::Drop});
+                            .hitLatency = 1});
     for (Addr line = 0; line < 8; ++line)
         cache.access(line * 64 * 977); // arbitrary distinct lines
     std::uint64_t resident = 0;

@@ -10,6 +10,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
@@ -210,8 +211,14 @@ class ProfilerSweepTest : public ::testing::Test
     void
     SetUp() override
     {
+        // One directory per test and process: ctest -j runs the
+        // discovered cases of this fixture concurrently.
         cacheDir_ = std::filesystem::temp_directory_path()
-                  / "bfgts_profiler_cache_test";
+                  / ("bfgts_profiler_cache_"
+                     + std::string(::testing::UnitTest::GetInstance()
+                                       ->current_test_info()
+                                       ->name())
+                     + "_" + std::to_string(::getpid()));
         std::filesystem::remove_all(cacheDir_);
     }
 

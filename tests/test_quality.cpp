@@ -15,6 +15,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -507,8 +508,14 @@ class QualitySweepCacheTest : public ::testing::Test
     void
     SetUp() override
     {
+        // One directory per test and process: ctest -j runs the
+        // discovered cases of this fixture concurrently.
         cacheDir_ = std::filesystem::temp_directory_path()
-                  / "bfgts_quality_cache_test";
+                  / ("bfgts_quality_cache_"
+                     + std::string(::testing::UnitTest::GetInstance()
+                                       ->current_test_info()
+                                       ->name())
+                     + "_" + std::to_string(::getpid()));
         std::filesystem::remove_all(cacheDir_);
     }
 
