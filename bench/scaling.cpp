@@ -1,11 +1,14 @@
 /**
  * @file
- * Scaling curve of the hardware scheduler: Intruder and Genome under
- * BFGTS-HW at 16, 32, 64 and 128 CPUs (4 threads each, 10
- * transactions per thread). Each row reports what the simulated
- * machine did (commits, aborts, events, predictions, confidence-cache
- * refetches, begin-stall precision and recall) plus the host cost of
- * that row alone (wall_ns_per_cycle, events_per_sec).
+ * Scaling curve of the begin-time schedulers: Intruder and Genome
+ * under BFGTS-HW and under PTS at 16, 32, 64 and 128 CPUs (4 threads
+ * each, 10 transactions per thread). Each row reports what the
+ * simulated machine did (commits, aborts, events, predictions,
+ * confidence-cache refetches, begin-stall precision and recall) plus
+ * the host cost of that row alone (wall_ns_per_cycle,
+ * events_per_sec). PTS serializes at begin without the hardware
+ * predictor, so its rows gate the begin-stall path at scale apart
+ * from the predictor.
  *
  * The simulated columns are deterministic, so bench_compare.py holds
  * them byte-identical against bench/baselines/BENCH_scaling.json:
@@ -15,6 +18,7 @@
  */
 
 #include <sstream>
+#include <utility>
 
 #include "bench_util.h"
 #include "runner/simulation.h"
@@ -72,27 +76,36 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReporter reporter("scaling", argc, argv);
-    bench::banner("Scaling: BFGTS-HW from 16 to 128 CPUs "
+    bench::banner("Scaling: BFGTS-HW and PTS from 16 to 128 CPUs "
                   "(4 threads/CPU, 10 tx/thread)");
 
-    sim::TextTable table({"Benchmark", "CPUs", "Commits", "Aborts",
-                          "Events", "Predictions", "Refetches",
-                          "Precision", "Recall", "ns/cycle"});
+    sim::TextTable table({"Benchmark", "Manager", "CPUs", "Commits",
+                          "Aborts", "Events", "Predictions",
+                          "Refetches", "Precision", "Recall",
+                          "ns/cycle"});
 
-    for (const char *name : {"Intruder", "Genome"}) {
+    // bench_compare.py matches rows by position: new series go last.
+    const std::pair<cm::CmKind, const char *> series[] = {
+        {cm::CmKind::BfgtsHw, "Intruder"},
+        {cm::CmKind::BfgtsHw, "Genome"},
+        {cm::CmKind::Pts, "Intruder"},
+        {cm::CmKind::Pts, "Genome"},
+    };
+    for (const auto &[kind, name] : series) {
         for (int cpus : {16, 32, 64, 128}) {
             runner::RunOptions options;
             options.numCpus = cpus;
             options.txPerThread = 10;
             const sim::HostRunTotals before = sim::hostRunTotals();
             runner::Simulation simulation(
-                runner::makeConfig(name, cm::CmKind::BfgtsHw, options));
+                runner::makeConfig(name, kind, options));
             const runner::SimResults r = simulation.run();
             const sim::HostRunTotals host =
                 hostDelta(before, sim::hostRunTotals());
             const PredictorCounts counts = predictorCounts(simulation);
             reporter.addRow()
                 .set("benchmark", name)
+                .set("manager", cm::cmKindName(kind))
                 .set("cpus", static_cast<std::uint64_t>(cpus))
                 .set("commits", r.commits)
                 .set("aborts", r.aborts)
@@ -102,7 +115,9 @@ main(int argc, char **argv)
                 .set("stallPrecision", r.prediction.precision())
                 .set("stallRecall", r.prediction.recall())
                 .setHost(host);
-            table.addRow({cpus == 16 ? name : "", std::to_string(cpus),
+            table.addRow({cpus == 16 ? name : "",
+                          cpus == 16 ? cm::cmKindName(kind) : "",
+                          std::to_string(cpus),
                           std::to_string(r.commits),
                           std::to_string(r.aborts),
                           std::to_string(host.events),

@@ -35,22 +35,22 @@ Cache::access(Addr addr, Addr *victim_line)
         *victim_line = kNoLine;
     for (int w = 0; w < config_.associativity; ++w) {
         Way &way = base[w];
-        if (way.valid && way.tag == line) {
+        if (way.tag == line) {
             way.lastUse = useClock_;
             hits_.inc();
             return true;
         }
-        if (!way.valid) {
+        if (way.tag == kNoLine) {
             victim = &way;
-        } else if (victim->valid && way.lastUse < victim->lastUse) {
+        } else if (victim->tag != kNoLine
+                   && way.lastUse < victim->lastUse) {
             victim = &way;
         }
     }
     misses_.inc();
-    if (victim_line != nullptr && victim->valid)
+    if (victim_line != nullptr)
         *victim_line = victim->tag;
     victim->tag = line;
-    victim->valid = true;
     victim->lastUse = useClock_;
     return false;
 }
@@ -63,7 +63,7 @@ Cache::contains(Addr addr) const
     const Way *base = &ways_[static_cast<std::size_t>(set)
                              * config_.associativity];
     for (int w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == line)
+        if (base[w].tag == line)
             return true;
     }
     return false;
@@ -78,9 +78,9 @@ Cache::invalidate(Addr addr)
                        * config_.associativity];
     for (int w = 0; w < config_.associativity; ++w) {
         Way &way = base[w];
-        if (way.valid && way.tag == line) {
+        if (way.tag == line) {
             invalidations_.inc();
-            way.valid = false;
+            way.tag = kNoLine;
             return;
         }
     }
@@ -90,7 +90,7 @@ void
 Cache::flush()
 {
     for (Way &way : ways_)
-        way.valid = false;
+        way.tag = kNoLine;
 }
 
 } // namespace mem

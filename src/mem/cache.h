@@ -24,7 +24,8 @@
 
 namespace mem {
 
-/** access() reports this victim when no valid line was displaced. */
+/** Not a line number: the tag of an empty way, and the victim
+ *  access() reports when a miss displaced no line. */
 constexpr Addr kNoLine = ~Addr{0};
 
 /** Geometry and latency of one cache. */
@@ -73,9 +74,10 @@ class Cache
     const sim::Counter &invalidations() const { return invalidations_; }
 
   private:
+    /** 16 bytes: an empty way holds tag kNoLine, which no line
+     *  number can equal. */
     struct Way {
-        Addr tag = 0;
-        bool valid = false;
+        Addr tag = kNoLine;
         std::uint64_t lastUse = 0;
     };
 

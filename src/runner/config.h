@@ -172,6 +172,16 @@ struct SimConfig {
     {
         return numCpus * threadsPerCpu;
     }
+
+    /**
+     * Check the fields a user sets from the command line or a sweep.
+     * Front ends call this before building a Simulation, whose
+     * constructor would otherwise abort on them.
+     *
+     * @return An empty string when the config can run, else a message
+     *         naming the first bad field.
+     */
+    std::string validate() const;
 };
 
 } // namespace runner

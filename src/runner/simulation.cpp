@@ -105,6 +105,12 @@ Simulation::Simulation(const SimConfig &config)
     sched_->setDispatchFn([this](sim::ThreadId tid) {
         step(workers_[static_cast<std::size_t>(tid)]);
     });
+    // Begin-stall polls all share one delay, so they ride the event
+    // queue's FIFO lane (pollBeginStall).
+    events_.setLane(config_.beginStallPollInterval,
+                    [this](std::uint32_t tid) {
+                        pollBeginStall(workers_[tid]);
+                    });
 }
 
 Simulation::~Simulation() = default;
@@ -151,7 +157,12 @@ Simulation::infoFor(const htm::TxState &tx) const
 bool
 Simulation::isTxRunning(htm::DTxId dtx) const
 {
-    return runningTx_.count(dtx) > 0;
+    // A dTxID names one thread's site, and a thread runs at most one
+    // attempt at a time, so its owner's TxState is the only place
+    // the transaction can be running.
+    const htm::TxState &tx =
+        workers_[static_cast<std::size_t>(ids_->threadOf(dtx))].tx;
+    return tx.active && tx.dTxId == dtx;
 }
 
 void
@@ -361,7 +372,6 @@ Simulation::doTxBegin(Worker &worker)
         worker.accessIndex = 0;
         worker.stallRetries = 0;
         worker.reportedEnemies.clear();
-        runningTx_.insert(worker.tx.dTxId);
         {
             sim::ScopedPhase prof_phase(config_.profiler,
                                         sim::Profiler::kCmDecide);
@@ -428,8 +438,34 @@ Simulation::doTxBegin(Worker &worker)
 }
 
 bool
+Simulation::spinBeginStall(Worker &worker)
+{
+    if (!isTxRunning(worker.stallOn)
+        || events_.curTick() - worker.stallStart
+               >= config_.beginStallTimeout
+        || sched_->shouldPreempt(worker.tid)) {
+        return false;
+    }
+    charge(worker, config_.beginStallPollInterval, Bucket::Sched);
+    events_.scheduleLane(static_cast<std::uint32_t>(worker.tid));
+    return true;
+}
+
+void
+Simulation::pollBeginStall(Worker &worker)
+{
+    // The lane carries only begin-stall polls, which come before the
+    // attempt starts, so no abort can ever need to cancel one.
+    sim_assert(!worker.tx.active);
+    if (!spinBeginStall(worker))
+        step(worker);
+}
+
+bool
 Simulation::doBeginStall(Worker &worker)
 {
+    if (spinBeginStall(worker))
+        return false;
     if (!isTxRunning(worker.stallOn)) {
         stallCyclesHist_.sample(static_cast<double>(
             events_.curTick() - worker.stallStart));
@@ -459,16 +495,13 @@ Simulation::doBeginStall(Worker &worker)
         worker.phase = Phase::TxBegin;
         return true;
     }
-    if (sched_->shouldPreempt(worker.tid)) {
-        // The stall window closes with the CPU: timeline spans must
-        // not show this thread spinning while another one runs here.
-        trace(worker, sim::TraceCategory::Sched, "preempt");
-        sim::ScopedPhase prof_phase(config_.profiler,
-                                    sim::Profiler::kOsSched);
-        sched_->preemptCurrent(worker.tid);
-        return false;
-    }
-    advance(worker, config_.beginStallPollInterval, Bucket::Sched);
+    // Neither ended the stall, so a preemption is due. The stall
+    // window closes with the CPU: timeline spans must not show this
+    // thread spinning while another one runs here.
+    trace(worker, sim::TraceCategory::Sched, "preempt");
+    sim::ScopedPhase prof_phase(config_.profiler,
+                                sim::Profiler::kOsSched);
+    sched_->preemptCurrent(worker.tid);
     return false;
 }
 
@@ -665,7 +698,6 @@ Simulation::abortTx(Worker &worker, const cm::TxInfo &enemy)
         auditLifecycle(worker, LifecycleAuditor::TxEvent::Abort);
 
     detector_->removeTx(worker.tx);
-    runningTx_.erase(worker.tx.dTxId);
     worker.tx.active = false;
     worker.waitHolders.clear();
 
@@ -791,7 +823,6 @@ Simulation::doCommitDone(Worker &worker)
         auditLifecycle(worker, LifecycleAuditor::TxEvent::Commit);
 
     detector_->removeTx(worker.tx);
-    runningTx_.erase(worker.tx.dTxId);
     worker.tx.active = false;
     worker.committing = false;
     worker.waitHolders.clear();
@@ -844,12 +875,19 @@ Simulation::auditSweep()
 {
     const sim::Tick tick = events_.curTick();
 
-    // Active transactions, ordered by dTxID (runningTx_ is a set).
+    // Active transactions, sorted by dTxID so every checker sees
+    // them in a fixed order.
+    std::vector<htm::DTxId> running;
+    for (const Worker &w : workers_) {
+        if (w.tx.active)
+            running.push_back(w.tx.dTxId);
+    }
+    std::sort(running.begin(), running.end());
     std::vector<const htm::TxState *> active;
     std::vector<ActiveTx> active_ts;
-    active.reserve(runningTx_.size());
-    active_ts.reserve(runningTx_.size());
-    for (htm::DTxId dtx : runningTx_) {
+    active.reserve(running.size());
+    active_ts.reserve(running.size());
+    for (htm::DTxId dtx : running) {
         const Worker &w =
             workers_[static_cast<std::size_t>(ids_->threadOf(dtx))];
         active.push_back(&w.tx);
@@ -892,11 +930,10 @@ Simulation::auditSweep()
                 cm_view[static_cast<std::size_t>(cpu)] =
                     static_cast<std::int64_t>(dtx);
         }
-        std::vector<std::int64_t> running;
-        running.reserve(runningTx_.size());
-        for (htm::DTxId dtx : runningTx_)
-            running.push_back(static_cast<std::int64_t>(dtx));
-        auditCmCpuTable(*audit_, cm_view, running, tick);
+        auditCmCpuTable(*audit_, cm_view,
+                        std::vector<std::int64_t>(running.begin(),
+                                                  running.end()),
+                        tick);
     }
     if (const auto *bfgts =
             dynamic_cast<const cm::BfgtsManager *>(cm_.get())) {

@@ -197,6 +197,15 @@ class Simulation
     bool doCommit(Worker &worker);
     bool doCommitDone(Worker &worker);
 
+    /** If the begin-stall goes on unchanged -- its enemy still runs,
+     *  the timeout has not passed and no preemption is due -- charge
+     *  one poll interval of Sched cycles, queue the next poll on the
+     *  event-queue lane and return true. */
+    bool spinBeginStall(Worker &worker);
+    /** Lane handler: one begin-stall poll of @p worker. Only the poll
+     *  that ends the stall steps the worker. */
+    void pollBeginStall(Worker &worker);
+
     /** Charge cycles and schedule the next step after them. */
     void advance(Worker &worker, sim::Cycles cycles, Bucket bucket);
     /** Literal charge lists: no heap allocation at the call site. */
@@ -282,9 +291,6 @@ class Simulation
     std::unique_ptr<LifecycleAuditor> lifecycle_;
 
     std::vector<Worker> workers_;
-    /** Active transactions, ordered by dTxID: victim/enemy scans over
-     *  this set resolve ties deterministically, never in hash order. */
-    std::set<htm::DTxId> runningTx_;
     std::uint64_t nextTimestamp_ = 1;
     bool ran_ = false;
 

@@ -86,7 +86,44 @@ EventQueue::structBytes() const
 {
     return heap_.size() * sizeof(HeapNode)
          + slots_.capacity() * sizeof(Slot)
-         + freeSlots_.capacity() * sizeof(std::uint32_t);
+         + freeSlots_.capacity() * sizeof(std::uint32_t)
+         + lane_.capacity() * sizeof(LaneNode);
+}
+
+void
+EventQueue::setLane(Cycles delay, LaneFn fn)
+{
+    sim_assert(laneCount_ == 0);
+    laneDelay_ = delay;
+    laneFn_ = std::move(fn);
+}
+
+void
+EventQueue::growLane()
+{
+    std::vector<LaneNode> grown(lane_.empty() ? 16 : 2 * lane_.size());
+    for (std::size_t i = 0; i < laneCount_; ++i)
+        grown[i] = lane_[(laneHead_ + i) & (lane_.size() - 1)];
+    lane_ = std::move(grown);
+    laneHead_ = 0;
+    if (profiler_ != nullptr)
+        profiler_->recordBytes(Profiler::kStructEventQueue,
+                               structBytes());
+}
+
+void
+EventQueue::scheduleLane(std::uint32_t token)
+{
+    sim_assert(laneFn_ != nullptr);
+    // A few stores: cheaper than bracketing them in a profiler phase,
+    // so the caller's phase keeps them.
+    if (laneCount_ == lane_.size())
+        growLane();
+    // curTick never decreases and the delay is fixed, so the tail
+    // node is the latest in (when, seq): the ring stays sorted.
+    lane_[(laneHead_ + laneCount_) & (lane_.size() - 1)] =
+        LaneNode{curTick_ + laneDelay_, nextSeq_++, token};
+    ++laneCount_;
 }
 
 EventId
@@ -130,52 +167,74 @@ EventQueue::deschedule(EventId id)
     return true;
 }
 
+void
+EventQueue::auditOrder(Tick when, std::uint64_t seq)
+{
+    // Deterministic order: executed events must be strictly
+    // increasing in (tick, insertion seq); equal-tick events fire in
+    // the order they were scheduled, whichever of heap or lane holds
+    // them.
+    const bool ordered =
+        !anyExecuted_ || when > lastExecWhen_
+        || (when == lastExecWhen_ && seq > lastExecSeq_);
+    audit_->check(ordered, "event.tiebreak",
+                  "event executed out of (tick, seq) order", when);
+    lastExecWhen_ = when;
+    lastExecSeq_ = seq;
+    anyExecuted_ = true;
+}
+
 std::uint64_t
 EventQueue::run(Tick max_tick, std::uint64_t max_events)
 {
     std::uint64_t executed = 0;
-    while (!heap_.empty()) {
+    while (true) {
         if (profiler_ != nullptr)
             profiler_->enter(Profiler::kEventQueue);
-        const HeapNode top = heap_.front();
-        if (!liveId(top.id)) {
-            // Cancelled: the slot generation moved past this node.
+        // Cancelled: the slot generation moved past this node.
+        while (!heap_.empty() && !liveId(heap_.front().id))
             heapPop();
+        const bool from_lane =
+            laneCount_ > 0
+            && (heap_.empty()
+                || earlier(lane_[laneHead_], heap_.front()));
+        if (!from_lane && heap_.empty()) {
             if (profiler_ != nullptr)
                 profiler_->exit();
-            continue;
+            break;
         }
-        if (top.when > max_tick) {
+        const Tick when =
+            from_lane ? lane_[laneHead_].when : heap_.front().when;
+        if (when > max_tick) {
             if (profiler_ != nullptr)
                 profiler_->exit();
             break;
         }
         if (audit_ != nullptr && audit_->shouldCheck()) {
-            // Deterministic order: executed events must be strictly
-            // increasing in (tick, insertion seq); equal-tick events
-            // fire in the order they were scheduled.
-            const bool ordered =
-                !anyExecuted_ || top.when > lastExecWhen_
-                || (top.when == lastExecWhen_
-                    && top.seq > lastExecSeq_);
-            audit_->check(ordered, "event.tiebreak",
-                          "event executed out of (tick, seq) order",
-                          top.when);
-            lastExecWhen_ = top.when;
-            lastExecSeq_ = top.seq;
-            anyExecuted_ = true;
+            auditOrder(when, from_lane ? lane_[laneHead_].seq
+                                       : heap_.front().seq);
         }
-        // Move the callback out and recycle the slot before invoking:
-        // the callback may schedule new events (possibly reusing this
-        // very slot under a fresh generation).
-        EventFn fn = std::move(slots_[slotOf(top.id)].fn);
-        releaseSlot(slotOf(top.id));
-        heapPop();
-        --live_;
-        curTick_ = top.when;
-        if (profiler_ != nullptr)
-            profiler_->exit();
-        fn();
+        curTick_ = when;
+        if (from_lane) {
+            const std::uint32_t token = lane_[laneHead_].token;
+            laneHead_ = (laneHead_ + 1) & (lane_.size() - 1);
+            --laneCount_;
+            if (profiler_ != nullptr)
+                profiler_->exit();
+            laneFn_(token);
+        } else {
+            // Move the callback out and recycle the slot before
+            // invoking: the callback may schedule new events (possibly
+            // reusing this very slot under a fresh generation).
+            const EventId id = heap_.front().id;
+            EventFn fn = std::move(slots_[slotOf(id)].fn);
+            releaseSlot(slotOf(id));
+            heapPop();
+            --live_;
+            if (profiler_ != nullptr)
+                profiler_->exit();
+            fn();
+        }
         if (profiler_ != nullptr)
             profiler_->onEventExecuted(curTick_);
         if (++executed > max_events) {

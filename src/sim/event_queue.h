@@ -15,6 +15,16 @@
  * when it surfaces -- and kNoEvent (0) can never collide with a live
  * handle. Slots are recycled through a free list, so a steady-state
  * simulation allocates no memory per event.
+ *
+ * Beside the heap runs one fixed-delay FIFO lane. Every lane event
+ * fires the same handler exactly laneDelay cycles after it was
+ * scheduled, and it draws its seq from the same counter as heap
+ * events. Since curTick never decreases, lane events leave in the
+ * order they were scheduled, so the lane is sorted by (tick, seq)
+ * without any heap work; run() merges its front with the heap top by
+ * (tick, seq). A lane event therefore executes at exactly the place a
+ * scheduleIn(laneDelay, ...) event would, at O(1) cost and with no
+ * callback object, slot or heap node.
  */
 
 #ifndef BFGTS_SIM_EVENT_QUEUE_H
@@ -33,6 +43,9 @@ class Profiler;
 
 /** Callback type for scheduled events. */
 using EventFn = std::function<void()>;
+
+/** Handler of the fixed-delay lane; receives the event's token. */
+using LaneFn = std::function<void(std::uint32_t)>;
 
 /** Handle used to cancel a scheduled event (generation | slot + 1). */
 using EventId = std::uint64_t;
@@ -72,6 +85,21 @@ class EventQueue
     }
 
     /**
+     * Install the fixed-delay lane: lane events fire @p fn with their
+     * token @p delay cycles after scheduleLane(). Call once, before the
+     * first scheduleLane().
+     */
+    void setLane(Cycles delay, LaneFn fn);
+
+    /**
+     * Schedule the lane handler for @p token laneDelay cycles from now.
+     * It fires exactly where scheduleIn(laneDelay, ...) would, in
+     * (tick, seq) order with every other event. Lane events have no
+     * handle and cannot be cancelled.
+     */
+    void scheduleLane(std::uint32_t token);
+
+    /**
      * Cancel a previously scheduled event.
      *
      * Cancelling an already-fired or already-cancelled event is a no-op.
@@ -91,10 +119,10 @@ class EventQueue
                       std::uint64_t max_events = kDefaultMaxEvents);
 
     /** True if no events are pending. */
-    bool empty() const { return live_ == 0; }
+    bool empty() const { return size() == 0; }
 
-    /** Number of pending (non-cancelled) events. */
-    std::size_t size() const { return live_; }
+    /** Number of pending (non-cancelled) events, lane events included. */
+    std::size_t size() const { return live_ + laneCount_; }
 
     /** Safety bound: panic if a run exceeds this many events. */
     static constexpr std::uint64_t kDefaultMaxEvents = 50'000'000'000ULL;
@@ -134,6 +162,13 @@ class EventQueue
         EventId id;
     };
 
+    /** Lane node: the handler's token at its (when, seq). */
+    struct LaneNode {
+        Tick when;
+        std::uint64_t seq;
+        std::uint32_t token;
+    };
+
     /** Slab slot owning a callback; gen invalidates stale handles. */
     struct Slot {
         EventFn fn;
@@ -141,8 +176,9 @@ class EventQueue
         bool live = false;
     };
 
+    template <typename A, typename B>
     static bool
-    earlier(const HeapNode &a, const HeapNode &b)
+    earlier(const A &a, const B &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
@@ -174,7 +210,14 @@ class EventQueue
     /** True if @p id names the live scheduled event in its slot. */
     bool liveId(EventId id) const;
 
-    /** Bytes held by the heap and the slab, for the profiler gauge. */
+    /** Double the lane ring, keeping its FIFO order. */
+    void growLane();
+
+    /** Audit check that (@p when, @p seq) follows the last event. */
+    void auditOrder(Tick when, std::uint64_t seq);
+
+    /** Bytes held by the heap, the slab and the lane, for the
+     *  profiler gauge. */
     std::size_t structBytes() const;
 
     Tick curTick_ = 0;
@@ -192,6 +235,12 @@ class EventQueue
     std::vector<Slot> slots_;
     /** Recycled slot indices. */
     std::vector<std::uint32_t> freeSlots_;
+    /** Lane ring (power-of-two size), sorted by (when, seq). */
+    std::vector<LaneNode> lane_;
+    std::size_t laneHead_ = 0;
+    std::size_t laneCount_ = 0;
+    Cycles laneDelay_ = 0;
+    LaneFn laneFn_;
 };
 
 } // namespace sim

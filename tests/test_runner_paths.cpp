@@ -170,6 +170,51 @@ TEST(RunnerPaths, StallTimeoutValveFires)
     EXPECT_GT(r.stallTimeouts, 0u);
 }
 
+/** Exact results of a run whose begin-stalls time out and preempt. */
+struct PinnedStallRun {
+    const char *workload;
+    cm::CmKind kind;
+    sim::Tick runtime;
+    std::uint64_t commits;
+    std::uint64_t aborts;
+    std::uint64_t serializations;
+    std::uint64_t stallTimeouts;
+    sim::Cycles sched;
+    sim::Cycles kernel;
+};
+
+TEST(RunnerPaths, StallTimeoutAndPreemptionArePinned)
+{
+    // A short stall timeout and quantum make begin-stalls end by
+    // timeout and by preemption as well as by their enemy leaving.
+    // The figures pin all three exits of the stall path, so a change
+    // to how stalls are polled must reproduce them exactly.
+    const PinnedStallRun pinned[] = {
+        {"Genome", cm::CmKind::BfgtsHw, 217'867, 640, 137, 1'773, 19,
+         958'771, 626'850},
+        {"Kmeans", cm::CmKind::Pts, 158'869, 640, 345, 271, 4, 673'632,
+         395'850},
+    };
+    for (const PinnedStallRun &want : pinned) {
+        SCOPED_TRACE(want.workload);
+        runner::RunOptions options;
+        options.txPerThread = 10;
+        runner::SimConfig config =
+            runner::makeConfig(want.workload, want.kind, options);
+        config.beginStallTimeout = 1'500;
+        config.sched.quantum = 3'000;
+        runner::Simulation simulation(config);
+        const runner::SimResults r = simulation.run();
+        EXPECT_EQ(r.runtime, want.runtime);
+        EXPECT_EQ(r.commits, want.commits);
+        EXPECT_EQ(r.aborts, want.aborts);
+        EXPECT_EQ(r.serializations, want.serializations);
+        EXPECT_EQ(r.stallTimeouts, want.stallTimeouts);
+        EXPECT_EQ(r.breakdown.sched, want.sched);
+        EXPECT_EQ(r.breakdown.kernel, want.kernel);
+    }
+}
+
 TEST(RunnerPaths, YieldRoundTripsReturnToBegin)
 {
     runner::SimConfig config = tinyConfig();

@@ -114,6 +114,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -192,6 +193,26 @@ usage(const char *argv0)
                  "          %s --merge-reports PARTIAL... --json FILE\n",
                  argv0, argv0, argv0, argv0);
     std::exit(1);
+}
+
+/**
+ * Parse all of @p text as a base-10 integer of type T. Anything else
+ * -- empty, trailing junk, out of range, a sign on an unsigned field
+ * -- is a usage error: exit 2 naming @p flag.
+ */
+template <typename T>
+T
+parseNumber(const std::string &text, const char *flag)
+{
+    T value{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || ptr != end) {
+        std::fprintf(stderr, "bfgts_cli: bad value '%s' for %s\n",
+                     text.c_str(), flag);
+        std::exit(2);
+    }
+    return value;
 }
 
 /** Split "a,b,c" into its non-empty comma-separated pieces. */
@@ -401,7 +422,7 @@ runSweep(const std::vector<std::string> &workload_names,
 
     std::vector<std::uint64_t> seeds;
     for (const std::string &name : seed_names)
-        seeds.push_back(std::strtoull(name.c_str(), nullptr, 10));
+        seeds.push_back(parseNumber<std::uint64_t>(name, "--seeds"));
     if (seeds.empty())
         seeds.push_back(base.seed);
 
@@ -640,20 +661,22 @@ main(int argc, char **argv)
         } else if (arg == "--cm") {
             manager = next();
         } else if (arg == "--cpus") {
-            config.numCpus = std::atoi(next());
+            config.numCpus = parseNumber<int>(next(), "--cpus");
         } else if (arg == "--tpc") {
-            config.threadsPerCpu = std::atoi(next());
+            config.threadsPerCpu = parseNumber<int>(next(), "--tpc");
         } else if (arg == "--tx") {
-            config.txPerThreadOverride = std::atoi(next());
+            config.txPerThreadOverride = parseNumber<int>(next(), "--tx");
         } else if (arg == "--seed") {
-            config.seed = std::strtoull(next(), nullptr, 10);
+            config.seed = parseNumber<std::uint64_t>(next(), "--seed");
         } else if (arg == "--bloom-bits") {
             config.tuning.bfgts.bloom.numBits =
-                std::strtoull(next(), nullptr, 10);
+                parseNumber<std::uint64_t>(next(), "--bloom-bits");
         } else if (arg == "--interval") {
-            config.tuning.bfgts.smallTxInterval = std::atoi(next());
+            config.tuning.bfgts.smallTxInterval =
+                parseNumber<int>(next(), "--interval");
         } else if (arg == "--slots") {
-            config.tuning.bfgts.confTableSlots = std::atoi(next());
+            config.tuning.bfgts.confTableSlots =
+                parseNumber<int>(next(), "--slots");
         } else if (arg == "--audit") {
             config.audit = true;
         } else if (arg == "--baseline") {
@@ -673,7 +696,7 @@ main(int argc, char **argv)
         } else if (arg == "--ts") {
             ts_path = next();
         } else if (arg == "--ts-interval") {
-            ts_interval = std::strtoull(next(), nullptr, 10);
+            ts_interval = parseNumber<sim::Tick>(next(), "--ts-interval");
             if (ts_interval == 0)
                 usage(argv[0]);
         } else if (arg == "--conflict-dot") {
@@ -693,7 +716,7 @@ main(int argc, char **argv)
         } else if (arg == "--seeds") {
             sweep_seeds = splitList(next());
         } else if (arg == "--jobs") {
-            sweep_jobs = std::atoi(next());
+            sweep_jobs = parseNumber<int>(next(), "--jobs");
         } else if (arg == "--cache") {
             sweep_cache = next();
         } else if (arg == "--baselines") {
@@ -715,7 +738,8 @@ main(int argc, char **argv)
             farm_cli.stealDir = next();
             farm_cli.enabled = true;
         } else if (arg == "--steal-stale") {
-            farm_cli.stealStaleSec = std::atoi(next());
+            farm_cli.stealStaleSec =
+                parseNumber<int>(next(), "--steal-stale");
             if (farm_cli.stealStaleSec < 1)
                 usage(argv[0]);
         } else if (arg == "--merge-reports") {
@@ -766,6 +790,11 @@ main(int argc, char **argv)
                                  "exclusive\n");
             usage(argv[0]);
         }
+    }
+
+    if (const std::string error = config.validate(); !error.empty()) {
+        std::fprintf(stderr, "bfgts_cli: %s\n", error.c_str());
+        return 2;
     }
 
     if (sweep_mode) {
