@@ -196,11 +196,10 @@ BfgtsManager::writeConfidence(htm::STxId row, htm::STxId col,
     // The main processor wrote a confidence entry; the predictors'
     // confidence caches snoop the invalidation (and refetch). The
     // physical (aliased) slot is what lives at the cached address.
-    if (usesHardware()) {
-        sim::ScopedPhase prof_phase(services_.profiler,
-                                    sim::Profiler::kPredictor);
+    // The snoop is one counter bump: cheaper than the two clock reads
+    // of a profiler phase around it, so this phase keeps it.
+    if (usesHardware())
         services_.predictors->onConfidenceWrite(slot_row, slot_col);
-    }
 }
 
 void

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "sim/audit.h"
+#include "sim/det_hash.h"
 #include "sim/logging.h"
 
 namespace htm {
@@ -24,34 +25,148 @@ ConflictDetector::signaturesFor(TxState &tx)
     return **it;
 }
 
-std::vector<TxState *>
-ConflictDetector::findConflicts(TxState &tx, mem::Addr line,
-                                bool is_write)
+std::size_t
+ConflictDetector::find(mem::Addr line) const
 {
-    std::vector<TxState *> conflicts;
-    LineState &ls = lines_[line];
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = sim::SeededHash<mem::Addr>{}(line) & mask;
+    while (slots_[slot].line != line && slots_[slot].line != mem::kNoLine)
+        slot = (slot + 1) & mask;
+    return slot;
+}
 
-    // Exact holders (anyone other than tx itself).
-    if (ls.writer != nullptr && ls.writer != &tx)
-        conflicts.push_back(ls.writer);
-    if (is_write) {
-        for (TxState *reader : ls.readers) {
-            // The writer may also appear in the reader list (it read
-            // the line before upgrading); report each holder once.
-            if (reader != &tx && reader != ls.writer)
-                conflicts.push_back(reader);
+std::size_t
+ConflictDetector::slotFor(mem::Addr line)
+{
+    if (2 * (entries_ + 1) > slots_.size())
+        grow();
+    return find(line);
+}
+
+ConflictDetector::Entry &
+ConflictDetector::claim(std::size_t slot, mem::Addr line)
+{
+    Entry &entry = slots_[slot];
+    if (entry.line == mem::kNoLine) {
+        entry.line = line;
+        ++entries_;
+    }
+    return entry;
+}
+
+void
+ConflictDetector::grow()
+{
+    std::vector<Entry> old(2 * slots_.size());
+    old.swap(slots_);
+    for (const Entry &entry : old) {
+        if (entry.line != mem::kNoLine)
+            slots_[find(entry.line)] = entry;
+    }
+}
+
+void
+ConflictDetector::erase(std::size_t slot)
+{
+    // Pull each later entry of the probe run back into the hole
+    // unless the hole lies before its home slot, so every entry stays
+    // reachable from its home without tombstones.
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t hole = slot;
+    for (std::size_t next = (hole + 1) & mask;
+         slots_[next].line != mem::kNoLine; next = (next + 1) & mask) {
+        const std::size_t home =
+            sim::SeededHash<mem::Addr>{}(slots_[next].line) & mask;
+        if (((next - home) & mask) >= ((next - hole) & mask)) {
+            slots_[hole] = slots_[next];
+            hole = next;
         }
     }
+    slots_[hole] = Entry{};
+    --entries_;
+}
 
-    if (policy_.detectionMode == DetectionMode::Exact)
-        return conflicts;
+bool
+ConflictDetector::isReader(const Entry &entry, const TxState *tx) const
+{
+    for (std::uint32_t node = entry.head; node != kNil;
+         node = readers_[node].next) {
+        if (readers_[node].tx == tx)
+            return true;
+    }
+    return false;
+}
+
+void
+ConflictDetector::appendReader(Entry &entry, TxState *tx)
+{
+    std::uint32_t node = freeReader_;
+    if (node != kNil) {
+        freeReader_ = readers_[node].next;
+        readers_[node] = ReaderNode{tx, kNil};
+    } else {
+        node = static_cast<std::uint32_t>(readers_.size());
+        sim_assert(node != kNil);
+        readers_.push_back(ReaderNode{tx, kNil});
+    }
+    if (entry.tail == kNil)
+        entry.head = node;
+    else
+        readers_[entry.tail].next = node;
+    entry.tail = node;
+}
+
+void
+ConflictDetector::unlinkReader(Entry &entry, const TxState *tx)
+{
+    std::uint32_t prev = kNil;
+    for (std::uint32_t node = entry.head; node != kNil;
+         prev = node, node = readers_[node].next) {
+        if (readers_[node].tx != tx)
+            continue;
+        const std::uint32_t next = readers_[node].next;
+        if (prev == kNil)
+            entry.head = next;
+        else
+            readers_[prev].next = next;
+        if (entry.tail == node)
+            entry.tail = prev;
+        readers_[node].next = freeReader_;
+        freeReader_ = node;
+        return;
+    }
+}
+
+void
+ConflictDetector::findConflicts(const TxState &tx, mem::Addr line,
+                                bool is_write, const Entry &entry,
+                                std::vector<TxState *> &conflicts)
+{
+    if (policy_.detectionMode == DetectionMode::Exact) {
+        // Exact holders (anyone other than tx itself): the writer,
+        // then on a write every reader in registration order. The
+        // runner arbitrates, notifies and aborts holders in this
+        // order, so it is part of every simulated result.
+        if (entry.writer != nullptr && entry.writer != &tx)
+            conflicts.push_back(entry.writer);
+        if (!is_write)
+            return;
+        for (std::uint32_t node = entry.head; node != kNil;
+             node = readers_[node].next) {
+            TxState *reader = readers_[node].tx;
+            // The writer may also appear in the reader list (it read
+            // the line before upgrading); report each holder once.
+            if (reader != &tx && reader != entry.writer)
+                conflicts.push_back(reader);
+        }
+        return;
+    }
 
     // Signature mode: coherence requests test every active remote
     // transaction's Bloom signatures; hits beyond the exact holders
     // are false conflicts (signature aliasing). signatures_ is kept
     // sorted by dTxID, so this snoop sweep produces holders in
     // deterministic order by construction.
-    std::vector<TxState *> signature_conflicts;
     for (const auto &sigs : signatures_) {
         TxState *other = sigs->owner;
         if (other == &tx || !other->active)
@@ -61,14 +176,12 @@ ConflictDetector::findConflicts(TxState &tx, mem::Addr line,
             || (is_write && sigs->readSig.mayContain(line));
         if (!hit)
             continue;
-        signature_conflicts.push_back(other);
-        const bool real =
-            std::find(conflicts.begin(), conflicts.end(), other)
-            != conflicts.end();
+        conflicts.push_back(other);
+        const bool real = entry.writer == other
+                       || (is_write && isReader(entry, other));
         if (!real)
             falseConflicts_.inc();
     }
-    return signature_conflicts;
 }
 
 AccessResult
@@ -78,18 +191,22 @@ ConflictDetector::access(TxState &tx, mem::Addr line, bool is_write,
     sim_assert(tx.active);
 
     AccessResult result;
-    result.conflicts = findConflicts(tx, line, is_write);
+    const std::size_t slot = slotFor(line);
+    findConflicts(tx, line, is_write, slots_[slot], result.conflicts);
 
     if (result.conflicts.empty()) {
-        // Conflict-free: record ownership.
-        LineState &ls = lines_[line];
+        // Conflict-free: record ownership. The entry says whether tx
+        // already holds the line, so each set gets a line once.
+        Entry &entry = claim(slot, line);
         if (is_write) {
-            ls.writer = &tx;
-            tx.writeSet.insert(line);
-        } else {
-            if (!tx.readSet.count(line))
-                ls.readers.push_back(&tx);
-            tx.readSet.insert(line);
+            result.firstWrite = entry.writer != &tx;
+            if (result.firstWrite) {
+                entry.writer = &tx;
+                tx.writeSet.push_back(line);
+            }
+        } else if (!isReader(entry, &tx)) {
+            appendReader(entry, &tx);
+            tx.readSet.push_back(line);
         }
         if (policy_.detectionMode == DetectionMode::Signature) {
             TxSignatures &sigs = signaturesFor(tx);
@@ -144,27 +261,26 @@ ConflictDetector::removeTx(TxState &tx)
         && (*sig_it)->owner == &tx) {
         signatures_.erase(sig_it);
     }
-    // lint:allow(unordered-iteration): per-line erasures commute; the
-    // final registry state is independent of visit order.
+    // Per-line releases commute, so the final registry is the same in
+    // any visit order; reader lists stay in registration order.
     for (mem::Addr line : tx.readSet) {
-        auto it = lines_.find(line);
-        if (it == lines_.end())
+        const std::size_t slot = find(line);
+        Entry &entry = slots_[slot];
+        if (entry.line == mem::kNoLine)
             continue;
-        auto &readers = it->second.readers;
-        readers.erase(std::remove(readers.begin(), readers.end(), &tx),
-                      readers.end());
-        if (readers.empty() && it->second.writer == nullptr)
-            lines_.erase(it);
+        unlinkReader(entry, &tx);
+        if (entry.head == kNil && entry.writer == nullptr)
+            erase(slot);
     }
-    // lint:allow(unordered-iteration): same -- commuting erasures.
     for (mem::Addr line : tx.writeSet) {
-        auto it = lines_.find(line);
-        if (it == lines_.end())
+        const std::size_t slot = find(line);
+        Entry &entry = slots_[slot];
+        if (entry.line == mem::kNoLine)
             continue;
-        if (it->second.writer == &tx)
-            it->second.writer = nullptr;
-        if (it->second.readers.empty() && it->second.writer == nullptr)
-            lines_.erase(it);
+        if (entry.writer == &tx)
+            entry.writer = nullptr;
+        if (entry.head == kNil && entry.writer == nullptr)
+            erase(slot);
     }
 }
 
@@ -177,35 +293,32 @@ ConflictDetector::consistentWith(
     std::size_t expected_reads = 0;
     std::size_t expected_writes = 0;
     for (const TxState *tx : active) {
-        // lint:allow(unordered-iteration): order-insensitive
-        // membership checks in a test-only consistency sweep.
         for (mem::Addr line : tx->readSet) {
-            auto it = lines_.find(line);
-            if (it == lines_.end())
+            const Entry &entry = slots_[find(line)];
+            if (entry.line == mem::kNoLine || !isReader(entry, tx))
                 return false;
-            const auto &readers = it->second.readers;
-            if (std::find(readers.begin(), readers.end(), tx)
-                == readers.end()) {
-                return false;
-            }
             ++expected_reads;
         }
-        // lint:allow(unordered-iteration): same -- test-only checks.
         for (mem::Addr line : tx->writeSet) {
-            auto it = lines_.find(line);
-            if (it == lines_.end() || it->second.writer != tx)
+            if (slots_[find(line)].writer != tx)
                 return false;
             ++expected_writes;
         }
     }
     std::size_t actual_reads = 0;
     std::size_t actual_writes = 0;
-    // lint:allow(unordered-iteration): commutative sums in a
-    // test-only consistency check; no simulated behavior depends on
-    // the order.
-    for (const auto &[line, ls] : lines_) {
-        actual_reads += ls.readers.size();
-        actual_writes += ls.writer != nullptr ? 1 : 0;
+    // The walk visits slots in hash order; it only sums counts and
+    // rejects ownerless entries, which no order can change.
+    for (const Entry &entry : slots_) {
+        if (entry.line == mem::kNoLine)
+            continue;
+        if (entry.writer == nullptr && entry.head == kNil)
+            return false;
+        for (std::uint32_t node = entry.head; node != kNil;
+             node = readers_[node].next) {
+            ++actual_reads;
+        }
+        actual_writes += entry.writer != nullptr ? 1 : 0;
     }
     return actual_reads == expected_reads
         && actual_writes == expected_writes;
@@ -220,16 +333,10 @@ ConflictDetector::auditCheck(sim::AuditEngine &audit,
     std::size_t expected_writes = 0;
     for (const TxState *tx : active) {
         const auto dtx = static_cast<std::int64_t>(tx->dTxId);
-        // lint:allow(unordered-iteration): order-insensitive
-        // membership checks; the audit reads state, never mutates.
         for (mem::Addr line : tx->readSet) {
-            auto it = lines_.find(line);
-            const bool registered =
-                it != lines_.end()
-                && std::find(it->second.readers.begin(),
-                             it->second.readers.end(), tx)
-                       != it->second.readers.end();
-            audit.check(registered, "htm.registry",
+            const Entry &entry = slots_[find(line)];
+            audit.check(entry.line != mem::kNoLine && isReader(entry, tx),
+                        "htm.registry",
                         [line] {
                             return "read-set line " + std::to_string(line)
                                  + " missing from line registry";
@@ -237,11 +344,8 @@ ConflictDetector::auditCheck(sim::AuditEngine &audit,
                         tick, tx->cpu, tx->thread, -1, dtx);
             ++expected_reads;
         }
-        // lint:allow(unordered-iteration): same -- membership checks.
         for (mem::Addr line : tx->writeSet) {
-            auto it = lines_.find(line);
-            audit.check(it != lines_.end() && it->second.writer == tx,
-                        "htm.registry",
+            audit.check(slots_[find(line)].writer == tx, "htm.registry",
                         [line] {
                             return "write-set line " + std::to_string(line)
                                  + " not registered to its writer";
@@ -254,27 +358,39 @@ ConflictDetector::auditCheck(sim::AuditEngine &audit,
     // Reverse direction plus eager isolation: a written line has one
     // writer and no foreign readers (two committed writers on one
     // line in overlapping windows are impossible by construction).
+    // The walk visits slots in hash order; it only sums counts and
+    // checks each line on its own, so a clean audit is the same in
+    // any order (only which violation is reported first can differ).
     std::size_t actual_reads = 0;
     std::size_t actual_writes = 0;
-    // lint:allow(unordered-iteration): commutative sums and per-line
-    // checks; no simulated behavior depends on the order.
-    for (const auto &[line, ls] : lines_) {
-        actual_reads += ls.readers.size();
-        if (ls.writer == nullptr)
+    for (const Entry &entry : slots_) {
+        if (entry.line == mem::kNoLine)
             continue;
-        ++actual_writes;
+        const mem::Addr line = entry.line;
+        audit.check(entry.writer != nullptr || entry.head != kNil,
+                    "htm.registry",
+                    [line] {
+                        return "line " + std::to_string(line)
+                             + " registered with no writer and no reader";
+                    },
+                    tick);
         bool foreign_reader = false;
-        for (const TxState *reader : ls.readers) {
-            if (reader != ls.writer)
+        for (std::uint32_t node = entry.head; node != kNil;
+             node = readers_[node].next) {
+            ++actual_reads;
+            if (readers_[node].tx != entry.writer)
                 foreign_reader = true;
         }
+        if (entry.writer == nullptr)
+            continue;
+        ++actual_writes;
         audit.check(!foreign_reader, "htm.isolation",
                     [line] {
                         return "line " + std::to_string(line)
                              + " has a writer and a foreign reader";
                     },
-                    tick, ls.writer->cpu, ls.writer->thread, -1,
-                    static_cast<std::int64_t>(ls.writer->dTxId));
+                    tick, entry.writer->cpu, entry.writer->thread, -1,
+                    static_cast<std::int64_t>(entry.writer->dTxId));
     }
     audit.check(actual_reads == expected_reads
                     && actual_writes == expected_writes,
@@ -299,10 +415,8 @@ ConflictDetector::auditCheck(sim::AuditEngine &audit,
         if (!is_active)
             continue;
         bool covered = true;
-        // lint:allow(unordered-iteration): membership-only checks.
         for (mem::Addr line : owner->readSet)
             covered = covered && sigs->readSig.mayContain(line);
-        // lint:allow(unordered-iteration): same.
         for (mem::Addr line : owner->writeSet)
             covered = covered && sigs->writeSig.mayContain(line);
         audit.check(covered, "bloom.membership",

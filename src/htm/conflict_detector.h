@@ -23,12 +23,13 @@
 #ifndef BFGTS_HTM_CONFLICT_DETECTOR_H
 #define BFGTS_HTM_CONFLICT_DETECTOR_H
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
 #include "htm/tx_state.h"
-#include "sim/det_hash.h"
+#include "mem/cache.h"
 #include "sim/stats.h"
 
 namespace sim {
@@ -66,7 +67,17 @@ enum class Resolution {
 /** Outcome of one requested access. */
 struct AccessResult {
     Resolution resolution = Resolution::Proceed;
-    /** Conflicting transactions (holders), when resolution != Proceed. */
+    /**
+     * On Proceed: this store is the requester's first write of the
+     * line in this attempt, so the undo log must save the old value
+     * (the hardware filters later stores to a logged line).
+     */
+    bool firstWrite = false;
+    /**
+     * Conflicting transactions (holders), when resolution != Proceed:
+     * the writer first, then readers in registration order (exact
+     * mode), or remote transactions in dTxID order (signature mode).
+     */
     std::vector<TxState *> conflicts;
 };
 
@@ -100,7 +111,9 @@ struct ConflictPolicy {
  * Global registry of transactional ownership.
  *
  * All methods are O(1)-ish per line touched; commit/abort removal is
- * proportional to the transaction's footprint.
+ * proportional to the transaction's footprint. In steady state the
+ * registry allocates nothing: its table and reader pool keep their
+ * capacity, and transactions' read/write sets keep theirs.
  */
 class ConflictDetector
 {
@@ -135,7 +148,7 @@ class ConflictDetector
     void removeTx(TxState &tx);
 
     /** Number of lines with at least one transactional owner. */
-    std::size_t ownedLines() const { return lines_.size(); }
+    std::size_t ownedLines() const { return entries_; }
 
     const sim::Counter &conflictsDetected() const { return conflicts_; }
 
@@ -158,14 +171,18 @@ class ConflictDetector
         return nackRetryHist_;
     }
 
-    /** Sanity check (tests): registry matches every active tx's sets. */
+    /**
+     * Sanity check (tests): registry matches every active tx's sets,
+     * and every registry entry has a writer or a reader.
+     */
     bool consistentWith(const std::vector<TxState *> &active) const;
 
     /**
      * Invariant audit (sim/audit.h): granular version of
      * consistentWith() that reports which invariant broke.
      *  - htm.registry:  every read/write-set entry of every active tx
-     *    is present in the line registry and vice versa;
+     *    is present in the line registry and vice versa, and every
+     *    registry entry has a writer or a reader;
      *  - htm.isolation: eager conflict detection holds -- a written
      *    line has exactly one writer and no foreign readers;
      *  - bloom.membership (Signature mode): a transaction's hardware
@@ -181,18 +198,35 @@ class ConflictDetector
      * Test hook for the audit mutation selftest: force @p tx as the
      * registered writer of @p line without conflict checking,
      * corrupting isolation so htm.isolation / htm.registry must
-     * fire. Never call outside tests.
+     * fire. A null @p tx on a line nobody reads leaves an entry with
+     * no owner at all. Never call outside tests.
      */
     void
-    testForceWriter(mem::Addr line, TxState &tx)
+    testForceWriter(mem::Addr line, TxState *tx)
     {
-        lines_[line].writer = &tx;
+        claim(slotFor(line), line).writer = tx;
     }
 
   private:
-    struct LineState {
+    /** End of a reader list; index of no reader node. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /**
+     * A line's transactional owners. An empty slot holds the line
+     * kNoLine. Readers form a list of reader nodes in registration
+     * order, which is the order findConflicts() reports them in.
+     */
+    struct Entry {
+        mem::Addr line = mem::kNoLine;
         TxState *writer = nullptr;
-        std::vector<TxState *> readers;
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+    };
+
+    /** One reader of one line, linked from its Entry or free list. */
+    struct ReaderNode {
+        TxState *tx = nullptr;
+        std::uint32_t next = kNil;
     };
 
     /**
@@ -213,16 +247,55 @@ class ConflictDetector
         }
     };
 
-    /** Holders the configured mechanism reports for an access. */
-    std::vector<TxState *> findConflicts(TxState &tx, mem::Addr line,
-                                         bool is_write);
+    /**
+     * Append to @p conflicts the holders the configured mechanism
+     * reports for an access to the line whose registry entry (or
+     * empty slot) is @p entry.
+     */
+    void findConflicts(const TxState &tx, mem::Addr line, bool is_write,
+                       const Entry &entry,
+                       std::vector<TxState *> &conflicts);
 
     TxSignatures &signaturesFor(TxState &tx);
+
+    /**
+     * Slot of @p line, or the empty slot where it would go; grows the
+     * table first when one more entry would pass the load limit, so
+     * the slot stays valid for claim().
+     */
+    std::size_t slotFor(mem::Addr line);
+    /** Slot of @p line, or the empty slot where it would go. */
+    std::size_t find(mem::Addr line) const;
+    /** The entry at @p slot, made @p line's if the slot is empty. */
+    Entry &claim(std::size_t slot, mem::Addr line);
+    /** Empty @p slot, shifting later entries of its probe run back. */
+    void erase(std::size_t slot);
+    /** Double the table and re-place every entry. */
+    void grow();
+
+    /** True when @p tx is in @p entry's reader list. */
+    bool isReader(const Entry &entry, const TxState *tx) const;
+    /** Append @p tx to the end of @p entry's reader list. */
+    void appendReader(Entry &entry, TxState *tx);
+    /** Unlink @p tx from @p entry's reader list, keeping the order
+     *  of the others; no-op when it is not a reader. */
+    void unlinkReader(Entry &entry, const TxState *tx);
 
     ConflictPolicy policy_;
     /** Empty prototype filter cloned into each TxSignatures. */
     bloom::BloomFilter sigProto_;
-    sim::HashMap<mem::Addr, LineState> lines_;
+    /**
+     * Line registry: an open-addressed table keyed by line number
+     * (linear probing, sim::SeededHash, backward-shift deletion). It
+     * doubles when it would pass half full and never shrinks, so a
+     * steady-state run stops allocating once it has grown.
+     */
+    static constexpr std::size_t kInitialSlots = 256;
+    std::vector<Entry> slots_ = std::vector<Entry>(kInitialSlots);
+    std::size_t entries_ = 0;
+    /** Reader nodes of every entry; freed nodes chain from freeReader_. */
+    std::vector<ReaderNode> readers_;
+    std::uint32_t freeReader_ = kNil;
     /**
      * Active transactions' signatures, sorted by dTxID. A flat array
      * ordered by construction: the snoop sweep in findConflicts()

@@ -13,11 +13,12 @@
 #ifndef BFGTS_HTM_TX_STATE_H
 #define BFGTS_HTM_TX_STATE_H
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "htm/tx_id.h"
 #include "mem/addr.h"
-#include "sim/det_hash.h"
 #include "sim/types.h"
 
 namespace htm {
@@ -44,11 +45,15 @@ struct TxState {
     /** Tick this attempt started executing (for wasted-work stats). */
     sim::Tick attemptStart = 0;
 
-    /** Exact read set (line numbers). */
-    sim::HashSet<mem::Addr> readSet;
+    /**
+     * Exact read set (line numbers) in first-read order. The conflict
+     * detector appends each line once per attempt; its registry, not
+     * this vector, answers whether the tx already reads a line.
+     */
+    std::vector<mem::Addr> readSet;
 
-    /** Exact write set (line numbers). */
-    sim::HashSet<mem::Addr> writeSet;
+    /** Exact write set (line numbers) in first-write order. */
+    std::vector<mem::Addr> writeSet;
 
     /** Cycles of useful work done in this attempt (for abort cost). */
     sim::Cycles workDone = 0;
@@ -64,16 +69,22 @@ struct TxState {
     footprint() const
     {
         // Sets may overlap (read-then-write lines live in both);
-        // count the union. writeSet is usually the smaller.
+        // count the union.
         std::size_t unique_writes = 0;
-        // lint:allow(unordered-iteration): commutative sum; the
-        // result is independent of visit order.
-        for (mem::Addr line : writeSet)
-            unique_writes += readSet.count(line) ? 0 : 1;
+        for (mem::Addr line : writeSet) {
+            if (std::find(readSet.begin(), readSet.end(), line)
+                == readSet.end()) {
+                ++unique_writes;
+            }
+        }
         return readSet.size() + unique_writes;
     }
 
-    /** Reset per-attempt state (sets, work), keeping identity/age. */
+    /**
+     * Reset per-attempt state (sets, work), keeping identity/age. The
+     * sets keep their capacity, so a retry or the next transaction
+     * reuses it.
+     */
     void
     resetAttempt()
     {

@@ -8,21 +8,22 @@
  * log backwards in software, restoring old values.
  *
  * The simulator is timing-only, so entries carry no data -- the log
- * tracks which lines were saved (first write per line only, as the
- * hardware filters redundant log writes) and prices the three
- * operations:
+ * counts the lines saved and prices the three operations:
  *  - append: one store to the log (usually L1-resident),
  *  - commit: constant (reset the log pointer),
  *  - abort:  trap + per-entry restore (two memory operations each).
+ *
+ * Only the first write of a line in an attempt is logged, as the
+ * hardware filters redundant log writes. The conflict detector reports
+ * that write (AccessResult::firstWrite), so the log keeps no set of
+ * its own.
  */
 
 #ifndef BFGTS_HTM_VERSION_LOG_H
 #define BFGTS_HTM_VERSION_LOG_H
 
-#include <vector>
+#include <cstddef>
 
-#include "mem/addr.h"
-#include "sim/det_hash.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -44,10 +45,10 @@ struct VersionLogConfig {
 /**
  * Per-thread undo log.
  *
- * The runner calls append() on every transactional store; the return
- * value is the logging latency to add to the access (zero for
- * redundant writes to an already-logged line). commit()/abort()
- * return their cost and reset the log.
+ * The runner calls append() on the first transactional store to each
+ * line in an attempt; the return value is the logging latency to add
+ * to the access. commit()/abort() return their cost and reset the
+ * log.
  */
 class VersionLog
 {
@@ -58,14 +59,13 @@ class VersionLog
     }
 
     /**
-     * Log the old value of @p line before a store.
-     * @return Logging cycles (0 if the line was already logged).
+     * Log the old value of a line before its first store in this
+     * attempt.
+     * @return Logging cycles.
      */
     sim::Cycles
-    append(mem::Addr line)
+    append()
     {
-        if (!logged_.insert(line).second)
-            return 0;
         ++entries_;
         appends_.inc();
         if (entries_ > highWater_)
@@ -114,15 +114,9 @@ class VersionLog
     }
 
   private:
-    void
-    reset()
-    {
-        logged_.clear();
-        entries_ = 0;
-    }
+    void reset() { entries_ = 0; }
 
     VersionLogConfig config_;
-    sim::HashSet<mem::Addr> logged_;
     std::size_t entries_ = 0;
     std::size_t highWater_ = 0;
     sim::Counter appends_;

@@ -1,6 +1,7 @@
 #include "simulation.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "cm/ats.h"
 #include "cm/bfgts.h"
@@ -13,6 +14,37 @@
 #include "workloads/stamp.h"
 
 namespace runner {
+
+namespace {
+
+/**
+ * Lines common to two ascending, duplicate-free line lists (commit
+ * sets), counting at most @p limit of them: a merge walk, so no
+ * lookup structure is built.
+ */
+std::size_t
+commonLines(const std::vector<mem::Addr> &a,
+            const std::vector<mem::Addr> &b,
+            std::size_t limit = std::numeric_limits<std::size_t>::max())
+{
+    std::size_t count = 0;
+    auto i = a.begin();
+    auto j = b.begin();
+    while (i != a.end() && j != b.end() && count < limit) {
+        if (*i < *j) {
+            ++i;
+        } else if (*j < *i) {
+            ++j;
+        } else {
+            ++count;
+            ++i;
+            ++j;
+        }
+    }
+    return count;
+}
+
+} // namespace
 
 Simulation::Simulation(const SimConfig &config)
     : config_(config), rng_(config.seed)
@@ -620,8 +652,8 @@ Simulation::doTxAccess(Worker &worker)
         latency += worker.desc.workPerAccess;
         // Eager versioning: first store to a line saves the old
         // value to the undo log.
-        if (access.write)
-            latency += worker.undoLog.append(line);
+        if (result.firstWrite)
+            latency += worker.undoLog.append();
         worker.tx.workDone += latency;
         ++worker.tx.accessesDone;
         ++worker.accessIndex;
@@ -798,26 +830,18 @@ Simulation::doCommit(Worker &worker)
 bool
 Simulation::doCommitDone(Worker &worker)
 {
-    // Union of read and write sets, as line numbers. The worker's
-    // commit buffer is reused across commits (capacity sticks), so a
+    // Union of read and write sets: the commit set the CMs receive,
+    // as line numbers in ascending order with each line once (the
+    // similarity merges below rely on that order). The worker's commit
+    // buffer is reused across commits (capacity sticks), so a
     // steady-state commit performs no allocation here.
     std::vector<mem::Addr> &rw_lines = worker.commitLines;
-    rw_lines.clear();
-    rw_lines.reserve(worker.tx.readSet.size()
-                     + worker.tx.writeSet.size());
-    // lint:allow(unordered-iteration): collected into rw_lines and
-    // sorted below, so hash order never reaches the CM or stats.
-    for (mem::Addr line : worker.tx.readSet)
-        rw_lines.push_back(line);
-    // lint:allow(unordered-iteration): same -- sorted below.
-    for (mem::Addr line : worker.tx.writeSet) {
-        if (!worker.tx.readSet.count(line))
-            rw_lines.push_back(line);
-    }
-    // CMs receive the commit set in line-number order, not the hash
-    // order of the exact sets, so their decisions are reproducible
-    // across standard libraries and hash seeds.
+    rw_lines.assign(worker.tx.readSet.begin(), worker.tx.readSet.end());
+    rw_lines.insert(rw_lines.end(), worker.tx.writeSet.begin(),
+                    worker.tx.writeSet.end());
     std::sort(rw_lines.begin(), rw_lines.end());
+    rw_lines.erase(std::unique(rw_lines.begin(), rw_lines.end()),
+                   rw_lines.end());
 
     if (auditing())
         auditLifecycle(worker, LifecycleAuditor::TxEvent::Commit);
@@ -965,17 +989,14 @@ Simulation::recordSimilarity(Worker &worker,
                         ? size
                         : 0.5 * (track.avgSize + size);
     if (!track.lastSet.empty() && track.avgSize > 0.0) {
-        std::size_t inter = 0;
-        for (mem::Addr line : rw_lines)
-            inter += track.lastSet.count(line);
+        const std::size_t inter = commonLines(rw_lines, track.lastSet);
         const double sim = std::clamp(
             static_cast<double>(inter) / track.avgSize, 0.0, 1.0);
         siteSim_[static_cast<std::size_t>(
                      ids_->staticOf(worker.tx.dTxId))]
             .sample(sim);
     }
-    track.lastSet.clear();
-    track.lastSet.insert(rw_lines.begin(), rw_lines.end());
+    track.lastSet.assign(rw_lines.begin(), rw_lines.end());
 }
 
 void
@@ -1005,13 +1026,7 @@ Simulation::classifyPrediction(const Worker &worker,
     // have committed clean and the stall was wasted (false positive).
     const SimTrack &track = simTrack_[static_cast<std::size_t>(
         ids_->denseIndex(enemy))];
-    bool overlap = false;
-    for (mem::Addr line : rw_lines) {
-        if (track.lastSet.count(line) > 0) {
-            overlap = true;
-            break;
-        }
-    }
+    const bool overlap = commonLines(rw_lines, track.lastSet, 1) > 0;
     if (overlap)
         site.truePositives.inc();
     else

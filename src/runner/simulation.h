@@ -36,7 +36,6 @@
 #include "runner/audit_checks.h"
 #include "runner/config.h"
 #include "runner/results.h"
-#include "sim/det_hash.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "sim/stats.h"
@@ -319,7 +318,9 @@ class Simulation
     sim::Histogram stallCyclesHist_ = sim::Histogram::makeLog2(34);
 
     struct SimTrack {
-        sim::HashSet<mem::Addr> lastSet;
+        /** The last committed set, ascending (Eq. 1's previous
+         *  execution); keeps its capacity across commits. */
+        std::vector<mem::Addr> lastSet;
         double avgSize = 0.0;
     };
     std::vector<SimTrack> simTrack_;          // per dTxId dense index

@@ -1,21 +1,23 @@
 /**
  * @file
- * Seed-perturbable hashing for the simulator's unordered containers.
+ * Seed-perturbable hashing for the simulator's hash tables.
  *
- * Simulation results must never depend on the iteration order of a
- * hash container: that order is unspecified, varies across standard
- * library versions, and silently couples results to memory layout.
- * Every unordered container holding simulation-affecting state uses
- * sim::HashSet / sim::HashMap, whose hash mixes in a process-wide
- * seed taken from the BFGTS_HASH_SEED environment variable (default
- * 0). Changing the seed scrambles bucket order without changing set
- * contents, so a test can run the same simulation under two seeds and
- * assert bit-identical results -- proving no code path reads hash
- * order (see tests/test_determinism.cpp and the lint rule
- * `unordered-iteration` in tools/lint/determinism_lint.py).
+ * Simulation results must never depend on the layout of a hash table:
+ * it is unspecified, varies across standard library versions, and
+ * silently couples results to memory layout. Every hash table holding
+ * simulation-affecting state -- the memory system's sharer directory
+ * and the conflict detector's line registry, both open-addressed
+ * tables -- hashes with sim::SeededHash, which mixes in a
+ * process-wide seed taken from the BFGTS_HASH_SEED environment
+ * variable (default 0). Changing the seed moves every entry to other
+ * slots without changing table contents, so a test can run the same
+ * simulation under two seeds and assert bit-identical results --
+ * proving no code path reads slot order (see
+ * tests/test_determinism.cpp and the lint rule `unordered-iteration`
+ * in tools/lint/determinism_lint.py).
  *
- * The seed must only change while no seeded container holds elements
- * (existing buckets are not rehashed); tests set it between
+ * The seed must only change while no seeded table holds elements
+ * (existing entries are not rehashed); tests set it between
  * Simulation instances.
  */
 
@@ -24,8 +26,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "sim/random.h"
 
@@ -62,8 +62,8 @@ hashSeed()
 }
 
 /**
- * Override the hash seed (tests only). @pre no sim::HashSet /
- * sim::HashMap instance currently holds elements.
+ * Override the hash seed (tests only). @pre no table hashed with
+ * SeededHash currently holds elements.
  */
 inline void
 setHashSeed(std::uint64_t seed)
@@ -81,28 +81,6 @@ struct SeededHash {
             mix64(static_cast<std::uint64_t>(value) ^ hashSeed()));
     }
 };
-
-/** Pointer keys hash by address (membership/lookup use only --
- *  iterating a pointer-keyed container is still order-hazardous and
- *  must be sorted before use; the linter enforces this). */
-template <typename T>
-struct SeededHash<T *> {
-    std::size_t
-    operator()(T *value) const
-    {
-        return static_cast<std::size_t>(
-            mix64(reinterpret_cast<std::uintptr_t>(value)
-                  ^ hashSeed()));
-    }
-};
-
-/** Hash set whose bucket order is scrambled by BFGTS_HASH_SEED. */
-template <typename T>
-using HashSet = std::unordered_set<T, SeededHash<T>>;
-
-/** Hash map whose bucket order is scrambled by BFGTS_HASH_SEED. */
-template <typename K, typename V>
-using HashMap = std::unordered_map<K, V, SeededHash<K>>;
 
 } // namespace sim
 

@@ -142,14 +142,13 @@ EventQueue::schedule(Tick when, EventFn fn)
     }
     const std::uint32_t slot = acquireSlot(std::move(fn));
     const EventId id = encodeId(slot, slots_[slot].gen);
-    if (profiler_ != nullptr) {
-        ScopedPhase phase(profiler_, Profiler::kEventQueue);
-        heapPush(HeapNode{when, nextSeq_++, id});
+    // A short sift-up: cheaper than the two clock reads of a profiler
+    // phase around it, so the caller's phase keeps it, as it keeps a
+    // lane push.
+    heapPush(HeapNode{when, nextSeq_++, id});
+    if (profiler_ != nullptr)
         profiler_->recordBytes(Profiler::kStructEventQueue,
                                structBytes());
-    } else {
-        heapPush(HeapNode{when, nextSeq_++, id});
-    }
     ++live_;
     return id;
 }

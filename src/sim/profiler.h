@@ -44,7 +44,8 @@ class Profiler
   public:
     /** Subsystem wall-time buckets (self-time; see file comment). */
     enum Phase : int {
-        /** Event-queue heap pop/push and dispatch bookkeeping. */
+        /** Event-queue heap pop and dispatch bookkeeping (a push is
+         *  charged to the phase that schedules it). */
         kEventQueue = 0,
         /** Workload generation (next descriptor). */
         kWorkload,
@@ -54,7 +55,8 @@ class Profiler
         kCmCommit,
         /** Bloom signature build/insert/similarity (inside commit). */
         kBloom,
-        /** Hardware predictor: predict() + snoop broadcasts. */
+        /** Hardware predictor: predict() + CPU-table broadcasts (a
+         *  confidence-write snoop is charged to the writing phase). */
         kPredictor,
         /** OS scheduler model. */
         kOsSched,

@@ -328,7 +328,7 @@ TEST(AuditConflictDetector, IsolationFiresOnForcedWriter)
 
     // Smash a writer into the line the reader holds: eager isolation
     // is gone and the registry no longer matches the exact sets.
-    detector.testForceWriter(100, writer);
+    detector.testForceWriter(100, &writer);
     detector.auditCheck(engine, {&reader, &writer}, 20);
     EXPECT_TRUE(engine.fired("htm.isolation"));
     EXPECT_TRUE(engine.fired("htm.registry"));
@@ -349,8 +349,20 @@ TEST(AuditConflictDetector, RegistryFiresOnUntrackedSetEntry)
               htm::Resolution::Proceed);
 
     // A write-set entry the registry never saw.
-    tx.writeSet.insert(200);
+    tx.writeSet.push_back(200);
     detector.auditCheck(engine, {&tx}, 10);
+    EXPECT_TRUE(engine.fired("htm.registry"));
+}
+
+TEST(AuditConflictDetector, RegistryFiresOnOwnerlessEntry)
+{
+    sim::AuditEngine engine = collectEngine();
+    htm::ConflictDetector detector;
+
+    // An entry with no writer and no reader: the per-line counts
+    // still balance, so only the ownerless-entry check can see it.
+    detector.testForceWriter(300, nullptr);
+    detector.auditCheck(engine, {}, 10);
     EXPECT_TRUE(engine.fired("htm.registry"));
 }
 
@@ -374,7 +386,7 @@ TEST(AuditConflictDetector, BloomMembershipFiresOnFalseNegative)
 
     // Grow the exact set behind the signature's back: the hardware
     // filter now has a false negative, which Bloom filters never do.
-    tx.readSet.insert(999);
+    tx.readSet.push_back(999);
     detector.auditCheck(engine, {&tx}, 20);
     EXPECT_TRUE(engine.fired("bloom.membership"));
 }

@@ -1,16 +1,16 @@
 /**
  * @file
  * End-to-end determinism proof: a simulation is a pure function of
- * (config, seed) and in particular is *independent of hash-container
- * iteration order*.
+ * (config, seed) and in particular is *independent of hash-table
+ * layout*.
  *
- * Every unordered container holding simulation-affecting state uses
- * sim::HashSet / sim::HashMap (src/sim/det_hash.h), whose hash mixes
- * in a process-wide seed (BFGTS_HASH_SEED). Two runs of the same
- * config under different hash seeds traverse those containers in
- * completely different bucket orders; if any scheduling decision or
- * statistic ever read hash order, the stats digests below would
- * diverge. Together with the static pass (ctest -R lint_determinism)
+ * Every hash table holding simulation-affecting state (the memory
+ * system's sharer directory, the conflict detector's line registry)
+ * hashes with sim::SeededHash (src/sim/det_hash.h), which mixes in a
+ * process-wide seed (BFGTS_HASH_SEED). Two runs of the same config
+ * under different hash seeds place those entries in completely
+ * different slots; if any scheduling decision or statistic ever read
+ * slot order, the stats digests below would diverge. Together with the static pass (ctest -R lint_determinism)
  * this closes the loop: the linter forbids un-audited unordered
  * iteration, and this test catches anything the audit misjudged.
  */

@@ -9,11 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -33,108 +33,249 @@
 namespace {
 
 /**
- * Reference ownership model: per line, the writer and reader set,
- * maintained with naive exact logic.
+ * Reference ownership model: per line, the writer and the readers in
+ * registration order, maintained with naive exact logic. The order
+ * matters: the runner arbitrates, notifies and aborts holders in the
+ * order the detector reports them, so every simulated number depends
+ * on it. In Signature mode each transaction also keeps its own
+ * read/write Bloom filters of the detector's geometry.
  */
 struct ReferenceModel {
     struct Line {
         int writer = -1;
-        std::set<int> readers;
+        std::vector<int> readers;
     };
     std::map<mem::Addr, Line> lines;
+    std::vector<bloom::BloomFilter> readSigs;
+    std::vector<bloom::BloomFilter> writeSigs;
 
-    /** Would (tx, line, write) conflict, and with whom? */
-    std::set<int>
+    ReferenceModel(int tx_count, const bloom::BloomConfig &signature)
+        : readSigs(static_cast<std::size_t>(tx_count),
+                   bloom::BloomFilter(signature)),
+          writeSigs(readSigs)
+    {
+    }
+
+    /** Exact holders an access by @p tx meets, in report order: the
+     *  writer, then (on a write) the other readers oldest first. */
+    std::vector<int>
     conflicts(int tx, mem::Addr line, bool write) const
     {
-        std::set<int> result;
+        std::vector<int> result;
         auto it = lines.find(line);
         if (it == lines.end())
             return result;
-        if (it->second.writer >= 0 && it->second.writer != tx)
-            result.insert(it->second.writer);
+        const Line &held = it->second;
+        if (held.writer >= 0 && held.writer != tx)
+            result.push_back(held.writer);
         if (write) {
-            for (int reader : it->second.readers) {
-                if (reader != tx)
-                    result.insert(reader);
+            for (int reader : held.readers) {
+                if (reader != tx && reader != held.writer)
+                    result.push_back(reader);
             }
         }
         return result;
     }
 
-    void
+    /** Transactions whose signatures hit, in dTxID order. */
+    std::vector<int>
+    signatureConflicts(int tx, mem::Addr line, bool write) const
+    {
+        std::vector<int> result;
+        for (int other = 0; other < static_cast<int>(readSigs.size());
+             ++other) {
+            const auto o = static_cast<std::size_t>(other);
+            if (other != tx
+                && (writeSigs[o].mayContain(line)
+                    || (write && readSigs[o].mayContain(line)))) {
+                result.push_back(other);
+            }
+        }
+        return result;
+    }
+
+    /** Record a conflict-free access; @return whether it is the
+     *  line's first write by @p tx since its last removal. */
+    bool
     record(int tx, mem::Addr line, bool write)
     {
-        if (write)
-            lines[line].writer = tx;
-        else
-            lines[line].readers.insert(tx);
+        Line &held = lines[line];
+        const auto t = static_cast<std::size_t>(tx);
+        if (write) {
+            writeSigs[t].insert(line);
+            const bool first = held.writer != tx;
+            held.writer = tx;
+            return first;
+        }
+        readSigs[t].insert(line);
+        if (std::find(held.readers.begin(), held.readers.end(), tx)
+            == held.readers.end()) {
+            held.readers.push_back(tx);
+        }
+        return false;
     }
 
     void
     remove(int tx)
     {
         for (auto it = lines.begin(); it != lines.end();) {
-            if (it->second.writer == tx)
-                it->second.writer = -1;
-            it->second.readers.erase(tx);
-            if (it->second.writer < 0 && it->second.readers.empty())
+            Line &held = it->second;
+            if (held.writer == tx)
+                held.writer = -1;
+            // Stable erase: the other readers keep their order.
+            held.readers.erase(std::remove(held.readers.begin(),
+                                           held.readers.end(), tx),
+                               held.readers.end());
+            if (held.writer < 0 && held.readers.empty())
                 it = lines.erase(it);
             else
                 ++it;
         }
+        readSigs[static_cast<std::size_t>(tx)].clear();
+        writeSigs[static_cast<std::size_t>(tx)].clear();
     }
 };
 
+struct DetectorFuzzParams {
+    htm::ConflictPolicy policy;
+    int txCount = 6;
+    /** Lines [0, hotLines) take hotFraction of the accesses; the rest
+     *  spread over [hotLines, hotLines + coldLines). */
+    mem::Addr hotLines = 12;
+    mem::Addr coldLines = 0;
+    double hotFraction = 1.0;
+    double writeFraction = 0.4;
+    double removeChance = 0.05;
+    int ops = 4000;
+    std::uint64_t seed = 2024;
+};
+
+/**
+ * Drive the detector and the reference with the same random accesses
+ * and commits/aborts, and after every op require the exact ordered
+ * holders, the first-write flag, the registry's line count, the
+ * false-conflict count and a consistent registry.
+ * @return The most lines the registry ever held.
+ */
+std::size_t
+fuzzDetector(const DetectorFuzzParams &params)
+{
+    const bool signature =
+        params.policy.detectionMode == htm::DetectionMode::Signature;
+    htm::ConflictDetector detector(params.policy);
+    ReferenceModel reference(params.txCount, params.policy.signature);
+    std::vector<htm::TxState> txs(
+        static_cast<std::size_t>(params.txCount));
+    std::vector<htm::TxState *> active;
+    for (int i = 0; i < params.txCount; ++i) {
+        htm::TxState &tx = txs[static_cast<std::size_t>(i)];
+        tx.dTxId = i;
+        tx.thread = i;
+        tx.timestamp = static_cast<std::uint64_t>(i) + 1;
+        tx.active = true;
+        active.push_back(&tx);
+    }
+
+    sim::Rng rng(params.seed);
+    std::uint64_t false_conflicts = 0;
+    std::size_t max_owned = 0;
+    for (int op = 0; op < params.ops; ++op) {
+        const int tx = static_cast<int>(
+            rng.below(static_cast<std::uint64_t>(params.txCount)));
+        htm::TxState &state = txs[static_cast<std::size_t>(tx)];
+        if (rng.chance(params.removeChance)) {
+            // Commit/abort: release isolation and start fresh.
+            detector.removeTx(state);
+            reference.remove(tx);
+            state.resetAttempt();
+            state.active = true;
+        } else {
+            const mem::Addr line =
+                rng.chance(params.hotFraction)
+                    ? rng.below(params.hotLines)
+                    : params.hotLines + rng.below(params.coldLines);
+            const bool write = rng.chance(params.writeFraction);
+            const std::vector<int> exact =
+                reference.conflicts(tx, line, write);
+            std::vector<int> expected = exact;
+            if (signature) {
+                expected = reference.signatureConflicts(tx, line, write);
+                for (int holder : expected) {
+                    if (std::find(exact.begin(), exact.end(), holder)
+                        == exact.end()) {
+                        ++false_conflicts;
+                    }
+                }
+            }
+            const htm::AccessResult result =
+                detector.access(state, line, write, 0);
+            std::vector<int> reported;
+            for (const htm::TxState *holder : result.conflicts)
+                reported.push_back(holder->dTxId);
+            EXPECT_EQ(reported, expected) << "op " << op;
+            if (expected.empty()) {
+                EXPECT_EQ(result.resolution, htm::Resolution::Proceed)
+                    << "op " << op;
+                EXPECT_EQ(result.firstWrite,
+                          reference.record(tx, line, write))
+                    << "op " << op;
+            } else {
+                EXPECT_NE(result.resolution, htm::Resolution::Proceed)
+                    << "op " << op;
+                EXPECT_FALSE(result.firstWrite) << "op " << op;
+            }
+        }
+        EXPECT_EQ(detector.ownedLines(), reference.lines.size())
+            << "op " << op;
+        EXPECT_EQ(detector.falseConflicts().value(), false_conflicts)
+            << "op " << op;
+        EXPECT_TRUE(detector.consistentWith(active)) << "op " << op;
+        if (::testing::Test::HasFailure())
+            return max_owned;
+        max_owned = std::max(max_owned, detector.ownedLines());
+    }
+    return max_owned;
+}
+
 TEST(ConflictDetectorFuzz, MatchesReferenceModel)
 {
-    constexpr int kTxCount = 6;
-    constexpr int kLines = 12;
-    constexpr int kOps = 4000;
+    fuzzDetector(DetectorFuzzParams{});
+}
 
-    htm::ConflictDetector detector;
-    ReferenceModel reference;
-    std::vector<htm::TxState> txs(kTxCount);
-    std::vector<htm::TxState *> active;
-    for (int i = 0; i < kTxCount; ++i) {
-        txs[i].dTxId = i;
-        txs[i].thread = i;
-        txs[i].timestamp = static_cast<std::uint64_t>(i) + 1;
-        txs[i].active = true;
-        active.push_back(&txs[i]);
-    }
+TEST(ConflictDetectorFuzz, MatchesReferenceModelAtScale)
+{
+    // 64 transactions: a few hot lines collect long reader lists that
+    // commits and aborts cut in the middle, and thousands of cold
+    // lines make the registry grow from its 256 slots several times.
+    DetectorFuzzParams params;
+    params.txCount = 64;
+    params.hotLines = 16;
+    params.coldLines = 1 << 16;
+    params.hotFraction = 0.3;
+    params.writeFraction = 0.25;
+    params.removeChance = 0.02;
+    params.ops = 12000;
+    params.seed = 64;
+    EXPECT_GT(fuzzDetector(params), 1024u);
+}
 
-    sim::Rng rng(2024);
-    for (int op = 0; op < kOps; ++op) {
-        const int tx = static_cast<int>(rng.below(kTxCount));
-        if (rng.chance(0.05)) {
-            // Commit/abort: release isolation and start fresh.
-            detector.removeTx(txs[tx]);
-            reference.remove(tx);
-            txs[tx].resetAttempt();
-            txs[tx].active = true;
-            continue;
-        }
-        const mem::Addr line = rng.below(kLines);
-        const bool write = rng.chance(0.4);
-        const auto expected = reference.conflicts(tx, line, write);
-        const htm::AccessResult result =
-            detector.access(txs[tx], line, write, 0);
-        if (expected.empty()) {
-            ASSERT_EQ(result.resolution, htm::Resolution::Proceed)
-                << "op " << op;
-            reference.record(tx, line, write);
-        } else {
-            ASSERT_NE(result.resolution, htm::Resolution::Proceed)
-                << "op " << op;
-            // The holders reported must be exactly the reference's.
-            std::set<int> reported;
-            for (const htm::TxState *holder : result.conflicts)
-                reported.insert(holder->dTxId);
-            ASSERT_EQ(reported, expected) << "op " << op;
-        }
-        ASSERT_TRUE(detector.consistentWith(active));
-    }
+TEST(ConflictDetectorFuzz, SignatureModeMatchesReferenceModel)
+{
+    // Small signatures alias often, so false conflicts (on lines the
+    // registry never holds) mix with real ones.
+    DetectorFuzzParams params;
+    params.policy.detectionMode = htm::DetectionMode::Signature;
+    params.policy.signature.numBits = 1024;
+    params.policy.signature.numHashes = 2;
+    params.txCount = 16;
+    params.hotLines = 16;
+    params.coldLines = 1 << 12;
+    params.hotFraction = 0.3;
+    params.writeFraction = 0.25;
+    params.removeChance = 0.03;
+    params.ops = 8000;
+    params.seed = 7;
+    fuzzDetector(params);
 }
 
 TEST(GeneratorFuzz, DescriptorsAlwaysWellFormed)

@@ -270,10 +270,13 @@ TEST_F(ConflictDetectorTest, ConsistencyCheckerSeesRegistry)
     EXPECT_TRUE(detector_.consistentWith({&a, &b}));
     // A tx the registry does not know about breaks consistency.
     TxState ghost = makeTx(3, 3);
-    ghost.readSet.insert(300);
+    ghost.readSet.push_back(300);
     EXPECT_FALSE(detector_.consistentWith({&a, &b, &ghost}));
     detector_.removeTx(a);
     EXPECT_TRUE(detector_.consistentWith({&b}));
+    // So does an entry no transaction owns.
+    detector_.testForceWriter(400, nullptr);
+    EXPECT_FALSE(detector_.consistentWith({&b}));
 }
 
 TEST_F(ConflictDetectorTest, ConflictCounterCounts)
@@ -332,6 +335,29 @@ TEST_F(SignatureDetectorTest, RealConflictsAreNeverMissed)
     EXPECT_NE(result.resolution, Resolution::Proceed);
     ASSERT_FALSE(result.conflicts.empty());
     EXPECT_EQ(result.conflicts.front(), &a);
+}
+
+TEST_F(SignatureDetectorTest, FalseConflictsLeaveNoRegistryEntries)
+{
+    // A 64-bit signature aliases most lines, so most of b's reads hit
+    // a's write signature: false conflicts on lines nobody owns. They
+    // must not leave registry entries behind.
+    htm::ConflictPolicy policy;
+    policy.detectionMode = htm::DetectionMode::Signature;
+    policy.signature.numBits = 64;
+    policy.signature.numHashes = 2;
+    ConflictDetector detector(policy);
+    TxState a = makeTx(1, 1), b = makeTx(2, 2);
+    for (mem::Addr line = 0; line < 40; ++line)
+        detector.access(a, line, true, 0);
+    for (mem::Addr line = 1000; line < 3000; ++line)
+        detector.access(b, line, false, 0);
+    ASSERT_GT(detector.falseConflicts().value(), 0u);
+    EXPECT_TRUE(detector.consistentWith({&a, &b}));
+    detector.removeTx(a);
+    detector.removeTx(b);
+    EXPECT_EQ(detector.ownedLines(), 0u);
+    EXPECT_TRUE(detector.consistentWith({}));
 }
 
 TEST_F(SignatureDetectorTest, DisjointLinesUsuallyProceed)
