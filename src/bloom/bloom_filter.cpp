@@ -1,6 +1,7 @@
 #include "bloom_filter.h"
 
-#include "bloom/signature_ops.h"
+#include <bit>
+
 #include "sim/logging.h"
 
 namespace bloom {
@@ -68,8 +69,17 @@ BloomFilter::clear()
 std::uint64_t
 BloomFilter::popCount() const
 {
-    return activeSignatureOps().popcountWords(words_.data(),
-                                              words_.size());
+    std::uint64_t count = 0;
+    for (std::uint64_t word : words_)
+        count += static_cast<std::uint64_t>(std::popcount(word));
+    return count;
+}
+
+void
+BloomFilter::testSetBit(std::uint64_t bit)
+{
+    sim_assert(bit < config_.numBits);
+    words_[bit >> 6] |= 1ULL << (bit & 63);
 }
 
 void
@@ -89,8 +99,8 @@ void
 BloomFilter::unionInPlace(const BloomFilter &other)
 {
     sim_assert(compatibleWith(other));
-    activeSignatureOps().orWords(words_.data(), other.words_.data(),
-                                 words_.size());
+    for (std::size_t i = 0; i < words_.size(); ++i)
+        words_[i] |= other.words_[i];
     numInserted_ += other.numInserted_;
 }
 
@@ -107,9 +117,8 @@ BloomFilter::intersectWith(const BloomFilter &other) const
 {
     sim_assert(compatibleWith(other));
     BloomFilter result = *this;
-    activeSignatureOps().andWords(result.words_.data(),
-                                  other.words_.data(),
-                                  result.words_.size());
+    for (std::size_t i = 0; i < words_.size(); ++i)
+        result.words_[i] &= other.words_[i];
     // The exact insert count of an intersection is unknowable; keep 0.
     result.numInserted_ = 0;
     return result;
@@ -119,9 +128,11 @@ bool
 BloomFilter::intersectionNonEmpty(const BloomFilter &other) const
 {
     sim_assert(compatibleWith(other));
-    return activeSignatureOps().andAny(words_.data(),
-                                       other.words_.data(),
-                                       words_.size());
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+        if (words_[i] & other.words_[i])
+            return true;
+    }
+    return false;
 }
 
 } // namespace bloom

@@ -109,7 +109,7 @@ class BloomFilter
      */
     bool intersectionNonEmpty(const BloomFilter &other) const;
 
-    /** Raw words, for the signature kernels and microbenchmarks. */
+    /** Raw words, for the Eq. 3 estimator, the audit and tests. */
     const std::vector<std::uint64_t> &words() const { return words_; }
 
     /**
@@ -118,6 +118,9 @@ class BloomFilter
      * the partitioned-layout no-false-negative property per bank.
      */
     std::uint64_t bitIndexFor(int fn, std::uint64_t key) const;
+
+    /** Test-only: set one raw bit (word-loop differential tests). */
+    void testSetBit(std::uint64_t bit);
 
     /** Test-only: clear one raw bit (audit mutation selftests). */
     void testClearBit(std::uint64_t bit);

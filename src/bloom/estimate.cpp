@@ -1,9 +1,9 @@
 #include "estimate.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
-#include "bloom/signature_ops.h"
 #include "sim/logging.h"
 
 namespace bloom {
@@ -39,17 +39,21 @@ double
 estimateIntersectionSize(const BloomFilter &a, const BloomFilter &b)
 {
     sim_assert(a.compatibleWith(b));
-    // Eq. 3 needs only the three popcounts t_A, t_B, t_{A|B}; the
-    // active kernel computes them in one pass (the scalar oracle
-    // still materializes the union, as the seed did). Identical
-    // integer counts feed identical double-precision formulas, so the
-    // two implementations are bit-identical.
-    const UnionCounts counts = activeSignatureOps().unionCounts(
-        a.words().data(), b.words().data(), a.words().size());
+    // Eq. 3 needs only the three popcounts t_A, t_B and t_{A|B}; one
+    // pass over the words counts all three without building the union.
+    const std::vector<std::uint64_t> &wa = a.words();
+    const std::vector<std::uint64_t> &wb = b.words();
+    std::uint64_t pop_a = 0, pop_b = 0, pop_union = 0;
+    for (std::size_t i = 0; i < wa.size(); ++i) {
+        pop_a += static_cast<std::uint64_t>(std::popcount(wa[i]));
+        pop_b += static_cast<std::uint64_t>(std::popcount(wb[i]));
+        pop_union +=
+            static_cast<std::uint64_t>(std::popcount(wa[i] | wb[i]));
+    }
     const double est =
-        estimateSetSize(counts.popA, a.numBits(), a.numHashes())
-        + estimateSetSize(counts.popB, b.numBits(), b.numHashes())
-        - estimateSetSize(counts.popUnion, a.numBits(), a.numHashes());
+        estimateSetSize(pop_a, a.numBits(), a.numHashes())
+        + estimateSetSize(pop_b, b.numBits(), b.numHashes())
+        - estimateSetSize(pop_union, a.numBits(), a.numHashes());
     return std::max(est, 0.0);
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <string>
 
-#include "bloom/signature_ops.h"
 #include "cpu/predictor.h"
 #include "sim/audit.h"
 #include "sim/event_queue.h"
@@ -83,13 +82,8 @@ BfgtsManager::makeSignature() const
 {
     if (noOverhead())
         return std::make_unique<bloom::PerfectSignature>();
-    // The scalar oracle constructs a fresh signature (the seed's cost
-    // shape: a full H3 matrix rebuild per commit); the fast path
-    // clones the empty prototype, whose matrix is shared behind a
-    // refcount. Same config and seed, so the hashes -- and therefore
-    // every downstream estimate -- are identical.
-    if (bloom::activeSignatureImpl() == bloom::SigImpl::Scalar)
-        return std::make_unique<bloom::BloomSignature>(config_.bloom);
+    // Clone the empty prototype: the clone shares its H3 matrix behind
+    // a refcount instead of rebuilding it on every commit.
     return protoSig_->clone();
 }
 

@@ -324,7 +324,7 @@ class BfgtsManager : public ContentionManagerBase
 
     BfgtsConfig config_;
     const htm::TxIdSpace &ids_;
-    /** Prototype signature cloned per commit on the fast path. */
+    /** Empty prototype signature, cloned per commit. */
     std::unique_ptr<bloom::Signature> protoSig_;
     /** Confidence table, numStaticTx^2, row-major, 0..255. */
     std::vector<double> conf_;

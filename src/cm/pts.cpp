@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "bloom/signature_ops.h"
 #include "sim/logging.h"
 
 namespace cm {
@@ -131,15 +130,9 @@ PtsManager::onTxCommit(const TxInfo &tx,
     stats.avgSize = stats.avgSize == 0.0 ? size
                                          : 0.5 * (stats.avgSize + size);
 
-    // Encode this commit's read/write set. The scalar oracle builds a
-    // fresh signature each commit (the seed's cost shape: a full H3
-    // matrix rebuild); the fast path clones the empty prototype,
-    // which shares the matrix behind a refcount.
-    std::unique_ptr<bloom::Signature> sig;
-    if (bloom::activeSignatureImpl() == bloom::SigImpl::Scalar)
-        sig = std::make_unique<bloom::BloomSignature>(config_.bloom);
-    else
-        sig = protoSig_->clone();
+    // Encode this commit's read/write set in a clone of the empty
+    // prototype, which shares the H3 matrix behind a refcount.
+    std::unique_ptr<bloom::Signature> sig = protoSig_->clone();
     for (mem::Addr line : rw_lines)
         sig->insert(line);
     const sim::Cycles words = (config_.bloom.numBits + 63) / 64;

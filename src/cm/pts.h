@@ -120,7 +120,7 @@ class PtsManager : public ContentionManagerBase
     std::size_t graphEdges_ = 0;
     /** Per-dTx stats, indexed by TxIdSpace::denseIndex(). */
     std::vector<DtxStats> stats_;
-    /** Prototype signature cloned per commit on the fast path. */
+    /** Empty prototype signature, cloned per commit. */
     std::unique_ptr<bloom::Signature> protoSig_;
 };
 

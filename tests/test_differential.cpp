@@ -1,68 +1,103 @@
 /**
  * @file
- * Differential harness: the scalar signature kernels are the oracle
- * for the fast (fused / AVX2) kernels, at three levels.
+ * Differential tests: the production Bloom word loops against the
+ * seed's scalar kernels.
  *
- *  1. Op level: randomized word-range sequences through both
- *     SignatureOps tables must produce exactly equal integers, bits
- *     and booleans -- no tolerance, no epsilon.
- *  2. Filter level: the Eq. 2-4 estimators consume only popcounts, so
- *     identical integer counts must yield bit-identical doubles.
- *  3. End to end: a contended simulation run under
- *     BFGTS_SIG_IMPL=scalar and under the fast path must emit
- *     byte-identical machine-readable reports (the bfgts-obs-v1 stats
- *     body and the complete bfgts-qual-v1 document), across every
- *     signature-using contention manager and across BFGTS_HASH_SEED
- *     values. A single differing byte fails the suite.
+ * BloomFilter (popCount, unionWith, intersectWith,
+ * intersectionNonEmpty) and estimateIntersectionSize each run one
+ * plain loop over the filter's 64-bit words. The oracle below keeps
+ * the seed implementation's shape: one word at a time, the union and
+ * the intersection materialized in their own buffers, every popcount
+ * a separate pass. Both sides must agree exactly -- integers, bits
+ * and booleans, and the Eq. 2-3 doubles compared with ==, never a
+ * tolerance, because identical popcounts feed identical formulas.
  *
- * This is what licenses the SIMD path to exist at all: the fast
- * kernels are an implementation detail that is provably invisible to
- * every simulated outcome.
+ * DifferentialTest feeds raw word ranges of every length from 1 to 40
+ * words at fixed fill densities, and real inserts at the paper's
+ * filter sizes. SignatureFuzz feeds real inserts over random
+ * (m, k, partitioned) geometries, and the all-zero and all-one edges.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
 #include "bloom/estimate.h"
-#include "bloom/signature.h"
-#include "bloom/signature_ops.h"
-#include "cm/factory.h"
-#include "runner/simulation.h"
-#include "sim/det_hash.h"
-#include "sim/json.h"
-#include "sim/quality.h"
 #include "sim/random.h"
 
 namespace {
 
-using bloom::SigImpl;
+using Words = std::vector<std::uint64_t>;
 
-class DifferentialTest : public ::testing::Test
+// ---------------------------------------------------------------------
+// The seed's scalar kernels, kept here as the reference.
+// ---------------------------------------------------------------------
+
+std::uint64_t
+seedPopcount(const Words &words)
 {
-  protected:
-    void SetUp() override { saved_ = bloom::activeSignatureImpl(); }
+    std::uint64_t count = 0;
+    for (std::size_t i = 0; i < words.size(); ++i)
+        count += static_cast<std::uint64_t>(std::popcount(words[i]));
+    return count;
+}
 
-    void
-    TearDown() override
-    {
-        bloom::setSignatureImpl(saved_);
-        sim::setHashSeed(0);
+Words
+seedOr(const Words &a, const Words &b)
+{
+    Words result = a;
+    for (std::size_t i = 0; i < result.size(); ++i)
+        result[i] |= b[i];
+    return result;
+}
+
+Words
+seedAnd(const Words &a, const Words &b)
+{
+    Words result = a;
+    for (std::size_t i = 0; i < result.size(); ++i)
+        result[i] &= b[i];
+    return result;
+}
+
+bool
+seedAndAny(const Words &a, const Words &b)
+{
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (a[i] & b[i])
+            return true;
     }
+    return false;
+}
 
-  private:
-    SigImpl saved_ = SigImpl::Simd;
-};
+/** Eq. 3 the seed's way: materialize the union, three popcounts. */
+double
+seedIntersectionEstimate(const Words &a, const Words &b,
+                         std::uint64_t num_bits, int num_hashes)
+{
+    const Words u = seedOr(a, b);
+    const double est =
+        bloom::estimateSetSize(seedPopcount(a), num_bits, num_hashes)
+        + bloom::estimateSetSize(seedPopcount(b), num_bits, num_hashes)
+        - bloom::estimateSetSize(seedPopcount(u), num_bits, num_hashes);
+    return std::max(est, 0.0);
+}
+
+// ---------------------------------------------------------------------
+// Harness.
+// ---------------------------------------------------------------------
 
 /** Random word range with a controllable fill density. */
-std::vector<std::uint64_t>
+Words
 randomWords(sim::Rng &rng, std::size_t n, int density_pct)
 {
-    std::vector<std::uint64_t> words(n, 0);
+    Words words(n, 0);
     for (auto &word : words) {
         if (density_pct >= 100) {
             word = ~0ULL;
@@ -76,60 +111,64 @@ randomWords(sim::Rng &rng, std::size_t n, int density_pct)
     return words;
 }
 
-TEST_F(DifferentialTest, OpsAgreeOnRandomSequences)
+/** A filter of 64 * words.size() bits whose raw words are @p words. */
+bloom::BloomFilter
+filterHolding(const Words &words)
 {
-    const bloom::SignatureOps &scalar = bloom::scalarSignatureOps();
-    const bloom::SignatureOps &simd = bloom::simdSignatureOps();
-    sim::Rng rng(0xd1ffe7e57ULL);
+    bloom::BloomFilter filter(
+        bloom::BloomConfig{.numBits = 64 * words.size(), .numHashes = 4});
+    for (std::uint64_t bit = 0; bit < filter.numBits(); ++bit) {
+        if ((words[bit >> 6] >> (bit & 63)) & 1)
+            filter.testSetBit(bit);
+    }
+    return filter;
+}
 
-    // Sweep lengths around the vector width (4 words per AVX2 lane)
-    // so every tail length is exercised, plus larger ranges.
+/** Every production word loop on @p a and @p b equals the oracle. */
+void
+expectLoopsMatchOracle(const bloom::BloomFilter &a,
+                       const bloom::BloomFilter &b,
+                       const std::string &what)
+{
+    const Words &wa = a.words();
+    const Words &wb = b.words();
+    ASSERT_EQ(wb.size(), wa.size()) << what;
+
+    EXPECT_EQ(a.popCount(), seedPopcount(wa)) << what;
+    EXPECT_EQ(b.popCount(), seedPopcount(wb)) << what;
+    EXPECT_EQ(a.intersectionNonEmpty(b), seedAndAny(wa, wb)) << what;
+    EXPECT_EQ(a.unionWith(b).words(), seedOr(wa, wb)) << what;
+    EXPECT_EQ(a.intersectWith(b).words(), seedAnd(wa, wb)) << what;
+    // Bit-exact doubles: EXPECT_EQ, not EXPECT_NEAR.
+    EXPECT_EQ(bloom::estimateSetSize(a),
+              bloom::estimateSetSize(seedPopcount(wa), a.numBits(),
+                                     a.numHashes()))
+        << what;
+    EXPECT_EQ(bloom::estimateIntersectionSize(a, b),
+              seedIntersectionEstimate(wa, wb, a.numBits(),
+                                       a.numHashes()))
+        << what;
+}
+
+TEST(DifferentialTest, OpsAgreeOnRandomSequences)
+{
+    sim::Rng rng(0xd1ffe7e57ULL);
+    // Every length from one word to 40, so no loop bound is special.
     for (std::size_t n = 1; n <= 40; ++n) {
         for (int density : {0, 1, 10, 50, 90, 100}) {
-            const std::vector<std::uint64_t> a =
-                randomWords(rng, n, density);
-            const std::vector<std::uint64_t> b =
-                randomWords(rng, n, 100 - density);
-
-            EXPECT_EQ(scalar.popcountWords(a.data(), n),
-                      simd.popcountWords(a.data(), n))
-                << "popcount n=" << n << " density=" << density;
-            EXPECT_EQ(scalar.andAny(a.data(), b.data(), n),
-                      simd.andAny(a.data(), b.data(), n))
-                << "andAny n=" << n;
-            EXPECT_EQ(scalar.andPopcount(a.data(), b.data(), n),
-                      simd.andPopcount(a.data(), b.data(), n))
-                << "andPopcount n=" << n;
-
-            const bloom::UnionCounts sc =
-                scalar.unionCounts(a.data(), b.data(), n);
-            const bloom::UnionCounts sv =
-                simd.unionCounts(a.data(), b.data(), n);
-            EXPECT_EQ(sc.popA, sv.popA) << "unionCounts.popA n=" << n;
-            EXPECT_EQ(sc.popB, sv.popB) << "unionCounts.popB n=" << n;
-            EXPECT_EQ(sc.popUnion, sv.popUnion)
-                << "unionCounts.popUnion n=" << n;
-
-            std::vector<std::uint64_t> or_scalar = a;
-            std::vector<std::uint64_t> or_simd = a;
-            scalar.orWords(or_scalar.data(), b.data(), n);
-            simd.orWords(or_simd.data(), b.data(), n);
-            EXPECT_EQ(or_scalar, or_simd) << "orWords n=" << n;
-
-            std::vector<std::uint64_t> and_scalar = a;
-            std::vector<std::uint64_t> and_simd = a;
-            scalar.andWords(and_scalar.data(), b.data(), n);
-            simd.andWords(and_simd.data(), b.data(), n);
-            EXPECT_EQ(and_scalar, and_simd) << "andWords n=" << n;
+            const Words a = randomWords(rng, n, density);
+            const Words b = randomWords(rng, n, 100 - density);
+            expectLoopsMatchOracle(filterHolding(a), filterHolding(b),
+                                   "n=" + std::to_string(n) + " density="
+                                       + std::to_string(density));
         }
     }
 }
 
-TEST_F(DifferentialTest, EstimatorsAreBitIdenticalAcrossImpls)
+TEST(DifferentialTest, EstimatorsAreBitIdenticalAcrossImpls)
 {
-    // Eq. 2-4 consume integer popcounts; with identical integers the
-    // double-precision formulas are the same instruction sequence, so
-    // the doubles must compare exactly equal (==, not near).
+    // The paper's filter sizes in both layouts, filled by real
+    // inserts with a partial overlap.
     sim::Rng rng(0xe57137a7e5ULL);
     for (const auto &[bits, hashes, partitioned] :
          std::vector<std::tuple<std::uint64_t, int, bool>>{
@@ -142,132 +181,77 @@ TEST_F(DifferentialTest, EstimatorsAreBitIdenticalAcrossImpls)
         config.numHashes = hashes;
         config.partitioned = partitioned;
 
-        bloom::BloomFilter a_scalar(config), b_scalar(config);
+        bloom::BloomFilter a(config), b(config);
         for (int i = 0; i < 200; ++i) {
             const std::uint64_t key = rng.next();
             if (i % 3 != 0)
-                a_scalar.insert(key);
+                a.insert(key);
             if (i % 2 == 0)
-                b_scalar.insert(key);
+                b.insert(key);
         }
-        bloom::BloomFilter a_simd = a_scalar;
-        bloom::BloomFilter b_simd = b_scalar;
-
-        bloom::setSignatureImpl(SigImpl::Scalar);
-        const std::uint64_t pop_scalar = a_scalar.popCount();
-        const double est_scalar = bloom::estimateSetSize(
-            pop_scalar, a_scalar.numBits(), a_scalar.numHashes());
-        const double inter_scalar =
-            bloom::estimateIntersectionSize(a_scalar, b_scalar);
-        const bool any_scalar =
-            a_scalar.intersectionNonEmpty(b_scalar);
-
-        bloom::setSignatureImpl(SigImpl::Simd);
-        const std::uint64_t pop_simd = a_simd.popCount();
-        const double est_simd = bloom::estimateSetSize(
-            pop_simd, a_simd.numBits(), a_simd.numHashes());
-        const double inter_simd =
-            bloom::estimateIntersectionSize(a_simd, b_simd);
-        const bool any_simd = a_simd.intersectionNonEmpty(b_simd);
-
-        EXPECT_EQ(pop_scalar, pop_simd);
-        EXPECT_EQ(est_scalar, est_simd); // bit-exact, not EXPECT_NEAR
-        EXPECT_EQ(inter_scalar, inter_simd);
-        EXPECT_EQ(any_scalar, any_simd);
-        EXPECT_EQ(a_scalar.words(), a_simd.words());
+        expectLoopsMatchOracle(a, b,
+                               "m=" + std::to_string(bits)
+                                   + " k=" + std::to_string(hashes));
     }
 }
 
-runner::SimConfig
-contendedConfig(cm::CmKind kind)
+TEST(SignatureFuzz, KernelsAgreeOnRandomFilterGeometries)
 {
-    runner::SimConfig config;
-    // Intruder is the paper's most contended benchmark: plenty of
-    // aborts, stalls, and CM arbitration on every signature path.
-    config.workload = "Intruder";
-    config.cm = kind;
-    config.numCpus = 8;
-    config.threadsPerCpu = 2;
-    config.txPerThreadOverride = 15;
-    config.seed = 7;
-    return config;
-}
+    // Random (m, k, partitioned) geometries with random key sets,
+    // exercised through real BloomFilter inserts so the word patterns
+    // are exactly what the simulator produces.
+    sim::Rng rng(0x516fa22ULL);
+    for (int round = 0; round < 60; ++round) {
+        const int k = 1 + static_cast<int>(rng.below(8));
+        // m: between 1 and 64 words, divisible by k when partitioned.
+        const bool partitioned = rng.chance(0.5);
+        std::uint64_t m = 64 * (1 + rng.below(64));
+        if (partitioned)
+            m -= m % static_cast<std::uint64_t>(64 * k);
+        if (m == 0)
+            m = static_cast<std::uint64_t>(64 * k);
 
-/**
- * Run one simulation under (@p impl, @p hash_seed) and capture every
- * machine-readable report: the bfgts-obs-v1 stats body (dumpStatsJson
- * plus the SimResults scalars it envelopes) and the complete
- * bfgts-qual-v1 document.
- */
-std::string
-reportsFor(const runner::SimConfig &base, SigImpl impl,
-           std::uint64_t hash_seed)
-{
-    bloom::setSignatureImpl(impl);
-    sim::setHashSeed(hash_seed);
+        bloom::BloomConfig config;
+        config.numBits = m;
+        config.numHashes = k;
+        config.partitioned = partitioned;
+        config.seed = rng.next();
 
-    sim::QualityRecorder quality;
-    runner::SimConfig config = base;
-    config.quality = &quality;
-
-    runner::Simulation sim(config);
-    const runner::SimResults results = sim.run();
-
-    std::ostringstream out;
-    {
-        sim::JsonWriter jw(out);
-        jw.beginObject();
-        sim.dumpStatsJson(jw);
-        jw.endObject();
-    }
-    out << "\nruntime=" << results.runtime
-        << " commits=" << results.commits
-        << " aborts=" << results.aborts
-        << " conflicts=" << results.conflicts
-        << " serializations=" << results.serializations
-        << " stallTimeouts=" << results.stallTimeouts
-        << " contentionRate=" << results.contentionRate << '\n';
-    sim.dumpStats(out);
-    sim::writeQualReport(out, "differential", quality.data());
-    return out.str();
-}
-
-TEST_F(DifferentialTest, ReportsAreByteIdenticalAcrossImpls)
-{
-    // All four signature-consuming CM families: exponential backoff
-    // (no signatures -- control), ATS and PTS (software predictor
-    // tables), and the hardware BFGTS design point (Bloom signature
-    // exchange on every commit).
-    for (cm::CmKind kind : {cm::CmKind::Backoff, cm::CmKind::Ats,
-                            cm::CmKind::Pts, cm::CmKind::BfgtsHw}) {
-        const std::uint64_t hash_seeds[] = {0,
-                                            0x9e3779b97f4a7c15ULL};
-        for (std::uint64_t hash_seed : hash_seeds) {
-            const runner::SimConfig config = contendedConfig(kind);
-            const std::string scalar =
-                reportsFor(config, SigImpl::Scalar, hash_seed);
-            const std::string simd =
-                reportsFor(config, SigImpl::Simd, hash_seed);
-            EXPECT_EQ(scalar, simd)
-                << "fast signature kernels perturbed simulated "
-                   "behavior (cm kind "
-                << static_cast<int>(kind) << ", hash seed "
-                << hash_seed << ")";
-            EXPECT_FALSE(scalar.empty());
+        bloom::BloomFilter a(config), b(config);
+        const int inserts = static_cast<int>(rng.below(300));
+        for (int i = 0; i < inserts; ++i) {
+            const std::uint64_t key = rng.next();
+            if (rng.chance(0.6))
+                a.insert(key);
+            if (rng.chance(0.6))
+                b.insert(key);
         }
+        expectLoopsMatchOracle(a, b,
+                               "round " + std::to_string(round) + " m="
+                                   + std::to_string(m)
+                                   + " k=" + std::to_string(k));
     }
 }
 
-TEST_F(DifferentialTest, SignatureDetectionModeIsImplInvariant)
+TEST(SignatureFuzz, KernelsAgreeOnSaturationAndEmptyEdges)
 {
-    // Signature-based conflict detection probes Bloom filters on
-    // every coherence request -- the densest signature traffic in the
-    // model, worth its own leg on top of the CM sweep above.
-    runner::SimConfig config = contendedConfig(cm::CmKind::BfgtsHw);
-    config.conflict.detectionMode = htm::DetectionMode::Signature;
-    const std::string scalar = reportsFor(config, SigImpl::Scalar, 1);
-    const std::string simd = reportsFor(config, SigImpl::Simd, 1);
-    EXPECT_EQ(scalar, simd);
+    // Degenerate inputs: all-zero words (empty filter), all-one words
+    // (saturated filter), and single-word ranges. Saturation feeds
+    // the Eq. 2 t == m branch, empties the t == 0 branch.
+    for (const std::size_t n : {std::size_t{1}, std::size_t{3},
+                                std::size_t{4}, std::size_t{5},
+                                std::size_t{32}}) {
+        const bloom::BloomFilter empty = filterHolding(Words(n, 0));
+        const bloom::BloomFilter full = filterHolding(Words(n, ~0ULL));
+        expectLoopsMatchOracle(empty, empty, "empty/empty");
+        expectLoopsMatchOracle(empty, full, "empty/saturated");
+        expectLoopsMatchOracle(full, empty, "saturated/empty");
+        expectLoopsMatchOracle(full, full, "saturated/saturated");
+
+        EXPECT_EQ(bloom::estimateSetSize(empty), 0.0);
+        EXPECT_EQ(bloom::estimateSetSize(full),
+                  static_cast<double>(64 * n));
+    }
 }
 
 } // namespace

@@ -2,9 +2,9 @@
  * @file
  * Randomized property tests: the conflict detector against a
  * reference model, the workload generator against its structural
- * invariants, whole simulations across random small configurations,
- * and the scalar-vs-fast signature kernel differential across random
- * filter geometries (SignatureFuzz).
+ * invariants, and whole simulations across random small
+ * configurations. The Bloom word loops are fuzzed against the seed's
+ * scalar kernels in test_differential.cpp (SignatureFuzz).
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "bloom/bloom_filter.h"
-#include "bloom/estimate.h"
-#include "bloom/signature_ops.h"
 #include "htm/conflict_detector.h"
 #include "runner/farm.h"
 #include "runner/simulation.h"
@@ -539,114 +537,6 @@ TEST(FarmFuzz, SequentialStealWorkersMergeWithEmptyPartials)
         << error;
     EXPECT_EQ(merged.str(), direct_report.str());
     std::filesystem::remove_all(base_dir);
-}
-
-/** Compare every SignatureOps kernel on two word ranges. */
-void
-expectKernelsAgree(const std::vector<std::uint64_t> &a,
-                   const std::vector<std::uint64_t> &b,
-                   const std::string &what)
-{
-    const bloom::SignatureOps &scalar = bloom::scalarSignatureOps();
-    const bloom::SignatureOps &fast = bloom::simdSignatureOps();
-    const std::size_t n = a.size();
-    ASSERT_EQ(b.size(), n) << what;
-
-    EXPECT_EQ(scalar.popcountWords(a.data(), n),
-              fast.popcountWords(a.data(), n))
-        << what;
-    EXPECT_EQ(scalar.andAny(a.data(), b.data(), n),
-              fast.andAny(a.data(), b.data(), n))
-        << what;
-    EXPECT_EQ(scalar.andPopcount(a.data(), b.data(), n),
-              fast.andPopcount(a.data(), b.data(), n))
-        << what;
-    const bloom::UnionCounts uc =
-        scalar.unionCounts(a.data(), b.data(), n);
-    const bloom::UnionCounts uf =
-        fast.unionCounts(a.data(), b.data(), n);
-    EXPECT_EQ(uc.popA, uf.popA) << what;
-    EXPECT_EQ(uc.popB, uf.popB) << what;
-    EXPECT_EQ(uc.popUnion, uf.popUnion) << what;
-
-    std::vector<std::uint64_t> or_scalar = a;
-    std::vector<std::uint64_t> or_fast = a;
-    scalar.orWords(or_scalar.data(), b.data(), n);
-    fast.orWords(or_fast.data(), b.data(), n);
-    EXPECT_EQ(or_scalar, or_fast) << what;
-
-    std::vector<std::uint64_t> and_scalar = a;
-    std::vector<std::uint64_t> and_fast = a;
-    scalar.andWords(and_scalar.data(), b.data(), n);
-    fast.andWords(and_fast.data(), b.data(), n);
-    EXPECT_EQ(and_scalar, and_fast) << what;
-}
-
-TEST(SignatureFuzz, KernelsAgreeOnRandomFilterGeometries)
-{
-    // Random (m, k, partitioned) geometries with random key sets,
-    // exercised through real BloomFilter inserts so the word patterns
-    // are exactly what the simulator produces. Both kernel families
-    // must agree on every op -- the static differential oracle.
-    sim::Rng rng(0x516fa22ULL);
-    for (int round = 0; round < 60; ++round) {
-        const int k = 1 + static_cast<int>(rng.below(8));
-        // m: between 1 and 64 words, divisible by k when partitioned.
-        const bool partitioned = rng.chance(0.5);
-        std::uint64_t m = 64 * (1 + rng.below(64));
-        if (partitioned)
-            m -= m % static_cast<std::uint64_t>(64 * k);
-        if (m == 0)
-            m = static_cast<std::uint64_t>(64 * k);
-
-        bloom::BloomConfig config;
-        config.numBits = m;
-        config.numHashes = k;
-        config.partitioned = partitioned;
-        config.seed = rng.next();
-
-        bloom::BloomFilter a(config), b(config);
-        const int inserts = static_cast<int>(rng.below(300));
-        for (int i = 0; i < inserts; ++i) {
-            const std::uint64_t key = rng.next();
-            if (rng.chance(0.6))
-                a.insert(key);
-            if (rng.chance(0.6))
-                b.insert(key);
-        }
-        expectKernelsAgree(a.words(), b.words(),
-                           "round " + std::to_string(round) + " m="
-                               + std::to_string(m)
-                               + " k=" + std::to_string(k));
-    }
-}
-
-TEST(SignatureFuzz, KernelsAgreeOnSaturationAndEmptyEdges)
-{
-    // Degenerate inputs: all-zero words (empty filter), all-one words
-    // (saturated filter), and single-word ranges. Saturation feeds
-    // the Eq. 2 t == m branch, empties the t == 0 branch; both must
-    // be reached through identical integer popcounts.
-    for (const std::size_t n : {std::size_t{1}, std::size_t{3},
-                                std::size_t{4}, std::size_t{5},
-                                std::size_t{32}}) {
-        const std::vector<std::uint64_t> zeros(n, 0);
-        const std::vector<std::uint64_t> ones(n, ~0ULL);
-        expectKernelsAgree(zeros, zeros, "empty/empty");
-        expectKernelsAgree(zeros, ones, "empty/saturated");
-        expectKernelsAgree(ones, zeros, "saturated/empty");
-        expectKernelsAgree(ones, ones, "saturated/saturated");
-
-        // The estimators on those popcounts: 0 at t=0, m at t=m.
-        const std::uint64_t m = 64 * n;
-        const bloom::SignatureOps &fast = bloom::simdSignatureOps();
-        const std::uint64_t t_empty =
-            fast.popcountWords(zeros.data(), n);
-        const std::uint64_t t_full = fast.popcountWords(ones.data(), n);
-        EXPECT_EQ(bloom::estimateSetSize(t_empty, m, 4), 0.0);
-        EXPECT_EQ(bloom::estimateSetSize(t_full, m, 4),
-                  static_cast<double>(m));
-    }
 }
 
 } // namespace

@@ -86,6 +86,41 @@ TEST(BloomSignature, CloneIsIndependent)
     EXPECT_LT(clone->estimateSize(), a.estimateSize());
 }
 
+TEST(BloomSignature, CloneOfEmptyPrototypeMatchesFreshSignature)
+{
+    // BFGTS and PTS encode every commit in a clone of one empty
+    // prototype; it must build the same filter a fresh signature would.
+    // Their default configs (cm/bfgts.h, cm/pts.h), then a partitioned
+    // geometry.
+    const bloom::BloomConfig configs[] = {
+        {.numBits = 2048, .numHashes = 4},
+        {.numBits = 1024, .numHashes = 2},
+        {.numBits = 2048, .numHashes = 4, .partitioned = true},
+    };
+    for (const bloom::BloomConfig &config : configs) {
+        const BloomSignature prototype(config);
+        const std::unique_ptr<Signature> clone = prototype.clone();
+        BloomSignature fresh(config);
+        BloomSignature other(config);
+        sim::Rng rng(config.numBits + config.numHashes);
+        for (int i = 0; i < 100; ++i) {
+            const std::uint64_t key = rng.next();
+            clone->insert(key);
+            fresh.insert(key);
+            if (i % 2 == 0)
+                other.insert(key);
+            else
+                other.insert(rng.next());
+        }
+        const auto &cloned = dynamic_cast<const BloomSignature &>(*clone);
+        EXPECT_EQ(cloned.filter().words(), fresh.filter().words());
+        EXPECT_EQ(clone->estimateSize(), fresh.estimateSize());
+        EXPECT_EQ(clone->estimateIntersectionSize(other),
+                  fresh.estimateIntersectionSize(other));
+        EXPECT_TRUE(prototype.empty());
+    }
+}
+
 TEST(BloomSignatureDeath, MixingImplementationsPanics)
 {
     BloomSignature a;

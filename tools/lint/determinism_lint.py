@@ -33,11 +33,7 @@ code patterns that most often break that property in C++ codebases:
                         model code make runs irreproducible. The only
                         exemptions are the sanctioned read-once env
                         shims (src/sim/det_hash.h for BFGTS_HASH_SEED,
-                        src/sim/audit.cpp for BFGTS_AUDIT,
-                        src/bloom/signature_ops.cpp for
-                        BFGTS_SIG_IMPL -- both signature kernel
-                        implementations are bit-identical, so the knob
-                        only moves wall-clock metrics),
+                        src/sim/audit.cpp for BFGTS_AUDIT),
                         src/sim/random.h, and src/sim/host_clock.h --
                         the single sanctioned host-clock shim through
                         which the host-performance profiler
@@ -102,8 +98,7 @@ RANDOM_POLICY_FILES = ("sim/random.h", "sim/det_hash.h")
 # -- for sim/host_clock.h only -- the host clock: the sanctioned shim
 # the profiler's nondeterministic bfgts-prof-v1 report flows through.
 WALL_CLOCK_POLICY_FILES = ("sim/random.h", "sim/det_hash.h",
-                           "sim/audit.cpp", "sim/host_clock.h",
-                           "bloom/signature_ops.cpp")
+                           "sim/audit.cpp", "sim/host_clock.h")
 
 UNORDERED_TYPES = (
     "std::unordered_set",

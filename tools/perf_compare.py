@@ -23,26 +23,13 @@ written before the wall keys existed (or candidates without them)
 are skipped with a note -- absence is never an error, so old
 baselines and deterministic-only documents stay valid.
 
-Ratio gates
------------
-Benches that *compute* a host-performance ratio themselves (e.g.
-bench/micro_bloom's ``sig_speedup``, the scalar/SIMD signature-kernel
-geomean) publish it as a named cell in one of their rows. The
-``--gate KEY:MIN`` mode checks that cell directly: the candidate
-FAILS when any row carrying KEY has a value below MIN, or when no row
-carries KEY at all (a silently vanished gate must not pass). Ratios
-of two timings taken on the same machine in the same process divide
-out host speed, so gates use hard thresholds, not tolerance bands.
-
 Usage
 -----
   perf_compare.py --baseline BENCH_x.json --candidate fresh.json
   perf_compare.py --baseline BENCH_x.json --bench path/to/bench_bin
-  perf_compare.py --gate sig_speedup:3.0 --bench path/to/micro_bloom
 
 The ``--bench`` form runs the binary (BFGTS_QUICK=1, --json into a
-temp file) before comparing, mirroring bench_compare.py. ``--gate``
-is repeatable and composes with ``--baseline`` (both checks run).
+temp file) before comparing, mirroring bench_compare.py.
 """
 
 import argparse
@@ -104,53 +91,11 @@ def compare_rows(baseline_path, candidate_path, factor):
     return 0
 
 
-def parse_gate(spec):
-    key, sep, minimum = spec.partition(":")
-    if not sep or not key:
-        raise SystemExit("--gate expects KEY:MIN, got %r" % spec)
-    try:
-        return key, float(minimum)
-    except ValueError:
-        raise SystemExit("--gate %r: MIN is not a number" % spec)
-
-
-def check_gates(candidate_path, gates):
-    rows = load_rows(candidate_path)
-    failures = []
-    for key, minimum in gates:
-        values = [row[key] for row in rows if key in row]
-        if not values:
-            failures.append("no row in %s carries %r"
-                            % (candidate_path, key))
-            continue
-        for value in values:
-            if value < minimum:
-                failures.append("%s = %.2f, below the %.2f gate"
-                                % (key, value, minimum))
-            else:
-                print("perf_compare: gate OK (%s = %.2f >= %.2f)"
-                      % (key, value, minimum))
-    for failure in failures:
-        print("  FAIL " + failure)
-    return 1 if failures else 0
-
-
-def run_checks(candidate, args):
-    status = 0
-    if args.baseline:
-        status |= compare_rows(args.baseline, candidate, args.factor)
-    if args.gate:
-        status |= check_gates(candidate,
-                              [parse_gate(g) for g in args.gate])
-    return status
-
-
 def main():
     parser = argparse.ArgumentParser(
         description="Compare bench wall-clock keys to a baseline "
-                    "with wide tolerance bands, and/or check "
-                    "bench-computed ratio gates")
-    parser.add_argument("--baseline",
+                    "with wide tolerance bands")
+    parser.add_argument("--baseline", required=True,
                         help="committed bench JSON to compare "
                              "wall-clock keys against")
     parser.add_argument("--candidate",
@@ -161,9 +106,6 @@ def main():
     parser.add_argument("--bench-arg", action="append", default=[],
                         help="extra argument for --bench "
                              "(repeatable)")
-    parser.add_argument("--gate", action="append", default=[],
-                        help="KEY:MIN hard ratio gate on the "
-                             "candidate rows (repeatable)")
     parser.add_argument("--factor", type=float,
                         default=float(os.environ.get(
                             "BFGTS_PERF_FACTOR", "8.0")),
@@ -171,8 +113,6 @@ def main():
                              "(default 8.0, or env "
                              "BFGTS_PERF_FACTOR)")
     args = parser.parse_args()
-    if not args.baseline and not args.gate:
-        parser.error("need --baseline and/or --gate")
     if args.bench:
         with tempfile.TemporaryDirectory() as tmp:
             candidate = os.path.join(tmp, "candidate.json")
@@ -181,10 +121,10 @@ def main():
                            + args.bench_arg,
                            check=True, env=env,
                            stdout=subprocess.DEVNULL)
-            return run_checks(candidate, args)
+            return compare_rows(args.baseline, candidate, args.factor)
     if not args.candidate:
         parser.error("need --candidate or --bench")
-    return run_checks(args.candidate, args)
+    return compare_rows(args.baseline, args.candidate, args.factor)
 
 
 if __name__ == "__main__":
