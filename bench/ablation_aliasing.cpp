@@ -29,10 +29,9 @@ main(int argc, char **argv)
     headers.emplace_back("sites");
     sim::TextTable table(headers);
 
-    runner::BaselineCache baselines;
     for (const std::string &name : workloads::stampBenchmarkNames()) {
-        const double base =
-            static_cast<double>(baselines.runtime(name, options));
+        const double base = static_cast<double>(
+            runner::runSingleCoreBaseline(name, options).runtime);
         std::vector<std::string> row{name};
         for (int slots : slot_counts) {
             runner::RunOptions swept = options;

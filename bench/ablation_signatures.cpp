@@ -48,12 +48,11 @@ main(int argc, char **argv)
     }
     sim::TextTable table(headers);
 
-    runner::BaselineCache baselines;
     for (const std::string &name :
          {std::string("Genome"), std::string("Vacation"),
           std::string("Labyrinth")}) {
-        const double base =
-            static_cast<double>(baselines.runtime(name, options));
+        const double base = static_cast<double>(
+            runner::runSingleCoreBaseline(name, options).runtime);
         for (cm::CmKind kind :
              {cm::CmKind::Backoff, cm::CmKind::BfgtsHw}) {
             std::vector<std::string> row{name, cm::cmKindName(kind)};

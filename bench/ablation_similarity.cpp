@@ -39,11 +39,10 @@ main(int argc, char **argv)
     sim::TextTable table({"Benchmark", "with similarity",
                           "without similarity", "delta"});
 
-    runner::BaselineCache baselines;
     std::vector<double> with_sim, without_sim;
     for (const std::string &name : workloads::stampBenchmarkNames()) {
-        const double base =
-            static_cast<double>(baselines.runtime(name, options));
+        const double base = static_cast<double>(
+            runner::runSingleCoreBaseline(name, options).runtime);
         const runner::SimResults on =
             runner::runStamp(name, cm::CmKind::BfgtsHw, options);
         const runner::SimResults off = runner::runStamp(

@@ -17,10 +17,9 @@ main()
 
     sim::TextTable table({"Benchmark", "fixed 0.5", "dynamic",
                           "final threshold"});
-    runner::BaselineCache baselines;
     for (const std::string &name : workloads::stampBenchmarkNames()) {
-        const double base =
-            static_cast<double>(baselines.runtime(name, options));
+        const double base = static_cast<double>(
+            runner::runSingleCoreBaseline(name, options).runtime);
         const runner::SimResults fixed =
             runner::runStamp(name, cm::CmKind::Ats, options);
 

@@ -27,10 +27,9 @@ main(int argc, char **argv)
                           "Transactional", "Abort", "Scheduling",
                           "Idle", "NormRuntime"});
 
-    runner::BaselineCache baselines;
     for (const std::string &name : workloads::stampBenchmarkNames()) {
-        const double base =
-            static_cast<double>(baselines.runtime(name, options));
+        const double base = static_cast<double>(
+            runner::runSingleCoreBaseline(name, options).runtime);
         bool first = true;
         for (cm::CmKind kind : managers) {
             const runner::SimResults r =

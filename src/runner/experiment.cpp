@@ -69,32 +69,4 @@ speedupOverOneCore(const SimResults &parallel,
          / static_cast<double>(parallel.runtime);
 }
 
-sim::Tick
-BaselineCache::runtime(const std::string &workload,
-                       const RunOptions &options)
-{
-    std::shared_future<sim::Tick> future;
-    // Valid only on the thread that inserted the entry; that thread
-    // runs the simulation outside the lock while everyone else for
-    // the same workload blocks on the shared future.
-    std::packaged_task<sim::Tick()> task;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cache_.find(workload);
-        if (it == cache_.end()) {
-            task = std::packaged_task<sim::Tick()>(
-                [workload, options] {
-                    return runSingleCoreBaseline(workload, options)
-                        .runtime;
-                });
-            it = cache_.emplace(workload, task.get_future().share())
-                     .first;
-        }
-        future = it->second;
-    }
-    if (task.valid())
-        task();
-    return future.get();
-}
-
 } // namespace runner

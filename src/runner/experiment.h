@@ -6,16 +6,12 @@
  * (Fig. 4a): the same total work run on one CPU with one thread
  * under the plain Backoff manager. runStamp() runs one (benchmark,
  * contention manager) cell of the evaluation matrix;
- * runSingleCoreBaseline() produces the denominator. BaselineCache
- * memoizes baselines across a sweep.
+ * runSingleCoreBaseline() produces the denominator.
  */
 
 #ifndef BFGTS_RUNNER_EXPERIMENT_H
 #define BFGTS_RUNNER_EXPERIMENT_H
 
-#include <future>
-#include <map>
-#include <mutex>
 #include <string>
 
 #include "runner/config.h"
@@ -75,26 +71,6 @@ SimResults runSingleCoreBaseline(const std::string &workload,
 /** Fig. 4a metric: baseline runtime / parallel runtime. */
 double speedupOverOneCore(const SimResults &parallel,
                           const SimResults &baseline);
-
-/**
- * Memoizes single-core baselines keyed by workload name.
- *
- * Safe for concurrent use (e.g. shared across SweepRunner workers):
- * each workload's baseline is computed exactly once -- the first
- * caller runs it while later callers for the same workload block on
- * the shared future instead of duplicating the simulation.
- */
-class BaselineCache
-{
-  public:
-    /** Baseline runtime for @p workload (computed once). */
-    sim::Tick runtime(const std::string &workload,
-                      const RunOptions &options = {});
-
-  private:
-    std::mutex mutex_;
-    std::map<std::string, std::shared_future<sim::Tick>> cache_;
-};
 
 } // namespace runner
 

@@ -17,6 +17,9 @@
 
 namespace runner {
 
+namespace {
+
+/** FNV-1a 64 over @p s as 16 hex digits: the cache file name. */
 std::string
 sweepDigestHex(const std::string &s)
 {
@@ -30,8 +33,6 @@ sweepDigestHex(const std::string &s)
                   static_cast<unsigned long long>(hash));
     return buf;
 }
-
-namespace {
 
 void
 appendBloom(std::ostream &os, const bloom::BloomConfig &bloom)
@@ -341,7 +342,7 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
         // The -dirty suffix cannot distinguish successive dirty
         // states, so a warm cache may silently serve results from a
         // *different* uncommitted model. Loud warning, and the report
-        // carries gitDirty so merged farm runs can't hide it.
+        // carries gitDirty so a saved report can't hide it.
         if (sim::buildGitDirty()) {
             std::fprintf(stderr,
                          "sweep: WARNING: cache key embeds dirty "
@@ -478,11 +479,11 @@ bool
 SweepRunner::writeCache(const std::string &key, std::size_t index,
                         const SimResults &results) const
 {
-    // Write to a temp file unique across processes AND jobs (farm
-    // workers share one cache directory), then rename: every writer
-    // lands a complete file and the last rename wins. Writers of the
-    // same key produce identical bytes, so losing the race is
-    // harmless; it is only counted (SweepStats::cacheRaces).
+    // Write to a temp file unique across processes AND jobs (two
+    // --sweep processes may share one cache directory), then rename:
+    // every writer lands a complete file and the last rename wins.
+    // Writers of the same key produce identical bytes, so losing the
+    // race is harmless; it is only counted (SweepStats::cacheRaces).
     const std::string path = cachePath(key);
     const std::string tmp = path + ".tmp." + std::to_string(getpid())
                             + "." + std::to_string(index);
@@ -504,19 +505,23 @@ SweepRunner::writeCache(const std::string &key, std::size_t index,
     return raced;
 }
 
+namespace {
+
+/** The fixed `bfgts-sweep-v1` header members, schema through
+ *  cellCount. */
 void
 writeSweepReportPreamble(sim::JsonWriter &jw, const std::string &name,
-                         const std::string &git, bool gitDirty,
                          std::uint64_t cellCount)
 {
     jw.kv("schema", "bfgts-sweep-v1");
     jw.kv("kind", "sweep");
     jw.kv("name", name);
-    jw.kv("git", git);
-    jw.kv("gitDirty", gitDirty);
+    jw.kv("git", sim::buildGitDescribe());
+    jw.kv("gitDirty", sim::buildGitDirty());
     jw.kv("cellCount", cellCount);
 }
 
+/** One cell object of the `bfgts-sweep-v1` cells array. */
 void
 writeSweepCellJson(sim::JsonWriter &jw, const SweepCell &cell,
                    const SweepCellResult &result)
@@ -557,14 +562,15 @@ writeSweepCellJson(sim::JsonWriter &jw, const SweepCell &cell,
     jw.endObject();
 }
 
+} // namespace
+
 void
 SweepRunner::writeReport(std::ostream &os,
                          const std::string &name) const
 {
     sim::JsonWriter jw(os);
     jw.beginObject();
-    writeSweepReportPreamble(jw, name, sim::buildGitDescribe(),
-                             sim::buildGitDirty(),
+    writeSweepReportPreamble(jw, name,
                              static_cast<std::uint64_t>(
                                  cells_.size()));
     jw.beginArray("cells");

@@ -38,10 +38,6 @@
 #include "sim/profiler.h"
 #include "sim/quality.h"
 
-namespace sim {
-class JsonWriter;
-} // namespace sim
-
 namespace runner {
 
 /** One cell of the evaluation matrix. */
@@ -105,12 +101,11 @@ struct SweepStats {
     int errors = 0;
     /**
      * Cache writes that found the entry already present -- another
-     * process (a farm worker sharing the cache directory) or a
-     * duplicate cell landed the same key between our read miss and
-     * our rename. Harmless (both writers produced identical bytes
-     * for the same key), counted so multi-process runs can observe
-     * contention. Not a cell bucket: a raced cell still counts in
-     * executed.
+     * `--sweep` process sharing the cache directory or a duplicate
+     * cell landed the same key between our read miss and our rename.
+     * Harmless (both writers produced identical bytes for the same
+     * key), counted so multi-process runs can observe contention.
+     * Not a cell bucket: a raced cell still counts in executed.
      */
     int cacheRaces = 0;
 };
@@ -216,26 +211,6 @@ void writeSweepResults(std::ostream &os, const SimResults &results);
 
 /** Inverse of writeSweepResults(); false on malformed input. */
 bool readSweepResults(std::istream &is, SimResults *results);
-
-/** FNV-1a 64 over @p s as 16 hex digits: cache file names, the farm
- *  matrix digest (runner/farm.h). */
-std::string sweepDigestHex(const std::string &s);
-
-/**
- * The fixed `bfgts-sweep-v1` header members (schema through
- * cellCount), shared by SweepRunner::writeReport(), the farm's
- * partial reports, and mergeSweepReports() -- one writer means the
- * merged report reproduces the single-machine header byte-for-byte.
- */
-void writeSweepReportPreamble(sim::JsonWriter &jw,
-                              const std::string &name,
-                              const std::string &git, bool gitDirty,
-                              std::uint64_t cellCount);
-
-/** One cell object of the `bfgts-sweep-v1` cells array, shared by
- *  SweepRunner::writeReport() and the farm's partial reports. */
-void writeSweepCellJson(sim::JsonWriter &jw, const SweepCell &cell,
-                        const SweepCellResult &result);
 
 } // namespace runner
 

@@ -17,7 +17,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 
 #include <sys/resource.h>
 
@@ -31,18 +30,6 @@ hostNowNs()
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-}
-
-/**
- * Current time on the filesystem's file_time_type clock, for
- * comparing against on-disk mtimes (work-stealing lease staleness in
- * runner/farm.cpp). Like hostNowNs(), this never feeds model state --
- * it only gates host-side queue administration.
- */
-inline std::filesystem::file_time_type
-hostFileTimeNow()
-{
-    return std::filesystem::file_time_type::clock::now();
 }
 
 /** Peak resident-set size of this process in bytes (0 if unknown). */

@@ -270,13 +270,6 @@ JsonWriter::valueNull()
 }
 
 void
-JsonWriter::valueRaw(const std::string &lexeme)
-{
-    preItem(false);
-    raw(lexeme);
-}
-
-void
 JsonWriter::kv(const std::string &k, const std::string &v)
 {
     key(k);

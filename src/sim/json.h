@@ -82,13 +82,6 @@ class JsonWriter
     void value(int v);
     void value(bool v);
     void valueNull();
-    /**
-     * Emit @p lexeme verbatim in value position (no escaping). Used to
-     * re-emit tokens captured by the json_parse.h reader -- e.g. number
-     * lexemes that must survive a parse/re-emit round trip byte-for-
-     * byte. The caller guarantees @p lexeme is a valid JSON value.
-     */
-    void valueRaw(const std::string &lexeme);
 
     // ---- key/value members -------------------------------------------
     void kv(const std::string &key, const std::string &v);

@@ -378,37 +378,4 @@ parseJson(const std::string &text, JsonValue *out, std::string *error)
     return parser.run(out);
 }
 
-void
-writeJson(JsonWriter &jw, const JsonValue &value)
-{
-    switch (value.kind) {
-      case JsonValue::Kind::Null:
-        jw.valueNull();
-        break;
-      case JsonValue::Kind::Bool:
-        jw.value(value.boolean);
-        break;
-      case JsonValue::Kind::Number:
-        jw.valueRaw(value.text);
-        break;
-      case JsonValue::Kind::String:
-        jw.value(value.text);
-        break;
-      case JsonValue::Kind::Array:
-        jw.beginArray();
-        for (const JsonValue &item : value.items)
-            writeJson(jw, item);
-        jw.endArray();
-        break;
-      case JsonValue::Kind::Object:
-        jw.beginObject();
-        for (const auto &member : value.members) {
-            jw.key(member.first);
-            writeJson(jw, member.second);
-        }
-        jw.endObject();
-        break;
-    }
-}
-
 } // namespace sim

@@ -2,19 +2,19 @@
  * @file
  * Dependency-free JSON reader, the dual of json.h's JsonWriter.
  *
- * Built for the sweep-farm merge path (runner/farm.h), where shard
- * reports written by JsonWriter are parsed, validated, and re-emitted
- * into the merged report. Byte-identical re-emission drives two design
- * choices that general-purpose parsers do not make:
+ * bench/scaling reads a run's stats dump (dumpStatsJson) with it, and
+ * bench/e2e reads its golden digests, BENCHMARK.json and each cell's
+ * stats dump. Two choices keep what it reads exactly what JsonWriter
+ * wrote:
  *
- *  - numbers keep their raw source lexeme (no double round trip); a
- *    re-emit via JsonWriter::valueRaw() reproduces the exact bytes;
+ *  - numbers keep their raw source lexeme (no double round trip), so
+ *    a 64-bit counter reads back exactly through asU64();
  *  - object members preserve document order (vector of pairs, not a
- *    map), so key order survives a parse/re-emit round trip.
+ *    map), duplicates included.
  *
- * String values are decoded (escapes resolved); re-encoding through
- * jsonEscape() is byte-identical for any string JsonWriter itself
- * produced, since both sides use the same canonical escape set.
+ * String values are decoded (escapes resolved); jsonEscape() of the
+ * decoded string gives back the bytes JsonWriter wrote, since both
+ * sides use the same canonical escape set.
  *
  * The parser is strict RFC 8259: no comments, no trailing commas, no
  * trailing garbage after the root value. parseJson() never throws --
@@ -28,8 +28,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "sim/json.h"
 
 namespace sim {
 
@@ -77,14 +75,6 @@ struct JsonValue {
  */
 bool parseJson(const std::string &text, JsonValue *out,
                std::string *error);
-
-/**
- * Re-emit @p value through @p jw at the current writer position
- * (root, array element, or pending-key member value). Re-emitting an
- * unmodified tree parsed from JsonWriter output reproduces the
- * original bytes, given the same indent setting.
- */
-void writeJson(JsonWriter &jw, const JsonValue &value);
 
 } // namespace sim
 

@@ -1,17 +1,11 @@
 /**
  * @file
  * Tests for the experiment drivers (src/runner/experiment.h):
- * RunOptions -> SimConfig mapping, the single-core baseline's
- * equal-total-work invariant, and the BaselineCache, which must be
- * safe under concurrent SweepRunner workers and still compute each
- * baseline exactly once.
+ * RunOptions -> SimConfig mapping and the single-core baseline's
+ * equal-total-work invariant.
  */
 
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <thread>
-#include <vector>
 
 #include "runner/experiment.h"
 #include "workloads/stamp.h"
@@ -72,52 +66,6 @@ TEST(ExperimentTest, BaselineRunsSameTotalWorkOnOneCore)
         runner::runStamp("Intruder", cm::CmKind::Backoff, options);
     EXPECT_EQ(parallel.commits, base.commits);
     EXPECT_GT(runner::speedupOverOneCore(parallel, base), 0.0);
-}
-
-TEST(ExperimentTest, BaselineCacheMemoizes)
-{
-    runner::BaselineCache cache;
-    const auto options = smallOptions();
-    const sim::Tick first = cache.runtime("Genome", options);
-    EXPECT_GT(first, 0u);
-    EXPECT_EQ(cache.runtime("Genome", options), first);
-    EXPECT_EQ(first,
-              runner::runSingleCoreBaseline("Genome", options)
-                  .runtime);
-}
-
-TEST(ExperimentTest, BaselineCacheIsSafeUnderConcurrency)
-{
-    // Regression for the pre-sweep BaselineCache: an unsynchronized
-    // std::map raced when SweepRunner workers shared one cache. Hammer
-    // one instance from 8 threads over a few workloads; every thread
-    // must observe the exact single-thread value. (The tsan preset
-    // turns this into a hard data-race check.)
-    runner::BaselineCache cache;
-    const auto options = smallOptions();
-    const std::vector<std::string> names{"Intruder", "Genome",
-                                         "Kmeans", "Vacation"};
-    std::vector<sim::Tick> expected;
-    for (const std::string &name : names)
-        expected.push_back(
-            runner::runSingleCoreBaseline(name, options).runtime);
-
-    std::atomic<int> mismatches{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 8; ++t) {
-        threads.emplace_back([&cache, &names, &expected, &options,
-                              &mismatches, t] {
-            for (std::size_t i = 0; i < names.size(); ++i) {
-                // Stagger the first workload each thread asks for.
-                const std::size_t at = (i + t) % names.size();
-                if (cache.runtime(names[at], options) != expected[at])
-                    ++mismatches;
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    EXPECT_EQ(mismatches.load(), 0);
 }
 
 } // namespace

@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -20,7 +19,6 @@
 
 #include "bloom/bloom_filter.h"
 #include "htm/conflict_detector.h"
-#include "runner/farm.h"
 #include "runner/simulation.h"
 #include "runner/sweep.h"
 #include "sim/random.h"
@@ -415,128 +413,6 @@ TEST(SweepFuzz, RandomMatrixMatchesDirectRunsAndWarmCache)
         }
     }
     std::filesystem::remove_all(cache_dir);
-}
-
-TEST(FarmFuzz, MergedShardRunsMatchDirectSweepForAnyShardCount)
-{
-    // For a random small matrix, running every shard separately and
-    // merging the partial reports must reproduce the direct sweep
-    // report byte-for-byte -- for any shard count, including more
-    // shards than cells (some partials come back empty).
-    sim::Rng meta_rng(0xFA431);
-    const auto stamp = workloads::stampBenchmarkNames();
-    const auto managers = cm::allCmKinds();
-
-    std::vector<runner::SweepCell> cells;
-    for (int i = 0; i < 9; ++i) {
-        runner::SweepCell cell;
-        cell.workload = stamp[meta_rng.below(stamp.size())];
-        cell.cm = managers[meta_rng.below(managers.size())];
-        cell.options.numCpus =
-            1 + static_cast<int>(meta_rng.below(6));
-        cell.options.threadsPerCpu =
-            1 + static_cast<int>(meta_rng.below(3));
-        cell.options.seed = meta_rng.next();
-        cell.options.txPerThread = 4;
-        cells.push_back(cell);
-    }
-
-    const std::string base_dir =
-        ::testing::TempDir() + "/farm_fuzz";
-    std::filesystem::remove_all(base_dir);
-    std::filesystem::create_directories(base_dir);
-    runner::SweepOptions sweep_options;
-    sweep_options.jobs = 4;
-    sweep_options.cacheDir = base_dir + "/cache";
-
-    runner::SweepRunner direct(sweep_options);
-    direct.run(cells);
-    std::ostringstream direct_report;
-    direct.writeReport(direct_report, "farm-fuzz");
-
-    for (const int shard_count : {1, 3, 5, 16}) {
-        std::vector<std::string> partial_paths;
-        for (int shard = 0; shard < shard_count; ++shard) {
-            runner::FarmOptions farm_options;
-            farm_options.sweep = sweep_options;
-            farm_options.shardIndex = shard;
-            farm_options.shardCount = shard_count;
-            runner::Farm farm(farm_options);
-            const auto results = farm.run(cells);
-            for (const runner::SweepCellResult &result : results)
-                ASSERT_TRUE(result.ok) << result.error;
-            const std::string path =
-                base_dir + "/partial-" + std::to_string(shard_count)
-                + "-" + std::to_string(shard) + ".json";
-            std::ofstream os(path);
-            farm.writeReport(os, "farm-fuzz");
-            partial_paths.push_back(path);
-        }
-        std::ostringstream merged;
-        std::string error;
-        ASSERT_TRUE(runner::mergeSweepReports(partial_paths, merged,
-                                              &error))
-            << error;
-        EXPECT_EQ(merged.str(), direct_report.str())
-            << "shard count " << shard_count;
-    }
-    std::filesystem::remove_all(base_dir);
-}
-
-TEST(FarmFuzz, SequentialStealWorkersMergeWithEmptyPartials)
-{
-    // A steal worker arriving at a drained queue claims nothing; its
-    // empty partial must still merge cleanly with the worker that
-    // took everything, reproducing the direct report.
-    std::vector<runner::SweepCell> cells;
-    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-        runner::SweepCell cell;
-        cell.workload = "Intruder";
-        cell.cm = cm::CmKind::BfgtsHw;
-        cell.options.numCpus = 2;
-        cell.options.threadsPerCpu = 2;
-        cell.options.seed = seed;
-        cell.options.txPerThread = 4;
-        cells.push_back(cell);
-    }
-
-    const std::string base_dir =
-        ::testing::TempDir() + "/farm_fuzz_steal";
-    std::filesystem::remove_all(base_dir);
-    std::filesystem::create_directories(base_dir);
-
-    runner::SweepOptions sweep_options;
-    sweep_options.jobs = 8; // one batch swallows the whole queue
-    sweep_options.cacheDir = base_dir + "/cache";
-    runner::SweepRunner direct(sweep_options);
-    direct.run(cells);
-    std::ostringstream direct_report;
-    direct.writeReport(direct_report, "farm-fuzz");
-
-    std::vector<std::string> partial_paths;
-    for (int worker = 0; worker < 2; ++worker) {
-        runner::FarmOptions farm_options;
-        farm_options.sweep = sweep_options;
-        farm_options.stealDir = base_dir + "/queue";
-        runner::Farm farm(farm_options);
-        farm.run(cells);
-        if (worker == 0)
-            EXPECT_EQ(farm.claimed().size(), cells.size());
-        else
-            EXPECT_TRUE(farm.claimed().empty());
-        const std::string path =
-            base_dir + "/worker-" + std::to_string(worker) + ".json";
-        std::ofstream os(path);
-        farm.writeReport(os, "farm-fuzz");
-        partial_paths.push_back(path);
-    }
-    std::ostringstream merged;
-    std::string error;
-    ASSERT_TRUE(
-        runner::mergeSweepReports(partial_paths, merged, &error))
-        << error;
-    EXPECT_EQ(merged.str(), direct_report.str());
-    std::filesystem::remove_all(base_dir);
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/json.h"
 #include "sim/json_parse.h"
@@ -183,49 +184,73 @@ TEST(JsonParse, RejectsMalformedInput)
     EXPECT_FALSE(sim::parseJson(deep, &doc, &error));
 }
 
-TEST(JsonParse, ReEmitRoundTripsWriterOutputByteForByte)
+TEST(JsonParse, ReadsBackWriterOutputExactly)
 {
-    // Build a document with JsonWriter, parse it, re-emit it: the
-    // bytes must survive exactly. This is the property the sweep-farm
-    // merge (runner/farm.h) depends on.
-    std::ostringstream os;
-    sim::JsonWriter jw(os, 2);
-    jw.beginObject();
-    jw.kv("name", "cell \"quoted\" \t line");
-    jw.kv("rate", 0.1);
-    jw.kv("count", std::uint64_t{18446744073709551615ULL});
-    jw.kv("delta", -3.5);
-    jw.kv("big", 1e+300);
-    jw.kv("flag", false);
-    jw.beginArray("list");
-    jw.valueNull();
-    jw.beginObject();
-    jw.kv("ctrl", std::string(1, '\x01'));
-    jw.endObject();
-    jw.endArray();
-    jw.beginArray("empty");
-    jw.endArray();
-    jw.endObject();
+    // Whatever JsonWriter writes, indented or compact, parseJson must
+    // read back as the same values: bench/e2e reads its golden
+    // digests and every cell's stats dump this way.
+    for (const int indent : {2, 0}) {
+        std::ostringstream os;
+        sim::JsonWriter jw(os, indent);
+        jw.beginObject();
+        jw.kv("name", "cell \"quoted\" \t line");
+        jw.kv("rate", 0.1);
+        jw.kv("count", std::uint64_t{18446744073709551615ULL});
+        jw.kv("delta", -3.5);
+        jw.kv("big", 1e+300);
+        jw.kv("flag", false);
+        jw.beginArray("list");
+        jw.valueNull();
+        jw.beginObject();
+        jw.kv("ctrl", std::string(1, '\x01'));
+        jw.endObject();
+        jw.endArray();
+        jw.beginArray("empty");
+        jw.endArray();
+        jw.endObject();
 
-    sim::JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(sim::parseJson(os.str(), &doc, &error)) << error;
-    std::ostringstream out;
-    sim::JsonWriter re(out, 2);
-    sim::writeJson(re, doc);
-    EXPECT_EQ(out.str(), os.str());
+        sim::JsonValue doc;
+        std::string error;
+        ASSERT_TRUE(sim::parseJson(os.str(), &doc, &error))
+            << "indent " << indent << ": " << error;
+        ASSERT_TRUE(doc.isObject());
+        std::vector<std::string> keys;
+        for (const auto &member : doc.members)
+            keys.push_back(member.first);
+        ASSERT_EQ(keys,
+                  (std::vector<std::string>{"name", "rate", "count",
+                                            "delta", "big", "flag",
+                                            "list", "empty"}))
+            << "indent " << indent;
+        const auto value = [&doc](std::size_t i) -> const auto & {
+            return doc.members[i].second;
+        };
 
-    // Compact output round-trips too.
-    std::ostringstream compact_os;
-    sim::JsonWriter compact(compact_os, 0);
-    sim::writeJson(compact, doc);
-    sim::JsonValue doc2;
-    ASSERT_TRUE(sim::parseJson(compact_os.str(), &doc2, &error))
-        << error;
-    std::ostringstream compact_re;
-    sim::JsonWriter compact2(compact_re, 0);
-    sim::writeJson(compact2, doc2);
-    EXPECT_EQ(compact_re.str(), compact_os.str());
+        EXPECT_TRUE(value(0).isString());
+        EXPECT_EQ(value(0).text, "cell \"quoted\" \t line");
+        EXPECT_EQ(value(1).text, "0.1");
+        std::uint64_t count = 0;
+        EXPECT_TRUE(value(2).asU64(&count));
+        EXPECT_EQ(count, std::numeric_limits<std::uint64_t>::max());
+        EXPECT_EQ(value(3).text, "-3.5");
+        EXPECT_EQ(value(4).text, "1e+300");
+        for (std::size_t i = 1; i <= 4; ++i)
+            EXPECT_TRUE(value(i).isNumber()) << "member " << i;
+        EXPECT_TRUE(value(5).isBool());
+        EXPECT_FALSE(value(5).boolean);
+
+        const sim::JsonValue &list = value(6);
+        ASSERT_TRUE(list.isArray());
+        ASSERT_EQ(list.items.size(), 2u);
+        EXPECT_TRUE(list.items[0].isNull());
+        ASSERT_TRUE(list.items[1].isObject());
+        const sim::JsonValue *ctrl = list.items[1].find("ctrl");
+        ASSERT_NE(ctrl, nullptr);
+        EXPECT_EQ(ctrl->text, std::string(1, '\x01'));
+
+        EXPECT_TRUE(value(7).isArray());
+        EXPECT_TRUE(value(7).items.empty());
+    }
 }
 
 TEST(JsonParse, UnicodeEscapesDecodeToUtf8)

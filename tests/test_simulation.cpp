@@ -123,17 +123,6 @@ TEST(Simulation, BaselineRunsAllTheWork)
     EXPECT_EQ(baseline.commits, 64u * 5u);
 }
 
-TEST(Simulation, BaselineCacheMemoizes)
-{
-    runner::BaselineCache cache;
-    runner::RunOptions options;
-    options.txPerThread = 5;
-    const sim::Tick first = cache.runtime("Kmeans", options);
-    const sim::Tick second = cache.runtime("Kmeans", options);
-    EXPECT_EQ(first, second);
-    EXPECT_GT(first, 0u);
-}
-
 TEST(Simulation, MoreCpusRunFaster)
 {
     runner::RunOptions small = quick();

@@ -4,12 +4,14 @@
  * parallelism and the on-disk cache must be invisible in the results.
  * A sweep run with 8 workers must produce a byte-identical JSON
  * report and identical per-cell results to the same sweep run with 1
- * worker, and a warm cache must answer every cell without executing
- * a single simulation.
+ * worker, a warm cache must answer every cell without executing
+ * a single simulation, and a partly warm one must execute exactly the
+ * cells it lacks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -137,6 +139,48 @@ TEST(SweepTest, WarmCacheAnswersEverythingWithoutExecuting)
     for (std::size_t i = 0; i < cold_digests.size(); ++i)
         EXPECT_EQ(cold_digests[i], warm_digests[i]) << "cell " << i;
     EXPECT_EQ(cold_report, warm_report);
+    std::filesystem::remove_all(cache_dir);
+}
+
+TEST(SweepTest, PartialCacheExecutesOnlyMissingCells)
+{
+    // An interrupted sweep leaves some cells cached and others not.
+    // Rerunning the matrix on that cache must execute exactly the
+    // missing cells and write the uninterrupted run's report bytes.
+    const std::string cache_dir =
+        ::testing::TempDir() + "/sweep_cache_partial";
+    std::filesystem::remove_all(cache_dir);
+
+    runner::SweepOptions options;
+    options.jobs = 2;
+    options.cacheDir = cache_dir;
+
+    runner::SweepStats cold_stats;
+    const auto [cold_digests, cold_report] =
+        runSmallMatrix(options, &cold_stats);
+    const int cells = static_cast<int>(cold_digests.size());
+    EXPECT_EQ(cold_stats.executed, cells);
+
+    std::vector<std::filesystem::path> entries;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(cache_dir)) {
+        if (entry.path().extension() == ".cell")
+            entries.push_back(entry.path());
+    }
+    ASSERT_EQ(static_cast<int>(entries.size()), cells);
+    constexpr int kKept = 3;
+    std::sort(entries.begin(), entries.end());
+    for (std::size_t i = kKept; i < entries.size(); ++i)
+        std::filesystem::remove(entries[i]);
+
+    runner::SweepStats resumed_stats;
+    const auto [resumed_digests, resumed_report] =
+        runSmallMatrix(options, &resumed_stats);
+    EXPECT_EQ(resumed_stats.cacheHits, kKept);
+    EXPECT_EQ(resumed_stats.executed, cells - kKept);
+    EXPECT_EQ(resumed_stats.errors, 0);
+    EXPECT_EQ(resumed_digests, cold_digests);
+    EXPECT_EQ(resumed_report, cold_report);
     std::filesystem::remove_all(cache_dir);
 }
 
@@ -312,9 +356,9 @@ TEST(SweepTest, CacheRacesCountConcurrentWinners)
 
     // A quality sweep skips cache reads but still writes: every
     // write now finds the cold run's entry already present -- the
-    // same observable a farm worker sees when another process lands
-    // the key first. All cells must count as races, and results
-    // stay bit-identical.
+    // same observable as a second --sweep process on the same cache
+    // landing the key first. All cells must count as races, and
+    // results stay bit-identical.
     options.quality = true;
     runner::SweepStats raced_stats;
     const auto [raced_digests, raced_report] =

@@ -86,49 +86,27 @@
  *   (--cpus/--tpc/--tx/--bloom-bits/--interval/--slots set the base
  *    configuration of every cell)
  *
- * Farm mode (runner::Farm; docs/architecture.md "Distributed sweep
- * farm"): shard a sweep across processes/machines and merge the
- * partial reports back into the byte-identical single-machine report.
- *   bfgts_cli --sweep ... --shard 0/3 --cache CACHE --json s0.json
- *   bfgts_cli --sweep ... --steal QUEUE --cache CACHE --json w0.json
- *   bfgts_cli --merge-reports s0.json s1.json s2.json --json full.json
+ * An interrupted sweep resumes by re-running it with the same --cache:
+ * only the cells missing from the cache execute again.
  *
- *   --shard I/N       static mode: run only shard I of N (disjoint,
- *                     order-preserving, covering for any N); the
- *                     report gains a shard manifest
- *   --steal DIR       work-stealing mode: claim cells one at a time
- *                     from the shared queue directory DIR (per-cell
- *                     lease files, atomic O_EXCL claim); workers of
- *                     one farm must share DIR and --cache
- *   --steal-stale N   reclaim leases older than N seconds, the claims
- *                     of crashed workers (default 900; must exceed
- *                     the worst-case single-cell runtime)
- *   --merge-reports   merge the listed partial reports into the full
- *                     bfgts-sweep-v1 report at --json FILE; validates
- *                     matrix digest agreement, range disjointness,
- *                     and full coverage, and reproduces the direct
- *                     `--sweep --jobs N` report byte-for-byte
- *   (--profile/--quality are not supported in farm runs; killed
- *    workers are resumed by re-running them with the shared --cache,
- *    which re-executes only the cells missing from the cache)
+ * Exit status: 0 on success; 1 when a sweep cell failed or an output
+ * file cannot be opened; 2 on a usage error (an unknown flag,
+ * manager, workload or trace category, or a bad number), checked
+ * before anything runs.
  */
 
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <exception>
 #include <fstream>
 #include <iostream>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "runner/experiment.h"
-#include "runner/farm.h"
 #include "runner/simulation.h"
 #include "runner/sweep.h"
 #include "sim/chrome_trace.h"
@@ -143,14 +121,9 @@
 namespace {
 
 bool
-isSplash2(const std::string &name)
+isOneOf(const std::string &name, const std::vector<std::string> &names)
 {
-    for (const std::string &candidate :
-         workloads::splash2BenchmarkNames()) {
-        if (candidate == name)
-            return true;
-    }
-    return false;
+    return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 void
@@ -187,12 +160,23 @@ usage(const char *argv0)
                  "[--seeds 1,2]\n"
                  "          [--jobs N] [--cache DIR] [--baselines] "
                  "[--json FILE] [--profile FILE]\n"
-                 "          [--quality FILE]\n"
-                 "    farm: %s --sweep ... [--shard I/N | --steal DIR "
-                 "[--steal-stale SEC]]\n"
-                 "          %s --merge-reports PARTIAL... --json FILE\n",
-                 argv0, argv0, argv0, argv0);
-    std::exit(1);
+                 "          [--quality FILE]\n",
+                 argv0, argv0);
+    std::exit(2);
+}
+
+/** The manager displayed as @p name; an unknown name is a usage
+ *  error. */
+cm::CmKind
+managerFromName(const std::string &name, const char *argv0)
+{
+    for (cm::CmKind kind : cm::extendedCmKinds()) {
+        if (name == cm::cmKindName(kind))
+            return kind;
+    }
+    std::fprintf(stderr, "unknown contention manager '%s' (see --list)\n",
+                 name.c_str());
+    usage(argv0);
 }
 
 /**
@@ -366,44 +350,29 @@ writeConflictDot(std::ostream &os, const runner::SimResults &r)
     os << "}\n";
 }
 
-/** Farm-mode selections from the command line (--shard / --steal). */
-struct FarmCliOptions {
-    bool enabled = false;
-    int shardIndex = 0;
-    int shardCount = 1;
-    std::string stealDir;
-    int stealStaleSec = 900;
-};
-
 /**
  * --sweep mode: run the (workloads x cms x seeds) matrix through
  * runner::SweepRunner with per-cell progress on stderr, optionally
  * prefixed by one single-core baseline cell per workload. Exits
  * nonzero when any cell failed; a summary line
  * "sweep: N cells, X executed, Y cached, Z errors" always goes to
- * stderr (tools/sweep_check.py and tools/farm_check.py parse it).
- * With --shard/--steal the matrix runs through runner::Farm instead,
- * the summary counts only this worker's claimed cells, and an extra
- * "farm: ..." line reports the claim.
+ * stderr (tools/sweep_check.py parses it).
  */
 int
 runSweep(const std::vector<std::string> &workload_names,
-         const std::vector<std::string> &cm_names,
+         const std::vector<cm::CmKind> &cm_kinds,
          const std::vector<std::string> &seed_names,
          const runner::RunOptions &base, bool with_baselines,
          int jobs, const std::string &cache_dir,
          const std::string &json_path,
          const std::string &profile_path,
-         const std::string &quality_path,
-         const FarmCliOptions &farm_cli, const char *argv0)
+         const std::string &quality_path, const char *argv0)
 {
     std::vector<std::string> workload_list = workload_names;
     if (workload_list.empty())
         workload_list = workloads::stampBenchmarkNames();
     for (const std::string &name : workload_list) {
-        const auto known = workloads::stampBenchmarkNames();
-        if (std::find(known.begin(), known.end(), name)
-            == known.end()) {
+        if (!isOneOf(name, workloads::stampBenchmarkNames())) {
             std::fprintf(stderr,
                          "unknown sweep workload '%s' (sweep mode "
                          "runs STAMP benchmarks)\n",
@@ -412,13 +381,8 @@ runSweep(const std::vector<std::string> &workload_names,
         }
     }
 
-    std::vector<cm::CmKind> managers;
-    if (cm_names.empty()) {
-        managers = cm::allCmKinds();
-    } else {
-        for (const std::string &name : cm_names)
-            managers.push_back(cm::cmKindFromName(name));
-    }
+    const std::vector<cm::CmKind> managers =
+        cm_kinds.empty() ? cm::allCmKinds() : cm_kinds;
 
     std::vector<std::uint64_t> seeds;
     for (const std::string &name : seed_names)
@@ -455,57 +419,6 @@ runSweep(const std::vector<std::string> &workload_names,
     sweep_options.progress = &std::cerr;
     sweep_options.profile = !profile_path.empty();
     sweep_options.quality = !quality_path.empty();
-
-    if (farm_cli.enabled) {
-        if (sweep_options.profile || sweep_options.quality) {
-            std::fprintf(stderr,
-                         "--profile/--quality are not supported "
-                         "with --shard/--steal\n");
-            usage(argv0);
-        }
-        runner::FarmOptions farm_options;
-        farm_options.sweep = sweep_options;
-        farm_options.shardIndex = farm_cli.shardIndex;
-        farm_options.shardCount = farm_cli.shardCount;
-        farm_options.stealDir = farm_cli.stealDir;
-        farm_options.stealStaleSec = farm_cli.stealStaleSec;
-        runner::Farm farm(farm_options);
-        try {
-            farm.run(cells);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "farm: %s\n", e.what());
-            return 1;
-        }
-        const runner::SweepStats &stats = farm.stats();
-        std::fprintf(stderr,
-                     "sweep: %zu cells, %d executed, %d cached, "
-                     "%d errors\n",
-                     farm.claimed().size(), stats.executed,
-                     stats.cacheHits, stats.errors);
-        if (farm_cli.stealDir.empty()) {
-            std::fprintf(stderr,
-                         "farm: static shard %d/%d claimed %zu of "
-                         "%zu cells\n",
-                         farm_cli.shardIndex, farm_cli.shardCount,
-                         farm.claimed().size(), cells.size());
-        } else {
-            std::fprintf(stderr,
-                         "farm: steal worker claimed %zu of %zu "
-                         "cells from %s\n",
-                         farm.claimed().size(), cells.size(),
-                         farm_cli.stealDir.c_str());
-        }
-        if (!json_path.empty()) {
-            std::ofstream json_file(json_path);
-            if (!json_file) {
-                std::fprintf(stderr, "cannot open %s\n",
-                             json_path.c_str());
-                return 1;
-            }
-            farm.writeReport(json_file, "cli-sweep");
-        }
-        return stats.errors == 0 ? 0 : 1;
-    }
 
     runner::SweepRunner sweep(sweep_options);
     sweep.run(cells);
@@ -615,14 +528,13 @@ int
 main(int argc, char **argv)
 {
     std::string workload = "Intruder";
-    std::string manager = "BFGTS-HW";
     runner::SimConfig config;
     bool with_baseline = false;
     bool with_stats = false;
     std::string json_path;
     std::string trace_path;
     bool trace_jsonl = false;
-    std::string trace_cats;
+    std::vector<sim::TraceCategory> trace_cats;
     std::string chrome_path;
     std::string ts_path;
     sim::Tick ts_interval = 10'000;
@@ -634,7 +546,7 @@ main(int argc, char **argv)
     bool sweep_mode = false;
     bool sweep_baselines = false;
     std::vector<std::string> sweep_workloads;
-    std::vector<std::string> sweep_cms;
+    std::vector<cm::CmKind> sweep_cms;
     std::vector<std::string> sweep_seeds;
     int sweep_jobs = 1;
     std::string sweep_cache;
@@ -642,9 +554,6 @@ main(int argc, char **argv)
         env != nullptr && env[0] != '\0') {
         sweep_cache = env;
     }
-    FarmCliOptions farm_cli;
-    bool merge_mode = false;
-    std::vector<std::string> merge_inputs;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -658,8 +567,16 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--workload") {
             workload = next();
+            if (!isOneOf(workload, workloads::stampBenchmarkNames())
+                && !isOneOf(workload,
+                            workloads::splash2BenchmarkNames())) {
+                std::fprintf(stderr,
+                             "unknown workload '%s' (see --list)\n",
+                             workload.c_str());
+                usage(argv[0]);
+            }
         } else if (arg == "--cm") {
-            manager = next();
+            config.cm = managerFromName(next(), argv[0]);
         } else if (arg == "--cpus") {
             config.numCpus = parseNumber<int>(next(), "--cpus");
         } else if (arg == "--tpc") {
@@ -690,7 +607,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace-jsonl") {
             trace_jsonl = true;
         } else if (arg == "--trace-cats") {
-            trace_cats = next();
+            trace_cats = parseTraceCats(next(), argv[0]);
         } else if (arg == "--trace-chrome") {
             chrome_path = next();
         } else if (arg == "--ts") {
@@ -712,7 +629,9 @@ main(int argc, char **argv)
         } else if (arg == "--workloads") {
             sweep_workloads = splitList(next());
         } else if (arg == "--cms") {
-            sweep_cms = splitList(next());
+            sweep_cms.clear();
+            for (const std::string &name : splitList(next()))
+                sweep_cms.push_back(managerFromName(name, argv[0]));
         } else if (arg == "--seeds") {
             sweep_seeds = splitList(next());
         } else if (arg == "--jobs") {
@@ -721,73 +640,8 @@ main(int argc, char **argv)
             sweep_cache = next();
         } else if (arg == "--baselines") {
             sweep_baselines = true;
-        } else if (arg == "--shard") {
-            const char *spec = next();
-            if (std::sscanf(spec, "%d/%d", &farm_cli.shardIndex,
-                            &farm_cli.shardCount)
-                    != 2
-                || farm_cli.shardCount < 1 || farm_cli.shardIndex < 0
-                || farm_cli.shardIndex >= farm_cli.shardCount) {
-                std::fprintf(stderr, "bad --shard spec '%s' "
-                                     "(want I/N, 0 <= I < N)\n",
-                             spec);
-                usage(argv[0]);
-            }
-            farm_cli.enabled = true;
-        } else if (arg == "--steal") {
-            farm_cli.stealDir = next();
-            farm_cli.enabled = true;
-        } else if (arg == "--steal-stale") {
-            farm_cli.stealStaleSec =
-                parseNumber<int>(next(), "--steal-stale");
-            if (farm_cli.stealStaleSec < 1)
-                usage(argv[0]);
-        } else if (arg == "--merge-reports") {
-            merge_mode = true;
-        } else if (merge_mode && !arg.empty() && arg[0] != '-') {
-            merge_inputs.push_back(arg);
         } else {
-            usage(argv[0]);
-        }
-    }
-
-    if (merge_mode) {
-        if (merge_inputs.empty() || json_path.empty()) {
-            std::fprintf(stderr, "--merge-reports needs partial "
-                                 "reports and --json FILE\n");
-            usage(argv[0]);
-        }
-        // Validate-then-emit into memory so a failed merge leaves no
-        // truncated output file behind.
-        std::ostringstream merged;
-        std::string error;
-        if (!runner::mergeSweepReports(merge_inputs, merged,
-                                       &error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return 1;
-        }
-        std::ofstream out(json_path);
-        if (!out) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         json_path.c_str());
-            return 1;
-        }
-        out << merged.str();
-        std::fprintf(stderr,
-                     "merge-reports: %zu partial reports -> %s\n",
-                     merge_inputs.size(), json_path.c_str());
-        return 0;
-    }
-
-    if (farm_cli.enabled) {
-        if (!sweep_mode) {
-            std::fprintf(stderr,
-                         "--shard/--steal need --sweep mode\n");
-            usage(argv[0]);
-        }
-        if (farm_cli.shardCount > 1 && !farm_cli.stealDir.empty()) {
-            std::fprintf(stderr, "--shard and --steal are mutually "
-                                 "exclusive\n");
+            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             usage(argv[0]);
         }
     }
@@ -808,11 +662,10 @@ main(int argc, char **argv)
         return runSweep(sweep_workloads, sweep_cms, sweep_seeds, base,
                         sweep_baselines, sweep_jobs, sweep_cache,
                         json_path, profile_path, quality_path,
-                        farm_cli, argv[0]);
+                        argv[0]);
     }
 
-    config.cm = cm::cmKindFromName(manager);
-    if (isSplash2(workload)) {
+    if (isOneOf(workload, workloads::splash2BenchmarkNames())) {
         config.workloadFactory = [workload](int threads) {
             return workloads::makeSplash2Workload(workload, threads);
         };
@@ -840,8 +693,7 @@ main(int argc, char **argv)
             trace_sink =
                 std::make_unique<sim::TextTraceSink>(*trace_os);
         if (!trace_cats.empty())
-            trace_sink->enableOnly(
-                parseTraceCats(trace_cats, argv[0]));
+            trace_sink->enableOnly(trace_cats);
         config.traceSink = trace_sink.get();
     }
 

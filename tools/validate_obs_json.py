@@ -321,39 +321,6 @@ def check_sweep(doc, where):
     labels = [cell["label"] for cell in doc["cells"]]
     check(len(labels) == len(set(labels)),
           f"{where}: duplicate cell labels")
-    shard = doc.get("shard")
-    if shard is not None:
-        # Farm partial report (src/runner/farm.h): the claimed ranges
-        # must be ascending, disjoint, inside the matrix, and account
-        # for exactly the cells present.
-        covered = 0
-        prev_end = 0
-        for i, (begin, end) in enumerate(shard["cellRanges"]):
-            check(begin >= prev_end,
-                  f"{where}: shard.cellRanges[{i}] overlaps or is "
-                  "out of order")
-            check(begin < end,
-                  f"{where}: shard.cellRanges[{i}] is empty")
-            check(end <= shard["totalCells"],
-                  f"{where}: shard.cellRanges[{i}] exceeds "
-                  "totalCells")
-            covered += end - begin
-            prev_end = end
-        check(covered == doc["cellCount"],
-              f"{where}: shard ranges cover {covered} cells, "
-              f"cellCount is {doc['cellCount']}")
-        check(doc["cellCount"] <= shard["totalCells"],
-              f"{where}: partial report larger than the matrix")
-        if shard["mode"] == "static":
-            check(0 <= shard["shardIndex"] < shard["shardCount"],
-                  f"{where}: static shard coordinates "
-                  f"{shard['shardIndex']}/{shard['shardCount']} "
-                  "out of range")
-        else:
-            check(shard["shardIndex"] == -1
-                  and shard["shardCount"] == 0,
-                  f"{where}: steal partial must use shardIndex -1, "
-                  "shardCount 0")
 
 
 PROF_PHASES = ["event_queue", "workload", "cm_decide", "cm_commit",
@@ -720,34 +687,6 @@ def mode_cli(cli, workdir):
         check(fh_a.read() == fh_b.read(),
               "sweep report changed under --profile")
 
-    # Farm leg: split the same matrix across two static shards, merge
-    # the partials with --merge-reports, and require the merged
-    # document byte-identical to the direct sweep report. Partials
-    # must schema-validate (incl. the shard manifest); the merged
-    # report must be shard-free.
-    shard_paths = []
-    for shard in range(2):
-        shard_path = os.path.join(workdir, f"sweep-shard{shard}.json")
-        shard_paths.append(shard_path)
-        run(sweep_args + ["--json", shard_path,
-                          "--shard", f"{shard}/2"])
-        partial = load(shard_path)
-        check_sweep(partial, shard_path)
-        check("shard" in partial,
-              f"{shard_path}: partial report lacks a shard manifest")
-    merged_path = os.path.join(workdir, "sweep-merged.json")
-    run([cli, "--merge-reports", *shard_paths, "--json", merged_path])
-    merged = load(merged_path)
-    check_sweep(merged, merged_path)
-    check("shard" not in merged,
-          f"{merged_path}: merged report still carries a shard "
-          "manifest")
-    with open(merged_path, "rb") as fh_a, \
-            open(sweep_path, "rb") as fh_b:
-        check(fh_a.read() == fh_b.read(),
-              "merged 2-shard report differs from the direct sweep "
-              "report")
-
     # Same for --quality, plus --jobs independence: the bfgts-qual-v1
     # sweep report is deterministic, so 1 worker and 4 workers must
     # produce it byte-for-byte.
@@ -773,8 +712,7 @@ def mode_cli(cli, workdir):
     print("validate_obs_json: cli OK (report, trace, time series, "
           "chrome timeline, and conflict DOT all byte-identical "
           "across hash seeds and under --profile/--quality; sweep, "
-          "prof, and qual reports schema-valid; 2-shard farm merge "
-          "byte-identical to the direct sweep)")
+          "prof, and qual reports schema-valid)")
 
 
 def mode_bench(bench, workdir):
