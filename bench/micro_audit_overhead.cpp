@@ -13,13 +13,10 @@
  * tolerance of the plain run (default 2%, override with
  * BFGTS_AUDIT_OVERHEAD_TOL, e.g. =0.05 for noisy CI machines).
  *
- * Methodology: the two configurations alternate rep by rep and the
- * minimum wall time of each is compared, which discards scheduler
- * noise instead of averaging it in.
+ * Methodology: bench::pairedOverhead, the median over 21 alternating
+ * (off, dry) pairs of the per-pair wall-time ratio.
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
@@ -27,30 +24,15 @@
 #include "runner/simulation.h"
 #include "sim/audit.h"
 
-namespace {
-
-double
-runOnce(const runner::SimConfig &config)
-{
-    runner::Simulation simulation(config);
-    const auto t0 = std::chrono::steady_clock::now();
-    simulation.run();
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
     bench::banner("micro: disabled-audit hook overhead");
     bench::JsonReporter json("micro_audit_overhead", argc, argv);
 
-    runner::RunOptions options = bench::defaultOptions();
-    // No quick-mode shrink here: this gate compares two wall times
-    // against a small tolerance, and the fast sim core makes a 20-tx
-    // rep too short to time reliably.
+    runner::RunOptions options;
+    // A fixed size, not the quick-mode shrink: a 20-tx run is too
+    // short to time reliably.
     options.txPerThread = 60;
 
     runner::SimConfig off =
@@ -68,28 +50,20 @@ main(int argc, char **argv)
     if (const char *env = std::getenv("BFGTS_AUDIT_OVERHEAD_TOL"))
         tolerance = std::atof(env);
 
-    // Warm-up run (page in code and workload data), then alternate.
-    runOnce(off);
-    // The fast sim core (SIMD signatures + flat tables) cut the
-    // quick-mode rep to ~10ms, so min-of-3 no longer converges under
-    // scheduler jitter; more reps keep the min a faithful floor.
-    const int reps = bench::quickMode() ? 9 : 5;
-    double min_off = 1e30;
-    double min_dry = 1e30;
-    for (int rep = 0; rep < reps; ++rep) {
-        min_off = std::min(min_off, runOnce(off));
-        min_dry = std::min(min_dry, runOnce(dry));
-    }
-
-    const double overhead = min_dry / min_off - 1.0;
-    std::printf("  audit off        %8.1f ms\n", min_off * 1e3);
-    std::printf("  dry-run hooks    %8.1f ms\n", min_dry * 1e3);
-    std::printf("  overhead         %+7.2f%%  (tolerance %.0f%%)\n",
-                100.0 * overhead, 100.0 * tolerance);
+    const bench::PairedOverhead measured = bench::pairedOverhead(off, dry);
+    const double overhead = measured.overhead;
+    std::printf("  audit off        %8.1f ms (median)\n",
+                measured.offSeconds * 1e3);
+    std::printf("  dry-run hooks    %8.1f ms (median)\n",
+                measured.onSeconds * 1e3);
+    std::printf("  overhead         %+7.2f%%  (median of %d pairs, "
+                "tolerance %.0f%%)\n",
+                100.0 * overhead, bench::kOverheadPairs,
+                100.0 * tolerance);
 
     json.addRow()
-        .set("offSeconds", min_off)
-        .set("drySeconds", min_dry)
+        .set("offSeconds", measured.offSeconds)
+        .set("drySeconds", measured.onSeconds)
         .set("overhead", overhead)
         .set("tolerance", tolerance);
     if (!json.write())

@@ -22,15 +22,15 @@
  * quality reports across two runs (the report itself is
  * deterministic, unlike the profiler's).
  *
- * Methodology: the two configurations alternate rep by rep and the
- * minimum wall time of each is compared, which discards scheduler
- * noise instead of averaging it in.
+ * Methodology: bench::pairedOverhead, the median over 21 alternating
+ * (off, recorded) pairs of the per-pair wall-time ratio; each
+ * recorded run gets a fresh recorder, so runs don't accumulate into
+ * each other's ledgers.
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -40,22 +40,6 @@
 #include "sim/quality.h"
 
 namespace {
-
-double
-runOnce(const runner::SimConfig &config)
-{
-    // A fresh recorder per rep when one is configured, so reps don't
-    // accumulate into each other's ledgers.
-    sim::QualityRecorder recorder;
-    runner::SimConfig run_config = config;
-    if (run_config.quality != nullptr)
-        run_config.quality = &recorder;
-    runner::Simulation simulation(run_config);
-    const auto t0 = std::chrono::steady_clock::now();
-    simulation.run();
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-}
 
 std::string
 resultsString(const runner::SimConfig &config)
@@ -88,19 +72,23 @@ main(int argc, char **argv)
     bench::banner("micro: quality-recorder hook overhead");
     bench::JsonReporter json("micro_quality_overhead", argc, argv);
 
-    runner::RunOptions options = bench::defaultOptions();
-    // No quick-mode shrink here: this gate compares two wall times
-    // against a small tolerance, and the fast sim core makes a 20-tx
-    // rep too short to time reliably.
+    runner::RunOptions options;
+    // A fixed size, not the quick-mode shrink: a 20-tx run is too
+    // short to time reliably.
     options.txPerThread = 60;
 
     runner::SimConfig off =
         runner::makeConfig("Intruder", cm::CmKind::BfgtsHw, options);
 
-    // Marker config: runOnce swaps in a fresh recorder per rep.
+    // Marker config: the setup hook swaps in a fresh recorder per run.
     sim::QualityRecorder marker;
     runner::SimConfig recorded = off;
     recorded.quality = &marker;
+    std::optional<sim::QualityRecorder> fresh;
+    const auto fresh_recorder = [&fresh](runner::SimConfig &config) {
+        if (config.quality != nullptr)
+            config.quality = &fresh.emplace();
+    };
 
     double tolerance = 0.05;
     if (const char *env = std::getenv("BFGTS_QUALITY_OVERHEAD_TOL"))
@@ -124,28 +112,21 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // Warm-up run (page in code and workload data), then alternate.
-    runOnce(off);
-    // The fast sim core (SIMD signatures + flat tables) cut the
-    // quick-mode rep to ~10ms, so min-of-3 no longer converges under
-    // scheduler jitter; more reps keep the min a faithful floor.
-    const int reps = bench::quickMode() ? 9 : 5;
-    double min_off = 1e30;
-    double min_on = 1e30;
-    for (int rep = 0; rep < reps; ++rep) {
-        min_off = std::min(min_off, runOnce(off));
-        min_on = std::min(min_on, runOnce(recorded));
-    }
-
-    const double overhead = min_on / min_off - 1.0;
-    std::printf("  quality off      %8.1f ms\n", min_off * 1e3);
-    std::printf("  recorder on      %8.1f ms\n", min_on * 1e3);
-    std::printf("  overhead         %+7.2f%%  (tolerance %.0f%%)\n",
-                100.0 * overhead, 100.0 * tolerance);
+    const bench::PairedOverhead measured =
+        bench::pairedOverhead(off, recorded, fresh_recorder);
+    const double overhead = measured.overhead;
+    std::printf("  quality off      %8.1f ms (median)\n",
+                measured.offSeconds * 1e3);
+    std::printf("  recorder on      %8.1f ms (median)\n",
+                measured.onSeconds * 1e3);
+    std::printf("  overhead         %+7.2f%%  (median of %d pairs, "
+                "tolerance %.0f%%)\n",
+                100.0 * overhead, bench::kOverheadPairs,
+                100.0 * tolerance);
 
     json.addRow()
-        .set("offSeconds", min_off)
-        .set("onSeconds", min_on)
+        .set("offSeconds", measured.offSeconds)
+        .set("onSeconds", measured.onSeconds)
         .set("overhead", overhead)
         .set("tolerance", tolerance);
     if (!json.write())

@@ -11,12 +11,10 @@
  * disabled run (default 2%, override with BFGTS_TRACE_OVERHEAD_TOL,
  * e.g. =0.05 for noisy CI machines).
  *
- * Methodology: the two configurations alternate rep by rep and the
- * minimum wall time of each is compared, which discards scheduler
- * noise instead of averaging it in.
+ * Methodology: bench::pairedOverhead, the median over 21 alternating
+ * (off, filtered) pairs of the per-pair wall-time ratio.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -37,16 +35,6 @@ class CountingSink : public sim::TraceSink
     void write(const sim::TraceRecord &) override { ++rendered; }
 };
 
-double
-runOnce(const runner::SimConfig &config)
-{
-    runner::Simulation simulation(config);
-    const auto t0 = std::chrono::steady_clock::now();
-    simulation.run();
-    const auto t1 = std::chrono::steady_clock::now();
-    return std::chrono::duration<double>(t1 - t0).count();
-}
-
 } // namespace
 
 int
@@ -55,10 +43,9 @@ main(int argc, char **argv)
     bench::banner("micro: fully-filtered trace sink overhead");
     bench::JsonReporter json("micro_trace_overhead", argc, argv);
 
-    runner::RunOptions options = bench::defaultOptions();
-    // No quick-mode shrink here: this gate compares two wall times
-    // against a small tolerance, and the fast sim core makes a 20-tx
-    // rep too short to time reliably.
+    runner::RunOptions options;
+    // A fixed size, not the quick-mode shrink: a 20-tx run is too
+    // short to time reliably.
     options.txPerThread = 60;
 
     runner::SimConfig base =
@@ -73,31 +60,24 @@ main(int argc, char **argv)
     if (const char *env = std::getenv("BFGTS_TRACE_OVERHEAD_TOL"))
         tolerance = std::atof(env);
 
-    // Warm-up run (page in code and workload data), then alternate.
-    runOnce(base);
-    // The fast sim core (SIMD signatures + flat tables) cut the
-    // quick-mode rep to ~10ms, so min-of-3 no longer converges under
-    // scheduler jitter; more reps keep the min a faithful floor.
-    const int reps = bench::quickMode() ? 9 : 5;
-    double min_off = 1e30;
-    double min_filtered = 1e30;
-    for (int rep = 0; rep < reps; ++rep) {
-        min_off = std::min(min_off, runOnce(base));
-        min_filtered = std::min(min_filtered, runOnce(filtered));
-    }
-
-    const double overhead = min_filtered / min_off - 1.0;
-    std::printf("  tracing off      %8.1f ms\n", min_off * 1e3);
-    std::printf("  filtered sink    %8.1f ms\n", min_filtered * 1e3);
-    std::printf("  overhead         %+7.2f%%  (tolerance %.0f%%)\n",
-                100.0 * overhead, 100.0 * tolerance);
+    const bench::PairedOverhead measured =
+        bench::pairedOverhead(base, filtered);
+    const double overhead = measured.overhead;
+    std::printf("  tracing off      %8.1f ms (median)\n",
+                measured.offSeconds * 1e3);
+    std::printf("  filtered sink    %8.1f ms (median)\n",
+                measured.onSeconds * 1e3);
+    std::printf("  overhead         %+7.2f%%  (median of %d pairs, "
+                "tolerance %.0f%%)\n",
+                100.0 * overhead, bench::kOverheadPairs,
+                100.0 * tolerance);
     std::printf("  records rendered %llu (expect 0)\n",
                 static_cast<unsigned long long>(
                     filtered_sink.rendered));
 
     json.addRow()
-        .set("offSeconds", min_off)
-        .set("filteredSeconds", min_filtered)
+        .set("offSeconds", measured.offSeconds)
+        .set("filteredSeconds", measured.onSeconds)
         .set("overhead", overhead)
         .set("tolerance", tolerance);
     if (!json.write())

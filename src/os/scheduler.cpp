@@ -13,6 +13,14 @@ OsScheduler::OsScheduler(sim::EventQueue &events,
       cpus_(static_cast<std::size_t>(config.numCpus))
 {
     sim_assert(config.numCpus >= 1);
+    dispatchKind_ = events_.addKind([this](std::uint32_t cpu) {
+        dispatch(static_cast<sim::CpuId>(cpu));
+    });
+    // Its own kind, so nothing that cancels a worker's continuation
+    // can ever cancel a context switch.
+    runKind_ = events_.addKind([this](std::uint32_t tid) {
+        dispatchFn_(static_cast<sim::ThreadId>(tid));
+    });
 }
 
 sim::ThreadId
@@ -144,7 +152,7 @@ OsScheduler::wake(sim::ThreadId tid, sim::ThreadId waker)
     tc.state = ThreadState::Ready;
     CpuState &cpu = cpus_[tc.cpu];
     cpu.readyQueue.push_back(tid);
-    if (cpu.running == sim::kNoThread && !cpu.dispatchPending)
+    if (cpu.running == sim::kNoThread)
         scheduleDispatch(tc.cpu, 0);
 }
 
@@ -177,18 +185,15 @@ OsScheduler::shouldPreempt(sim::ThreadId tid) const
 void
 OsScheduler::scheduleDispatch(sim::CpuId cpu_id, sim::Cycles delay)
 {
-    CpuState &cpu = cpus_[cpu_id];
-    if (cpu.dispatchPending)
-        return;
-    cpu.dispatchPending = true;
-    events_.scheduleIn(delay, [this, cpu_id] { dispatch(cpu_id); });
+    const auto target = static_cast<std::uint32_t>(cpu_id);
+    if (!events_.pending(dispatchKind_, target))
+        events_.scheduleIn(delay, dispatchKind_, target);
 }
 
 void
 OsScheduler::dispatch(sim::CpuId cpu_id)
 {
     CpuState &cpu = cpus_[cpu_id];
-    cpu.dispatchPending = false;
     sim_assert(cpu.running == sim::kNoThread);
 
     if (cpu.idleSince != 0) {
@@ -221,7 +226,8 @@ OsScheduler::dispatch(sim::CpuId cpu_id)
     if (ctx_cost == 0) {
         dispatchFn_(tid);
     } else {
-        events_.scheduleIn(ctx_cost, [this, tid] { dispatchFn_(tid); });
+        events_.scheduleIn(ctx_cost, runKind_,
+                           static_cast<std::uint32_t>(tid));
     }
 }
 

@@ -66,6 +66,10 @@ class OsScheduler
 
     OsScheduler(sim::EventQueue &events, const SchedulerConfig &config);
 
+    /** The queue's handlers of its kinds hold its address. */
+    OsScheduler(const OsScheduler &) = delete;
+    OsScheduler &operator=(const OsScheduler &) = delete;
+
     /** Register a thread on its home CPU. Threads get ids 0..N-1. */
     sim::ThreadId addThread(sim::CpuId cpu);
 
@@ -163,8 +167,6 @@ class OsScheduler
     struct CpuState {
         std::deque<sim::ThreadId> readyQueue;
         sim::ThreadId running = sim::kNoThread;
-        /** Set while a dispatch event is in flight for this CPU. */
-        bool dispatchPending = false;
         sim::Tick idleSince = 0;
         sim::Cycles idleCycles = 0;
         sim::ThreadId lastRun = sim::kNoThread;
@@ -179,6 +181,10 @@ class OsScheduler
     ThreadContext &mutableThread(sim::ThreadId tid);
 
     sim::EventQueue &events_;
+    /** Event kinds: dispatch() of a CPU id, and the dispatchFn_ call
+     *  of a thread id that ends a context switch. */
+    sim::EventKind dispatchKind_ = 0;
+    sim::EventKind runKind_ = 0;
     SchedulerConfig config_;
     DispatchFn dispatchFn_;
     std::vector<ThreadContext> threads_;

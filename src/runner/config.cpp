@@ -6,14 +6,25 @@ std::string
 SimConfig::validate() const
 {
     const auto bad = [](const char *field, long long value,
-                        const char *rule) {
+                        const std::string &rule) {
         return std::string(field) + " must be " + rule + " (got "
              + std::to_string(value) + ")";
     };
     if (numCpus < 1)
         return bad("numCpus", numCpus, "at least 1");
+    if (numCpus > kMaxCpus) {
+        return bad("numCpus", numCpus,
+                   "at most " + std::to_string(kMaxCpus));
+    }
     if (threadsPerCpu < 1)
         return bad("threadsPerCpu", threadsPerCpu, "at least 1");
+    // In 64 bits: numThreads() would overflow an int first.
+    const long long threads =
+        static_cast<long long>(numCpus) * threadsPerCpu;
+    if (threads > kMaxThreads) {
+        return bad("numCpus * threadsPerCpu", threads,
+                   "at most " + std::to_string(kMaxThreads));
+    }
     if (txPerThreadOverride < 0) {
         return bad("txPerThreadOverride", txPerThreadOverride,
                    "at least 0");

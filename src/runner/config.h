@@ -46,6 +46,18 @@ using ManagerFactory =
 
 /** Everything needed to run one simulation. */
 struct SimConfig {
+    /** Largest numCpus validate() accepts. The sharer directory alone
+     *  holds 2048·N slots of 1 + ceil(N/64) words for N CPUs, about
+     *  256·N² bytes: 272 MiB at this cap, where a whole run peaks near
+     *  310 MB. */
+    static constexpr int kMaxCpus = 1024;
+
+    /** Largest thread count validate() accepts. A run holds about
+     *  1.7 KB per thread (2^18 Genome threads peak at 439 MB), and a
+     *  dTxID, (sTxID << bitsFor(threads)) | tid in an int, keeps 13
+     *  bits for the sTxID. */
+    static constexpr int kMaxThreads = 1 << 18;
+
     /** STAMP benchmark name; ignored if workloadFactory is set. */
     std::string workload = "Intruder";
 

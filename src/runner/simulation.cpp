@@ -137,12 +137,13 @@ Simulation::Simulation(const SimConfig &config)
     sched_->setDispatchFn([this](sim::ThreadId tid) {
         step(workers_[static_cast<std::size_t>(tid)]);
     });
+    continueKind_ = events_.addKind(
+        [this](std::uint32_t tid) { step(workers_[tid]); });
     // Begin-stall polls all share one delay, so they ride the event
     // queue's FIFO lane (pollBeginStall).
-    events_.setLane(config_.beginStallPollInterval,
-                    [this](std::uint32_t tid) {
-                        pollBeginStall(workers_[tid]);
-                    });
+    pollKind_ = events_.addKind(
+        [this](std::uint32_t tid) { pollBeginStall(workers_[tid]); });
+    events_.setLane(config_.beginStallPollInterval);
 }
 
 Simulation::~Simulation() = default;
@@ -244,23 +245,20 @@ void
 Simulation::advanceSpan(Worker &worker, const Charge *charges,
                         std::size_t count)
 {
-    sim_assert(worker.pendingEvent == sim::kNoEvent);
     sim::Cycles total = 0;
     for (std::size_t i = 0; i < count; ++i) {
         charge(worker, charges[i].cycles, charges[i].bucket);
         total += charges[i].cycles;
     }
-    Worker *wp = &worker;
-    worker.pendingEvent = events_.scheduleIn(total, [this, wp] {
-        wp->pendingEvent = sim::kNoEvent;
-        step(*wp);
-    });
+    events_.scheduleIn(total, continueKind_,
+                       static_cast<std::uint32_t>(worker.tid));
 }
 
 void
 Simulation::step(Worker &worker)
 {
-    sim_assert(worker.pendingEvent == sim::kNoEvent);
+    sim_assert(!events_.pending(continueKind_,
+                                static_cast<std::uint32_t>(worker.tid)));
     sim_assert(sched_->runningOn(sched_->thread(worker.tid).cpu)
                == worker.tid);
     bool cont = true;
@@ -479,7 +477,8 @@ Simulation::spinBeginStall(Worker &worker)
         return false;
     }
     charge(worker, config_.beginStallPollInterval, Bucket::Sched);
-    events_.scheduleLane(static_cast<std::uint32_t>(worker.tid));
+    events_.scheduleLane(pollKind_,
+                         static_cast<std::uint32_t>(worker.tid));
     return true;
 }
 
@@ -721,10 +720,8 @@ Simulation::abortTx(Worker &worker, const cm::TxInfo &enemy)
 
     // A remotely aborted victim has an in-flight continuation;
     // replace it with the abort sequence.
-    if (worker.pendingEvent != sim::kNoEvent) {
-        events_.deschedule(worker.pendingEvent);
-        worker.pendingEvent = sim::kNoEvent;
-    }
+    events_.deschedule(continueKind_,
+                       static_cast<std::uint32_t>(worker.tid));
 
     if (auditing())
         auditLifecycle(worker, LifecycleAuditor::TxEvent::Abort);

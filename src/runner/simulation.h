@@ -153,7 +153,6 @@ class Simulation
         sim::Tick stallStart = 0;
         htm::DTxId stallOn = htm::kNoTx;
         bool committing = false;
-        sim::EventId pendingEvent = sim::kNoEvent;
         sim::Cycles attemptCycles = 0;
         /** Enemy the most recent begin decision serialized behind
          *  (kNoTx when the last begin proceeded unserialized). */
@@ -275,6 +274,10 @@ class Simulation
 
     SimConfig config_;
     sim::EventQueue events_;
+    /** Event kinds keyed by thread id: a worker's continuation
+     *  (step) and its begin-stall poll on the lane (pollBeginStall). */
+    sim::EventKind continueKind_ = 0;
+    sim::EventKind pollKind_ = 0;
     std::unique_ptr<workloads::Workload> workload_;
     std::unique_ptr<htm::TxIdSpace> ids_;
     std::unique_ptr<mem::MemSystem> mem_;

@@ -1,5 +1,6 @@
 #include "sweep.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -354,7 +355,10 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
         }
     }
 
-    sim::ThreadPool pool(options_.jobs);
+    // No more workers than cells: the rest would only sit idle.
+    const std::size_t workers =
+        std::min<std::size_t>(std::max(options_.jobs, 1), cells_.size());
+    sim::ThreadPool pool(static_cast<int>(workers));
     std::size_t completed = 0;
     for (std::size_t i = 0; i < cells_.size(); ++i) {
         pool.submit([this, i, &completed] {

@@ -112,7 +112,8 @@ struct SweepStats {
 
 /** How to execute a sweep. */
 struct SweepOptions {
-    /** Worker threads (clamped to at least 1). */
+    /** Worker threads (clamped to at least 1 and at most the number
+     *  of cells). */
     int jobs = 1;
     /** Result-cache directory; empty disables caching. */
     std::string cacheDir;

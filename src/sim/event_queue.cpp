@@ -9,9 +9,9 @@
 namespace sim {
 
 void
-EventQueue::heapPush(const HeapNode &node)
+EventQueue::heapPush(const Event &event)
 {
-    heap_.push_back(node);
+    heap_.push_back(event);
     std::size_t i = heap_.size() - 1;
     while (i > 0) {
         const std::size_t parent = (i - 1) / 2;
@@ -44,90 +44,83 @@ EventQueue::heapPop()
     }
 }
 
-std::uint32_t
-EventQueue::acquireSlot(EventFn &&fn)
+void
+EventQueue::recordBytes()
 {
-    std::uint32_t slot;
-    if (!freeSlots_.empty()) {
-        slot = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        slot = static_cast<std::uint32_t>(slots_.size());
-        slots_.emplace_back();
+    std::size_t bytes =
+        (heap_.capacity() + lane_.capacity()) * sizeof(Event);
+    for (const KindState &kind : kinds_)
+        bytes += kind.pendingSeq.capacity() * sizeof(std::uint64_t);
+    profiler_->recordBytes(Profiler::kStructEventQueue, bytes);
+}
+
+EventKind
+EventQueue::addKind(Handler handler)
+{
+    kinds_.push_back(KindState{std::move(handler), {}});
+    return static_cast<EventKind>(kinds_.size() - 1);
+}
+
+void
+EventQueue::markPending(const Event &event)
+{
+    sim_assert(event.kind < kinds_.size());
+    std::vector<std::uint64_t> &seqs = kinds_[event.kind].pendingSeq;
+    if (event.target >= seqs.size()) {
+        seqs.resize(std::size_t{event.target} + 1, kNotPending);
+        if (profiler_ != nullptr)
+            recordBytes();
     }
-    Slot &s = slots_[slot];
-    s.fn = std::move(fn);
-    s.live = true;
-    return slot;
+    sim_assert(seqs[event.target] == kNotPending,
+               "kind %u already has an event pending for target %u",
+               event.kind, event.target);
+    seqs[event.target] = event.seq;
+    ++live_;
 }
 
 void
-EventQueue::releaseSlot(std::uint32_t slot)
-{
-    Slot &s = slots_[slot];
-    s.fn = nullptr;
-    s.live = false;
-    ++s.gen; // Invalidates every outstanding handle to this slot.
-    freeSlots_.push_back(slot);
-}
-
-bool
-EventQueue::liveId(EventId id) const
-{
-    const std::uint32_t slot = slotOf(id);
-    if (slot >= slots_.size())
-        return false;
-    const Slot &s = slots_[slot];
-    return s.live && s.gen == static_cast<std::uint32_t>(id >> 32);
-}
-
-std::size_t
-EventQueue::structBytes() const
-{
-    return heap_.size() * sizeof(HeapNode)
-         + slots_.capacity() * sizeof(Slot)
-         + freeSlots_.capacity() * sizeof(std::uint32_t)
-         + lane_.capacity() * sizeof(LaneNode);
-}
-
-void
-EventQueue::setLane(Cycles delay, LaneFn fn)
+EventQueue::setLane(Cycles delay)
 {
     sim_assert(laneCount_ == 0);
     laneDelay_ = delay;
-    laneFn_ = std::move(fn);
 }
 
 void
 EventQueue::growLane()
 {
-    std::vector<LaneNode> grown(lane_.empty() ? 16 : 2 * lane_.size());
+    std::vector<Event> grown(lane_.empty() ? 16 : 2 * lane_.size());
     for (std::size_t i = 0; i < laneCount_; ++i)
         grown[i] = lane_[(laneHead_ + i) & (lane_.size() - 1)];
     lane_ = std::move(grown);
     laneHead_ = 0;
     if (profiler_ != nullptr)
-        profiler_->recordBytes(Profiler::kStructEventQueue,
-                               structBytes());
+        recordBytes();
 }
 
 void
-EventQueue::scheduleLane(std::uint32_t token)
+EventQueue::lanePop()
 {
-    sim_assert(laneFn_ != nullptr);
+    laneHead_ = (laneHead_ + 1) & (lane_.size() - 1);
+    --laneCount_;
+}
+
+void
+EventQueue::scheduleLane(EventKind kind, std::uint32_t target)
+{
     // A few stores: cheaper than bracketing them in a profiler phase,
     // so the caller's phase keeps them.
     if (laneCount_ == lane_.size())
         growLane();
     // curTick never decreases and the delay is fixed, so the tail
     // node is the latest in (when, seq): the ring stays sorted.
-    lane_[(laneHead_ + laneCount_) & (lane_.size() - 1)] =
-        LaneNode{curTick_ + laneDelay_, nextSeq_++, token};
+    const Event event{curTick_ + laneDelay_, nextSeq_++, kind, target};
+    markPending(event);
+    lane_[(laneHead_ + laneCount_) & (lane_.size() - 1)] = event;
     ++laneCount_;
 }
 
-EventId
-EventQueue::schedule(Tick when, EventFn fn)
+void
+EventQueue::schedule(Tick when, EventKind kind, std::uint32_t target)
 {
     if (audit_ != nullptr && audit_->shouldCheck()) {
         // Under audit the past-scheduling invariant reports through
@@ -140,29 +133,26 @@ EventQueue::schedule(Tick when, EventFn fn)
     } else {
         sim_assert(when >= curTick_);
     }
-    const std::uint32_t slot = acquireSlot(std::move(fn));
-    const EventId id = encodeId(slot, slots_[slot].gen);
+    const Event event{when, nextSeq_++, kind, target};
+    markPending(event);
     // A short sift-up: cheaper than the two clock reads of a profiler
     // phase around it, so the caller's phase keeps it, as it keeps a
-    // lane push.
-    heapPush(HeapNode{when, nextSeq_++, id});
-    if (profiler_ != nullptr)
-        profiler_->recordBytes(Profiler::kStructEventQueue,
-                               structBytes());
-    ++live_;
-    return id;
+    // lane push. The byte gauge moves only when the heap reallocates.
+    const bool grows = heap_.size() == heap_.capacity();
+    heapPush(event);
+    if (grows && profiler_ != nullptr)
+        recordBytes();
 }
 
 bool
-EventQueue::deschedule(EventId id)
+EventQueue::deschedule(EventKind kind, std::uint32_t target)
 {
-    if (id == kNoEvent || !liveId(id))
+    if (!pending(kind, target))
         return false;
-    // O(1) lazy deletion: bump the slot generation so the heap node
-    // is recognized as stale and skipped when it surfaces.
-    releaseSlot(slotOf(id));
-    if (live_ > 0)
-        --live_;
+    // O(1): the node stays queued, and live() rejects it when it
+    // surfaces because its seq is no longer the pending one.
+    kinds_[kind].pendingSeq[target] = kNotPending;
+    --live_;
     return true;
 }
 
@@ -190,9 +180,11 @@ EventQueue::run(Tick max_tick, std::uint64_t max_events)
     while (true) {
         if (profiler_ != nullptr)
             profiler_->enter(Profiler::kEventQueue);
-        // Cancelled: the slot generation moved past this node.
-        while (!heap_.empty() && !liveId(heap_.front().id))
+        // Descheduled nodes: not run, counted, audited or timed.
+        while (!heap_.empty() && !live(heap_.front()))
             heapPop();
+        while (laneCount_ > 0 && !live(lane_[laneHead_]))
+            lanePop();
         const bool from_lane =
             laneCount_ > 0
             && (heap_.empty()
@@ -202,38 +194,27 @@ EventQueue::run(Tick max_tick, std::uint64_t max_events)
                 profiler_->exit();
             break;
         }
-        const Tick when =
-            from_lane ? lane_[laneHead_].when : heap_.front().when;
-        if (when > max_tick) {
+        const Event event = from_lane ? lane_[laneHead_] : heap_.front();
+        if (event.when > max_tick) {
             if (profiler_ != nullptr)
                 profiler_->exit();
             break;
         }
-        if (audit_ != nullptr && audit_->shouldCheck()) {
-            auditOrder(when, from_lane ? lane_[laneHead_].seq
-                                       : heap_.front().seq);
-        }
-        curTick_ = when;
-        if (from_lane) {
-            const std::uint32_t token = lane_[laneHead_].token;
-            laneHead_ = (laneHead_ + 1) & (lane_.size() - 1);
-            --laneCount_;
-            if (profiler_ != nullptr)
-                profiler_->exit();
-            laneFn_(token);
-        } else {
-            // Move the callback out and recycle the slot before
-            // invoking: the callback may schedule new events (possibly
-            // reusing this very slot under a fresh generation).
-            const EventId id = heap_.front().id;
-            EventFn fn = std::move(slots_[slotOf(id)].fn);
-            releaseSlot(slotOf(id));
+        if (audit_ != nullptr && audit_->shouldCheck())
+            auditOrder(event.when, event.seq);
+        curTick_ = event.when;
+        if (from_lane)
+            lanePop();
+        else
             heapPop();
-            --live_;
-            if (profiler_ != nullptr)
-                profiler_->exit();
-            fn();
-        }
+        // Cleared before the handler runs, which may schedule the
+        // same (kind, target) again.
+        KindState &kind = kinds_[event.kind];
+        kind.pendingSeq[event.target] = kNotPending;
+        --live_;
+        if (profiler_ != nullptr)
+            profiler_->exit();
+        kind.handler(event.target);
         if (profiler_ != nullptr)
             profiler_->onEventExecuted(curTick_);
         if (++executed > max_events) {

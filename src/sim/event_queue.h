@@ -7,24 +7,25 @@
  * This makes the whole simulation reproducible regardless of heap
  * internals or container iteration order.
  *
- * Layout: the heap itself holds only 24-byte POD nodes (tick, seq,
- * handle), so sift operations move three words and stay in cache; the
- * std::function callbacks live in a slot slab addressed by the handle.
- * Handles encode (generation << 32 | slot + 1), so cancellation is an
- * O(1) generation bump -- a stale heap node is recognized and skipped
- * when it surfaces -- and kNoEvent (0) can never collide with a live
- * handle. Slots are recycled through a free list, so a steady-state
- * simulation allocates no memory per event.
+ * Events are typed, not closures: every event is one 24-byte POD node
+ * {when, seq, kind, target}. The kind indexes a table of handlers that
+ * each subsystem registers once with addKind() (the runner: worker
+ * continuation and begin-stall poll; the OS scheduler: CPU dispatch
+ * and delayed thread dispatch; the sampler: its tick), and the target
+ * is the handler's argument. This file knows none of them.
  *
- * Beside the heap runs one fixed-delay FIFO lane. Every lane event
- * fires the same handler exactly laneDelay cycles after it was
- * scheduled, and it draws its seq from the same counter as heap
- * events. Since curTick never decreases, lane events leave in the
- * order they were scheduled, so the lane is sorted by (tick, seq)
- * without any heap work; run() merges its front with the heap top by
- * (tick, seq). A lane event therefore executes at exactly the place a
- * scheduleIn(laneDelay, ...) event would, at O(1) cost and with no
- * callback object, slot or heap node.
+ * At most one event per (kind, target) is pending; schedule() asserts
+ * it. A per-kind table holds each target's pending seq, so pending()
+ * is a lookup and deschedule() clears the entry. The node stays queued
+ * and is skipped when it surfaces, because its seq no longer matches.
+ * That is exact because no two events draw the same seq.
+ *
+ * Beside the heap runs one fixed-delay FIFO lane whose events draw
+ * their seq from the same counter. Since curTick never decreases, lane
+ * events leave in the order they were scheduled, so the lane is sorted
+ * by (tick, seq) without any heap work; run() merges its front with the
+ * heap top. A lane event therefore executes exactly where a
+ * scheduleIn(laneDelay, ...) event would, at O(1) cost.
  */
 
 #ifndef BFGTS_SIM_EVENT_QUEUE_H
@@ -41,71 +42,71 @@ namespace sim {
 class AuditEngine;
 class Profiler;
 
-/** Callback type for scheduled events. */
-using EventFn = std::function<void()>;
+/** Index of an event kind in its queue's handler table. */
+using EventKind = std::uint32_t;
 
-/** Handler of the fixed-delay lane; receives the event's token. */
-using LaneFn = std::function<void(std::uint32_t)>;
-
-/** Handle used to cancel a scheduled event (generation | slot + 1). */
-using EventId = std::uint64_t;
-
-/** Sentinel EventId meaning "no event". */
-constexpr EventId kNoEvent = 0;
+/** One scheduled event: the node of both the heap and the lane. */
+struct Event {
+    Tick when;
+    std::uint64_t seq;
+    EventKind kind;
+    /** The handler's argument: a thread, CPU or other id. */
+    std::uint32_t target;
+};
 
 /**
  * A deterministic event queue driving simulated time forward.
  *
- * Usage: schedule() callbacks at absolute ticks or schedule relative to
- * now with scheduleIn(), then run() until the queue drains (or a bound
- * is hit). Event callbacks may schedule further events.
+ * Usage: register each kind's handler with addKind(), schedule()
+ * (kind, target) events at absolute ticks or relative to now with
+ * scheduleIn(), then run() until the queue drains (or a bound is hit).
+ * Handlers may schedule further events.
  */
 class EventQueue
 {
   public:
-    EventQueue() = default;
+    /** Handler of one event kind; receives the event's target. */
+    using Handler = std::function<void(std::uint32_t)>;
 
     /** Current simulated time. */
     Tick curTick() const { return curTick_; }
 
     /**
-     * Schedule a callback at an absolute tick.
-     *
-     * @param when  Absolute tick; must be >= curTick().
-     * @param fn    Callback to invoke.
-     * @return Handle usable with deschedule().
+     * Register a kind whose events run @p handler on their target.
+     * Call outside run(): a handler must not add kinds.
      */
-    EventId schedule(Tick when, EventFn fn);
+    EventKind addKind(Handler handler);
 
-    /** Schedule a callback @p delay cycles from now. */
-    EventId
-    scheduleIn(Cycles delay, EventFn fn)
+    /** Schedule (@p kind, @p target) at tick @p when >= curTick().
+     *  Panics if (@p kind, @p target) already has a pending event. */
+    void schedule(Tick when, EventKind kind, std::uint32_t target);
+
+    /** Schedule (@p kind, @p target) @p delay cycles from now. */
+    void
+    scheduleIn(Cycles delay, EventKind kind, std::uint32_t target)
     {
-        return schedule(curTick_ + delay, std::move(fn));
+        schedule(curTick_ + delay, kind, target);
     }
 
-    /**
-     * Install the fixed-delay lane: lane events fire @p fn with their
-     * token @p delay cycles after scheduleLane(). Call once, before the
-     * first scheduleLane().
-     */
-    void setLane(Cycles delay, LaneFn fn);
+    /** Set the lane's fixed delay, before the first scheduleLane(). */
+    void setLane(Cycles delay);
 
-    /**
-     * Schedule the lane handler for @p token laneDelay cycles from now.
-     * It fires exactly where scheduleIn(laneDelay, ...) would, in
-     * (tick, seq) order with every other event. Lane events have no
-     * handle and cannot be cancelled.
-     */
-    void scheduleLane(std::uint32_t token);
+    /** Schedule (@p kind, @p target) on the lane, laneDelay cycles
+     *  from now: exactly where scheduleIn(laneDelay, ...) would. */
+    void scheduleLane(EventKind kind, std::uint32_t target);
 
-    /**
-     * Cancel a previously scheduled event.
-     *
-     * Cancelling an already-fired or already-cancelled event is a no-op.
-     * @return true if the event was pending and is now cancelled.
-     */
-    bool deschedule(EventId id);
+    /** True if (@p kind, @p target) has an event waiting to fire. */
+    bool
+    pending(EventKind kind, std::uint32_t target) const
+    {
+        const std::vector<std::uint64_t> &seqs = kinds_[kind].pendingSeq;
+        return target < seqs.size() && seqs[target] != kNotPending;
+    }
+
+    /** Cancel the pending event of (@p kind, @p target); a no-op
+     *  returning false when none is pending (never scheduled, fired
+     *  or cancelled). */
+    bool deschedule(EventKind kind, std::uint32_t target);
 
     /**
      * Run events until the queue is empty or limits are reached.
@@ -119,10 +120,10 @@ class EventQueue
                       std::uint64_t max_events = kDefaultMaxEvents);
 
     /** True if no events are pending. */
-    bool empty() const { return size() == 0; }
+    bool empty() const { return live_ == 0; }
 
     /** Number of pending (non-cancelled) events, lane events included. */
-    std::size_t size() const { return live_ + laneCount_; }
+    std::size_t size() const { return live_; }
 
     /** Safety bound: panic if a run exceeds this many events. */
     static constexpr std::uint64_t kDefaultMaxEvents = 50'000'000'000ULL;
@@ -138,11 +139,11 @@ class EventQueue
 
     /**
      * Attach the host-performance profiler (borrowed, may be null).
-     * When set, schedule() and run() charge heap work to the
-     * event-queue wall-time phase, track the byte high-water of the
-     * heap plus the callback slab, and report each executed event for
-     * Perfetto counter sampling. Purely observational: simulated
-     * behavior is unchanged.
+     * When set, run() charges its own work to the event-queue
+     * wall-time phase and reports each executed event for Perfetto
+     * counter sampling, and the byte gauge follows what the heap, the
+     * lane and the pending tables allocate. Purely observational:
+     * simulated behavior is unchanged.
      */
     void setProfiler(Profiler *profiler) { profiler_ = profiler; }
 
@@ -155,70 +156,46 @@ class EventQueue
     void testSetNextSeq(std::uint64_t seq) { nextSeq_ = seq; }
 
   private:
-    /** Heap node: plain data only, three words per sift move. */
-    struct HeapNode {
-        Tick when;
-        std::uint64_t seq;
-        EventId id;
+    /** Pending-table entry of a target with nothing scheduled. */
+    static constexpr std::uint64_t kNotPending = ~std::uint64_t{0};
+
+    struct KindState {
+        Handler handler;
+        /** Seq of each target's pending event, or kNotPending. */
+        std::vector<std::uint64_t> pendingSeq;
     };
 
-    /** Lane node: the handler's token at its (when, seq). */
-    struct LaneNode {
-        Tick when;
-        std::uint64_t seq;
-        std::uint32_t token;
-    };
-
-    /** Slab slot owning a callback; gen invalidates stale handles. */
-    struct Slot {
-        EventFn fn;
-        std::uint32_t gen = 0;
-        bool live = false;
-    };
-
-    template <typename A, typename B>
     static bool
-    earlier(const A &a, const B &b)
+    earlier(const Event &a, const Event &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
         return a.seq < b.seq;
     }
 
-    void heapPush(const HeapNode &node);
+    /** True unless @p event was descheduled after it was queued. */
+    bool
+    live(const Event &event) const
+    {
+        return kinds_[event.kind].pendingSeq[event.target] == event.seq;
+    }
+
+    /** Check the one-pending rule and record @p event as pending. */
+    void markPending(const Event &event);
+
+    void heapPush(const Event &event);
     void heapPop();
-
-    /** Take a free (or new) slot and move @p fn into it. */
-    std::uint32_t acquireSlot(EventFn &&fn);
-    /** Invalidate a slot's handle and recycle it. */
-    void releaseSlot(std::uint32_t slot);
-
-    static EventId
-    encodeId(std::uint32_t slot, std::uint32_t gen)
-    {
-        return (static_cast<EventId>(gen) << 32)
-             | (static_cast<EventId>(slot) + 1);
-    }
-
-    /** Slot index of @p id, or a value >= slots_.size() if invalid. */
-    std::uint32_t
-    slotOf(EventId id) const
-    {
-        return static_cast<std::uint32_t>(id & 0xffffffffULL) - 1;
-    }
-
-    /** True if @p id names the live scheduled event in its slot. */
-    bool liveId(EventId id) const;
 
     /** Double the lane ring, keeping its FIFO order. */
     void growLane();
+    void lanePop();
 
     /** Audit check that (@p when, @p seq) follows the last event. */
     void auditOrder(Tick when, std::uint64_t seq);
 
-    /** Bytes held by the heap, the slab and the lane, for the
-     *  profiler gauge. */
-    std::size_t structBytes() const;
+    /** Raise the profiler's event-queue byte gauge to the bytes the
+     *  heap, the lane and the pending tables allocate now. */
+    void recordBytes();
 
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
@@ -229,18 +206,14 @@ class EventQueue
     Tick lastExecWhen_ = 0;
     std::uint64_t lastExecSeq_ = 0;
     bool anyExecuted_ = false;
+    std::vector<KindState> kinds_;
     /** Binary min-heap over (when, seq). */
-    std::vector<HeapNode> heap_;
-    /** Callback slab; HeapNode.id points into it. */
-    std::vector<Slot> slots_;
-    /** Recycled slot indices. */
-    std::vector<std::uint32_t> freeSlots_;
+    std::vector<Event> heap_;
     /** Lane ring (power-of-two size), sorted by (when, seq). */
-    std::vector<LaneNode> lane_;
+    std::vector<Event> lane_;
     std::size_t laneHead_ = 0;
     std::size_t laneCount_ = 0;
     Cycles laneDelay_ = 0;
-    LaneFn laneFn_;
 };
 
 } // namespace sim

@@ -24,8 +24,9 @@ Sampler::start(EventQueue &events, SnapshotFn snapshot,
     active_ = std::move(active);
     lastBoundary_ = events.curTick();
     writeHeader();
-    events.scheduleIn(config_.interval,
-                      [this, &events] { fire(events); });
+    tickKind_ = events.addKind(
+        [this, &events](std::uint32_t) { fire(events); });
+    events.scheduleIn(config_.interval, tickKind_, 0);
 }
 
 void
@@ -43,8 +44,7 @@ Sampler::fire(EventQueue &events)
     }
     emitWindow(lastBoundary_, events.curTick());
     lastBoundary_ = events.curTick();
-    events.scheduleIn(config_.interval,
-                      [this, &events] { fire(events); });
+    events.scheduleIn(config_.interval, tickKind_, 0);
 }
 
 void

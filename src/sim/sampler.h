@@ -38,12 +38,12 @@
 #include <ostream>
 #include <vector>
 
+#include "sim/event_queue.h"
 #include "sim/types.h"
 
 namespace sim {
 
 class ChromeTraceSink;
-class EventQueue;
 class JsonWriter;
 
 /** Cumulative event counts since the start of the run. */
@@ -152,6 +152,8 @@ class Sampler
     void writeWindow(const TimeSeriesWindow &w);
 
     Config config_;
+    /** Event kind of the window boundaries. */
+    EventKind tickKind_ = 0;
     SnapshotFn snapshot_;
     ActiveFn active_;
     ChromeTraceSink *counterSink_ = nullptr;

@@ -105,15 +105,16 @@ TEST(AuditEventQueue, MonotonicFiresOnPastScheduling)
     sim::AuditEngine engine = collectEngine();
     sim::EventQueue events;
     events.setAudit(&engine);
+    const sim::EventKind noop = events.addKind([](std::uint32_t) {});
 
-    events.schedule(10, [] {});
+    events.schedule(10, noop, 0);
     events.run();
     ASSERT_EQ(events.curTick(), 10u);
     EXPECT_FALSE(engine.fired("event.monotonic"));
 
     // Scheduling into the past is the violation (and is clamped so
     // the collected run can continue).
-    events.schedule(5, [] {});
+    events.schedule(5, noop, 0);
     EXPECT_TRUE(engine.fired("event.monotonic"));
 }
 
@@ -124,12 +125,16 @@ TEST(AuditEventQueue, TiebreakFiresOnSequenceRewind)
     events.setAudit(&engine);
 
     int order = 0;
-    events.schedule(10, [&order] { order = order * 10 + 1; });
+    const sim::EventKind digit =
+        events.addKind([&order](std::uint32_t d) {
+            order = order * 10 + static_cast<int>(d);
+        });
+    events.schedule(10, digit, 1);
     // Rewind the insertion counter: the second same-tick event reuses
     // the first one's sequence number, so the executed (tick, seq)
     // stream can no longer be strictly increasing.
     events.testSetNextSeq(0);
-    events.schedule(10, [&order] { order = order * 10 + 2; });
+    events.schedule(10, digit, 2);
     events.run();
 
     EXPECT_TRUE(engine.fired("event.tiebreak"));
@@ -141,9 +146,10 @@ TEST(AuditEventQueue, CleanRunReportsNothing)
     sim::EventQueue events;
     events.setAudit(&engine);
 
-    events.schedule(1, [] {});
-    events.schedule(1, [] {});
-    events.schedule(7, [] {});
+    const sim::EventKind noop = events.addKind([](std::uint32_t) {});
+    events.schedule(1, noop, 0);
+    events.schedule(1, noop, 1);
+    events.schedule(7, noop, 2);
     events.run();
 
     EXPECT_GT(engine.checksRun(), 0u);

@@ -30,10 +30,17 @@ struct SyntheticRun {
     run(sim::Sampler &sampler, sim::Tick end_tick,
         sim::Tick commit_every)
     {
+        // Every commit is scheduled up front, so each needs its own
+        // target: one pending event per (kind, target).
+        const sim::EventKind commit =
+            events.addKind([this](std::uint32_t) { ++commits; });
+        const sim::EventKind end =
+            events.addKind([this](std::uint32_t) { active = false; });
+        std::uint32_t n = 0;
         for (sim::Tick t = commit_every; t < end_tick;
              t += commit_every)
-            events.schedule(t, [this] { ++commits; });
-        events.schedule(end_tick, [this] { active = false; });
+            events.schedule(t, commit, n++);
+        events.schedule(end_tick, end, 0);
         sampler.start(
             events,
             [this](sim::SampleCounts &counts, sim::SampleGauges &) {

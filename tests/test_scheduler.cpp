@@ -205,14 +205,9 @@ TEST_F(SchedulerTest, PreemptAfterQuantum)
     sched_.addThread(0);
     sched_.addThread(0);
     std::vector<int> order;
-    sched_.setDispatchFn([&](sim::ThreadId tid) {
-        order.push_back(tid);
-        if (order.size() >= 4) {
-            sched_.finishCurrent(tid);
-            return;
-        }
-        // Simulate compute until past the quantum, then check.
-        events_.scheduleIn(1500, [this, tid, &order] {
+    const sim::EventKind computed =
+        events_.addKind([this, &order](std::uint32_t t) {
+            const auto tid = static_cast<sim::ThreadId>(t);
             if (sched_.shouldPreempt(tid)) {
                 sched_.preemptCurrent(tid);
             } else if (order.size() >= 4) {
@@ -221,6 +216,15 @@ TEST_F(SchedulerTest, PreemptAfterQuantum)
                 sched_.yieldCurrent(tid);
             }
         });
+    sched_.setDispatchFn([&](sim::ThreadId tid) {
+        order.push_back(tid);
+        if (order.size() >= 4) {
+            sched_.finishCurrent(tid);
+            return;
+        }
+        // Simulate compute until past the quantum, then check.
+        events_.scheduleIn(1500, computed,
+                           static_cast<std::uint32_t>(tid));
     });
     sched_.start();
     events_.run(sim::kMaxTick, 100);
@@ -234,12 +238,16 @@ TEST_F(SchedulerTest, NoPreemptWithoutWaiters)
 {
     sched_.addThread(0);
     bool checked = false;
-    sched_.setDispatchFn([&](sim::ThreadId tid) {
-        events_.scheduleIn(5000, [this, tid, &checked] {
+    const sim::EventKind computed =
+        events_.addKind([this, &checked](std::uint32_t t) {
+            const auto tid = static_cast<sim::ThreadId>(t);
             checked = true;
             EXPECT_FALSE(sched_.shouldPreempt(tid));
             sched_.finishCurrent(tid);
         });
+    sched_.setDispatchFn([&](sim::ThreadId tid) {
+        events_.scheduleIn(5000, computed,
+                           static_cast<std::uint32_t>(tid));
     });
     sched_.start();
     events_.run();
@@ -249,10 +257,13 @@ TEST_F(SchedulerTest, NoPreemptWithoutWaiters)
 TEST_F(SchedulerTest, IdleCyclesAccumulateWhileQueueEmpty)
 {
     sched_.addThread(0);
+    const sim::EventKind wake = events_.addKind([this](std::uint32_t t) {
+        sched_.wake(static_cast<sim::ThreadId>(t));
+    });
     sched_.setDispatchFn([&](sim::ThreadId tid) {
         sched_.blockCurrent(tid);
         // Wake it much later from a detached event.
-        events_.scheduleIn(1000, [this] { sched_.wake(0); });
+        events_.scheduleIn(1000, wake, 0);
     });
     bool finished = false;
     sched_.start();
@@ -261,7 +272,7 @@ TEST_F(SchedulerTest, IdleCyclesAccumulateWhileQueueEmpty)
         if (!finished) {
             finished = true;
             sched_.blockCurrent(tid);
-            events_.scheduleIn(1000, [this] { sched_.wake(0); });
+            events_.scheduleIn(1000, wake, 0);
         } else {
             sched_.finishCurrent(tid);
         }

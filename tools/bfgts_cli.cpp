@@ -68,7 +68,8 @@
  *   --cms LIST        comma-separated manager names (default: the
  *                     paper's evaluation set)
  *   --seeds LIST      comma-separated RNG seeds (default: 1)
- *   --jobs N          worker threads (default 1)
+ *   --jobs N          worker threads, at least 1 (default 1); a
+ *                     sweep starts no more than it has cells
  *   --cache DIR       on-disk result cache (also BFGTS_SWEEP_CACHE)
  *   --baselines       add one single-core baseline cell per workload
  *   --json FILE       write the bfgts-sweep-v1 report
@@ -636,6 +637,8 @@ main(int argc, char **argv)
             sweep_seeds = splitList(next());
         } else if (arg == "--jobs") {
             sweep_jobs = parseNumber<int>(next(), "--jobs");
+            if (sweep_jobs < 1)
+                usage(argv[0]);
         } else if (arg == "--cache") {
             sweep_cache = next();
         } else if (arg == "--baselines") {
