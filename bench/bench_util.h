@@ -11,6 +11,7 @@
 #ifndef BFGTS_BENCH_BENCH_UTIL_H
 #define BFGTS_BENCH_BENCH_UTIL_H
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -136,10 +138,12 @@ banner(const std::string &title)
 
 /**
  * Sweep-engine options from argv and the environment:
- *   --jobs N              worker threads (default 1)
+ *   --jobs N              worker threads, at least 1 (default 1)
  *   --progress            per-cell progress lines on stderr
  *   BFGTS_SWEEP_CACHE=DIR on-disk result cache (default off)
- * Unknown arguments are ignored, so these compose with --json.
+ * Unknown arguments are ignored, so these compose with --json. A
+ * --jobs value that is missing, not a whole number or below 1 is a
+ * usage error: a message on stderr and exit 2, as in bfgts_cli.
  */
 inline runner::SweepOptions
 sweepOptionsFromArgs(int argc, char **argv)
@@ -147,13 +151,23 @@ sweepOptionsFromArgs(int argc, char **argv)
     runner::SweepOptions options;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--jobs" && i + 1 < argc)
-            options.jobs = std::atoi(argv[++i]);
-        else if (arg == "--progress")
+        if (arg == "--jobs") {
+            const std::string value = i + 1 < argc ? argv[++i] : "";
+            const char *end = value.data() + value.size();
+            const auto [ptr, ec] =
+                std::from_chars(value.data(), end, options.jobs);
+            if (value.empty() || ec != std::errc() || ptr != end
+                || options.jobs < 1) {
+                std::cerr << argv[0] << ": bad value '" << value
+                          << "' for --jobs\nusage: " << argv[0]
+                          << " [--jobs N (N >= 1)] [--progress]"
+                             " [--json [FILE]]\n";
+                std::exit(2);
+            }
+        } else if (arg == "--progress") {
             options.progress = &std::cerr;
+        }
     }
-    if (options.jobs < 1)
-        options.jobs = 1;
     const char *cache = std::getenv("BFGTS_SWEEP_CACHE");
     if (cache != nullptr && cache[0] != '\0')
         options.cacheDir = cache;

@@ -1,5 +1,8 @@
 #include "cache.h"
 
+#include <algorithm>
+#include <bit>
+
 #include "sim/logging.h"
 
 namespace mem {
@@ -10,87 +13,70 @@ Cache::Cache(const CacheConfig &config) : config_(config)
     sim_assert(config.sizeBytes >= kLineBytes);
     std::uint64_t lines = config.sizeBytes / kLineBytes;
     sim_assert(lines % config.associativity == 0);
-    numSets_ = static_cast<int>(
-        lines / static_cast<std::uint64_t>(config.associativity));
-    sim_assert(numSets_ >= 1);
-    ways_.resize(lines);
-}
-
-int
-Cache::setIndex(Addr line) const
-{
-    return static_cast<int>(line % static_cast<Addr>(numSets_));
+    const std::uint64_t sets =
+        lines / static_cast<std::uint64_t>(config.associativity);
+    sim_assert(std::has_single_bit(sets),
+               "cache set count %llu is not a power of two",
+               static_cast<unsigned long long>(sets));
+    numSets_ = static_cast<int>(sets);
+    setMask_ = sets - 1;
+    lines_.assign(lines, kNoLine);
 }
 
 bool
 Cache::access(Addr addr, Addr *victim_line)
 {
     const Addr line = lineNumber(addr);
-    const int set = setIndex(line);
-    Way *base = &ways_[static_cast<std::size_t>(set)
-                       * config_.associativity];
-    ++useClock_;
-    Way *victim = base;
+    Addr *set = &lines_[setStart(line)];
+    // Stop at the line, at the first empty slot, or at the LRU entry
+    // of a full set: whichever it is, the line takes the front and
+    // the entries before it move back one.
+    const int last = config_.associativity - 1;
+    int w = 0;
+    while (w < last && set[w] != line && set[w] != kNoLine)
+        ++w;
+    const bool hit = set[w] == line;
     if (victim_line != nullptr)
-        *victim_line = kNoLine;
-    for (int w = 0; w < config_.associativity; ++w) {
-        Way &way = base[w];
-        if (way.tag == line) {
-            way.lastUse = useClock_;
-            hits_.inc();
-            return true;
-        }
-        if (way.tag == kNoLine) {
-            victim = &way;
-        } else if (victim->tag != kNoLine
-                   && way.lastUse < victim->lastUse) {
-            victim = &way;
-        }
-    }
-    misses_.inc();
-    if (victim_line != nullptr)
-        *victim_line = victim->tag;
-    victim->tag = line;
-    victim->lastUse = useClock_;
-    return false;
+        *victim_line = hit ? kNoLine : set[w];
+    for (; w > 0; --w)
+        set[w] = set[w - 1];
+    set[0] = line;
+    if (hit)
+        hits_.inc();
+    else
+        misses_.inc();
+    return hit;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
     const Addr line = lineNumber(addr);
-    const int set = setIndex(line);
-    const Way *base = &ways_[static_cast<std::size_t>(set)
-                             * config_.associativity];
-    for (int w = 0; w < config_.associativity; ++w) {
-        if (base[w].tag == line)
-            return true;
-    }
-    return false;
+    const Addr *set = &lines_[setStart(line)];
+    return std::find(set, set + config_.associativity, line)
+        != set + config_.associativity;
 }
 
 void
 Cache::invalidate(Addr addr)
 {
     const Addr line = lineNumber(addr);
-    const int set = setIndex(line);
-    Way *base = &ways_[static_cast<std::size_t>(set)
-                       * config_.associativity];
-    for (int w = 0; w < config_.associativity; ++w) {
-        Way &way = base[w];
-        if (way.tag == line) {
-            invalidations_.inc();
-            way.tag = kNoLine;
-            return;
-        }
-    }
+    Addr *set = &lines_[setStart(line)];
+    Addr *end = set + config_.associativity;
+    Addr *slot = std::find(set, end, line);
+    if (slot == end)
+        return;
+    invalidations_.inc();
+    // Close the gap so the resident lines stay a recency-ordered
+    // prefix of the set.
+    std::copy(slot + 1, end, slot);
+    end[-1] = kNoLine;
 }
 
 void
 Cache::flush()
 {
-    for (Way &way : ways_)
-        way.tag = kNoLine;
+    std::fill(lines_.begin(), lines_.end(), kNoLine);
 }
 
 } // namespace mem

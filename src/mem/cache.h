@@ -15,6 +15,7 @@
 #ifndef BFGTS_MEM_CACHE_H
 #define BFGTS_MEM_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,8 +25,8 @@
 
 namespace mem {
 
-/** Not a line number: the tag of an empty way, and the victim
- *  access() reports when a miss displaced no line. */
+/** Not a line number: the entry of an empty slot in a set, and the
+ *  victim access() reports when a miss displaced no line. */
 constexpr Addr kNoLine = ~Addr{0};
 
 /** Geometry and latency of one cache. */
@@ -39,7 +40,17 @@ struct CacheConfig {
  * A set-associative cache with true-LRU replacement.
  *
  * access() combines lookup and fill: a miss installs the line (the
- * victim is the LRU way). The caller layers miss latency on top.
+ * victim is the LRU line of a full set). The caller layers miss
+ * latency on top.
+ *
+ * Each set keeps its resident line numbers in recency order, most
+ * recent first, followed by kNoLine entries: a hit moves the line to
+ * the front, a fill inserts it there and pushes the last entry out
+ * when the set is full, and an invalidation closes the gap. That is
+ * exactly LRU with per-way use stamps: stamps are unique, an empty way
+ * wins over any valid one, and which physical way a line occupies
+ * never shows. A 16-way set is 128 bytes, and the common hit on the
+ * most recent line reads only its first entry.
  */
 class Cache
 {
@@ -74,19 +85,21 @@ class Cache
     const sim::Counter &invalidations() const { return invalidations_; }
 
   private:
-    /** 16 bytes: an empty way holds tag kNoLine, which no line
-     *  number can equal. */
-    struct Way {
-        Addr tag = kNoLine;
-        std::uint64_t lastUse = 0;
-    };
-
-    int setIndex(Addr line) const;
+    /** Index in lines_ of the first entry of @p line's set. */
+    std::size_t
+    setStart(Addr line) const
+    {
+        return static_cast<std::size_t>(line & setMask_)
+             * static_cast<std::size_t>(config_.associativity);
+    }
 
     CacheConfig config_;
     int numSets_;
-    std::vector<Way> ways_; // numSets_ * associativity, row-major
-    std::uint64_t useClock_ = 0;
+    /** numSets_ - 1: the set count is a power of two. */
+    Addr setMask_;
+    /** numSets_ rows of associativity line numbers, each most
+     *  recently used first, then kNoLine. */
+    std::vector<Addr> lines_;
 
     sim::Counter hits_;
     sim::Counter misses_;

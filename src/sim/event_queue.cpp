@@ -8,40 +8,47 @@
 
 namespace sim {
 
+// Both sifts hold the moving node aside and move each parent or
+// child across the hole once, rather than swapping at every level.
+// (when, seq) keys are unique, so the pop order follows from the keys
+// alone, whatever the heap's layout.
+
 void
 EventQueue::heapPush(const Event &event)
 {
+    std::size_t hole = heap_.size();
     heap_.push_back(event);
-    std::size_t i = heap_.size() - 1;
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 2;
-        if (!earlier(heap_[i], heap_[parent]))
+    while (hole > 0) {
+        const std::size_t parent = (hole - 1) / 2;
+        if (!earlier(event, heap_[parent]))
             break;
-        std::swap(heap_[i], heap_[parent]);
-        i = parent;
+        heap_[hole] = heap_[parent];
+        hole = parent;
     }
+    heap_[hole] = event;
 }
 
 void
 EventQueue::heapPop()
 {
-    heap_.front() = heap_.back();
+    const Event moving = heap_.back();
     heap_.pop_back();
     const std::size_t n = heap_.size();
-    std::size_t i = 0;
+    if (n == 0)
+        return;
+    std::size_t hole = 0;
     while (true) {
-        const std::size_t left = 2 * i + 1;
-        const std::size_t right = left + 1;
-        std::size_t min = i;
-        if (left < n && earlier(heap_[left], heap_[min]))
-            min = left;
-        if (right < n && earlier(heap_[right], heap_[min]))
-            min = right;
-        if (min == i)
+        std::size_t child = 2 * hole + 1;
+        if (child >= n)
             break;
-        std::swap(heap_[i], heap_[min]);
-        i = min;
+        if (child + 1 < n && earlier(heap_[child + 1], heap_[child]))
+            ++child;
+        if (!earlier(heap_[child], moving))
+            break;
+        heap_[hole] = heap_[child];
+        hole = child;
     }
+    heap_[hole] = moving;
 }
 
 void
@@ -178,8 +185,6 @@ EventQueue::run(Tick max_tick, std::uint64_t max_events)
 {
     std::uint64_t executed = 0;
     while (true) {
-        if (profiler_ != nullptr)
-            profiler_->enter(Profiler::kEventQueue);
         // Descheduled nodes: not run, counted, audited or timed.
         while (!heap_.empty() && !live(heap_.front()))
             heapPop();
@@ -189,17 +194,11 @@ EventQueue::run(Tick max_tick, std::uint64_t max_events)
             laneCount_ > 0
             && (heap_.empty()
                 || earlier(lane_[laneHead_], heap_.front()));
-        if (!from_lane && heap_.empty()) {
-            if (profiler_ != nullptr)
-                profiler_->exit();
+        if (!from_lane && heap_.empty())
             break;
-        }
         const Event event = from_lane ? lane_[laneHead_] : heap_.front();
-        if (event.when > max_tick) {
-            if (profiler_ != nullptr)
-                profiler_->exit();
+        if (event.when > max_tick)
             break;
-        }
         if (audit_ != nullptr && audit_->shouldCheck())
             auditOrder(event.when, event.seq);
         curTick_ = event.when;
@@ -213,10 +212,8 @@ EventQueue::run(Tick max_tick, std::uint64_t max_events)
         kind.pendingSeq[event.target] = kNotPending;
         --live_;
         if (profiler_ != nullptr)
-            profiler_->exit();
+            profiler_->onEventDispatch(curTick_);
         kind.handler(event.target);
-        if (profiler_ != nullptr)
-            profiler_->onEventExecuted(curTick_);
         if (++executed > max_events) {
             sim_panic("event queue executed more than %llu events; "
                       "likely a livelocked simulation",

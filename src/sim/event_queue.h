@@ -139,11 +139,12 @@ class EventQueue
 
     /**
      * Attach the host-performance profiler (borrowed, may be null).
-     * When set, run() charges its own work to the event-queue
-     * wall-time phase and reports each executed event for Perfetto
-     * counter sampling, and the byte gauge follows what the heap, the
-     * lane and the pending tables allocate. Purely observational:
-     * simulated behavior is unchanged.
+     * When set, run() makes one Profiler::onEventDispatch() call per
+     * event, just before its handler, which charges the event-queue
+     * wall-time phase and drives Perfetto counter sampling, and the
+     * byte gauge follows what the heap, the lane and the pending
+     * tables allocate. Purely observational: simulated behavior is
+     * unchanged.
      */
     void setProfiler(Profiler *profiler) { profiler_ = profiler; }
 

@@ -44,8 +44,10 @@ class Profiler
   public:
     /** Subsystem wall-time buckets (self-time; see file comment). */
     enum Phase : int {
-        /** Event-queue heap pop and dispatch bookkeeping (a push is
-         *  charged to the phase that schedules it). */
+        /** Event dispatch: the loop's skip, merge and pop, and each
+         *  handler's work after its last nested phase (see
+         *  onEventDispatch(); a push from inside a phase is charged
+         *  to that phase). */
         kEventQueue = 0,
         /** Workload generation (next descriptor). */
         kWorkload,
@@ -161,17 +163,32 @@ class Profiler
 
     /**
      * Render host phase totals as Perfetto counter tracks on the
-     * model timeline: every kCounterSampleEvents executed events the
-     * event queue calls onEventExecuted() and the cumulative per-
-     * phase milliseconds plus RSS land at the current simulated tick,
-     * so model activity and host hotspots share one view.
+     * model timeline: every kCounterSampleEvents dispatched events
+     * the cumulative per-phase milliseconds plus RSS land at the
+     * current simulated tick, so model activity and host hotspots
+     * share one view.
      */
     void setCounterSink(ChromeTraceSink *sink) { counterSink_ = sink; }
 
-    /** Event-queue hook: one event just executed at @p now. */
+    /**
+     * Event-queue hook, once per event just before its handler runs
+     * at @p now: the run loop's only per-event call, with one clock
+     * read. The time since the last stamp goes to kEventQueue. That
+     * is the loop's own work since the previous handler returned,
+     * plus that handler's work after its last nested phase closed,
+     * which has no phase of its own. A run loop nested inside an open
+     * phase leaves the time to that phase.
+     */
     void
-    onEventExecuted(Tick now)
+    onEventDispatch(Tick now)
     {
+        if (depth_ == 0) {
+            const std::uint64_t stamp = clock_();
+            if (stamp > lastStamp_)
+                data_.phaseNs[kEventQueue] += stamp - lastStamp_;
+            lastStamp_ = stamp;
+        }
+        ++data_.phaseCalls[kEventQueue];
         if (++eventsSeen_ % kCounterSampleEvents == 0
             && counterSink_ != nullptr) {
             sampleCounters(now);

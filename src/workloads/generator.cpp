@@ -1,6 +1,8 @@
 #include "generator.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "sim/logging.h"
 
@@ -107,9 +109,10 @@ SyntheticWorkload::next(sim::ThreadId thread, sim::Rng &rng)
         static_cast<std::int64_t>(sp.nonTxWork + sp.nonTxWork / 2)));
 
     // Split the budget: hot lines per group ref, remainder private.
-    std::vector<TxAccess> early;  // reads / early private accesses
-    std::vector<TxAccess> late;   // late private accesses
-    std::vector<TxAccess> upgrades; // hot writes at the very end
+    // The scratch vectors are members, cleared here, so steady state
+    // allocates only desc.accesses.
+    early_.clear();    // reads / early private accesses
+    upgrades_.clear(); // hot writes at the very end
 
     int private_budget = size;
     for (std::size_t g = 0; g < sp.hotGroups.size(); ++g) {
@@ -130,8 +133,7 @@ SyntheticWorkload::next(sim::ThreadId thread, sim::Rng &rng)
         const std::uint64_t span =
             region_lines > pool ? region_lines - pool : 1;
         std::vector<mem::Addr> &prev_lines = prev.hotLines[g];
-        std::vector<mem::Addr> lines;
-        lines.reserve(static_cast<std::size_t>(hot_lines));
+        lines_.clear();
         for (int i = 0; i < hot_lines; ++i) {
             mem::Addr addr;
             const bool reuse = static_cast<std::size_t>(i)
@@ -146,51 +148,49 @@ SyntheticWorkload::next(sim::ThreadId thread, sim::Rng &rng)
                 addr = hotBase(ref.group)
                      + (pool + rng.below(span)) * mem::kLineBytes;
             }
-            lines.push_back(addr);
+            lines_.push_back(addr);
             // Read-early / write-late: every hot line is read up
             // front; written lines are upgraded at the end.
-            early.push_back({addr, false});
+            early_.push_back({addr, false});
             if (rng.chance(ref.writeFraction))
-                upgrades.push_back({addr, true});
+                upgrades_.push_back({addr, true});
         }
-        prev_lines = std::move(lines);
+        prev_lines.assign(lines_.begin(), lines_.end());
     }
 
     if (private_budget < 0)
         private_budget = 0;
-    std::vector<TxAccess> priv;
-    priv.reserve(static_cast<std::size_t>(private_budget));
+    priv_.clear();
     for (int i = 0; i < private_budget; ++i) {
         const bool reuse = static_cast<std::size_t>(i)
                                < prev.priv.size()
                         && rng.chance(sp.similarity);
         if (reuse) {
-            priv.push_back(prev.priv[static_cast<std::size_t>(i)]);
+            priv_.push_back(prev.priv[static_cast<std::size_t>(i)]);
         } else {
             TxAccess access;
             access.addr = privateBase(thread, site)
                         + rng.below(sp.privateLines)
                               * mem::kLineBytes;
             access.write = rng.chance(sp.writeFraction);
-            priv.push_back(access);
+            priv_.push_back(access);
         }
     }
-    prev.priv = priv;
+    prev.priv.assign(priv_.begin(), priv_.end());
 
     // Assemble: first half of private work, hot reads, second half
     // of private work, hot upgrades last.
-    const std::size_t half = priv.size() / 2;
-    desc.accesses.reserve(priv.size() + early.size()
-                          + upgrades.size());
-    for (std::size_t i = 0; i < half; ++i)
-        desc.accesses.push_back(priv[i]);
-    for (const TxAccess &access : early)
-        desc.accesses.push_back(access);
-    for (std::size_t i = half; i < priv.size(); ++i)
-        desc.accesses.push_back(priv[i]);
-    for (const TxAccess &access : upgrades)
-        desc.accesses.push_back(access);
-    (void)late;
+    const auto half = static_cast<std::ptrdiff_t>(priv_.size() / 2);
+    desc.accesses.reserve(priv_.size() + early_.size()
+                          + upgrades_.size());
+    desc.accesses.insert(desc.accesses.end(), priv_.begin(),
+                         priv_.begin() + half);
+    desc.accesses.insert(desc.accesses.end(), early_.begin(),
+                         early_.end());
+    desc.accesses.insert(desc.accesses.end(), priv_.begin() + half,
+                         priv_.end());
+    desc.accesses.insert(desc.accesses.end(), upgrades_.begin(),
+                         upgrades_.end());
 
     return desc;
 }

@@ -48,13 +48,23 @@ TEST(BenchUtilTest, SweepOptionsFromArgs)
         bench::sweepOptionsFromArgs(1, const_cast<char **>(plain));
     EXPECT_EQ(defaults.jobs, 1);
     EXPECT_EQ(defaults.progress, nullptr);
+}
 
-    // Nonsense job counts clamp to serial.
-    const char *zero[] = {"bench", "--jobs", "0"};
-    EXPECT_EQ(bench::sweepOptionsFromArgs(
-                  3, const_cast<char **>(zero))
-                  .jobs,
-              1);
+TEST(BenchUtilDeathTest, SweepOptionsRejectBadJobs)
+{
+    // A job count that is not a whole number >= 1 is a usage error,
+    // never a silent clamp to serial.
+    for (const char *value : {"0", "-3", "abc", "4x", ""}) {
+        SCOPED_TRACE(value);
+        const char *argv[] = {"bench", "--jobs", value};
+        EXPECT_EXIT(bench::sweepOptionsFromArgs(
+                        3, const_cast<char **>(argv)),
+                    ::testing::ExitedWithCode(2), "bad value");
+    }
+    const char *missing[] = {"bench", "--jobs"};
+    EXPECT_EXIT(bench::sweepOptionsFromArgs(
+                    2, const_cast<char **>(missing)),
+                ::testing::ExitedWithCode(2), "bad value");
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <utility>
@@ -673,20 +674,19 @@ class ReferenceEventQueue
 };
 
 /**
- * Seeded random actors, the way production code uses a queue:
- * kTargets targets, two heap kinds and one lane kind, and at most one
- * pending event per (kind, target). Each firing logs (id, tick), then
- * draws one to three actions from an Rng seeded by the run seed and
- * its id: schedule a heap event 0, kLaneDelay or a random number of
- * cycles ahead, schedule a lane event, or deschedule a heap
- * (kind, target) whether it is pending, already fired or never
+ * Seeded random actors, the way production code uses a queue: a
+ * fixed number of targets, two heap kinds and one lane kind, and at
+ * most one pending event per (kind, target). Each firing logs
+ * (id, tick), then draws one to three actions from an Rng seeded by
+ * the run seed and its id: schedule a heap event 0, kLaneDelay or a
+ * random number of cycles ahead, schedule a lane event, or deschedule
+ * a heap (kind, target) whether it is pending, already fired or never
  * scheduled. The decisions read only this class's own pending table,
  * so two queues that behave alike see the same calls.
  */
 class Actors
 {
   public:
-    static constexpr std::uint32_t kTargets = 16;
     static constexpr int kHeapKinds = 2;
     /** Index of the lane kind. */
     static constexpr int kLane = kHeapKinds;
@@ -698,7 +698,7 @@ class Actors
     void
     seed(int kind, std::uint32_t target, Tick when)
     {
-        pendingId_[kind][target] = nextId_++;
+        pendingId(kind, target) = nextId_++;
         if (kind == kLane)
             scheduleLane(target);
         else
@@ -706,10 +706,12 @@ class Actors
     }
 
     bool
-    expectPending(int kind, std::uint32_t target) const
+    expectPending(int kind, std::uint32_t target)
     {
-        return pendingId_[kind][target] != kNone;
+        return pendingId(kind, target) != kNone;
     }
+
+    std::uint32_t targets() const { return targets_; }
 
     /** (id, tick) of every fired event, in order. */
     std::vector<std::pair<std::uint32_t, Tick>> log;
@@ -717,11 +719,11 @@ class Actors
     std::vector<bool> cancels;
 
   protected:
-    Actors(std::uint64_t seed, std::uint32_t max_events)
-        : seed_(seed), maxEvents_(max_events)
+    Actors(std::uint64_t seed, std::uint32_t targets,
+           std::uint32_t max_events)
+        : seed_(seed), targets_(targets), maxEvents_(max_events),
+          pendingId_(static_cast<std::size_t>(kLane + 1) * targets, kNone)
     {
-        for (auto &row : pendingId_)
-            row.fill(kNone);
     }
 
     virtual Tick now() const = 0;
@@ -734,27 +736,27 @@ class Actors
     void
     fire(int kind, std::uint32_t target)
     {
-        const std::uint32_t id = pendingId_[kind][target];
+        const std::uint32_t id = pendingId(kind, target);
         ASSERT_NE(id, kNone);
-        pendingId_[kind][target] = kNone;
+        pendingId(kind, target) = kNone;
         log.emplace_back(id, now());
         sim::Rng rng(seed_ * 0x9e3779b97f4a7c15ULL + id);
         const std::uint64_t actions = 1 + rng.below(3);
         for (std::uint64_t a = 0; a < actions; ++a) {
-            const auto t = static_cast<std::uint32_t>(rng.below(kTargets));
+            const auto t = static_cast<std::uint32_t>(rng.below(targets_));
             const std::uint64_t what = rng.below(8);
             if (what == 0) {
                 const int k = static_cast<int>(rng.below(kHeapKinds));
                 const bool cancelled = cancel(k, t);
-                EXPECT_EQ(cancelled, pendingId_[k][t] != kNone);
+                EXPECT_EQ(cancelled, pendingId(k, t) != kNone);
                 cancels.push_back(cancelled);
-                pendingId_[k][t] = kNone;
+                pendingId(k, t) = kNone;
                 continue;
             }
             const int k = what <= 2 ? kLane : static_cast<int>(what % 2);
-            if (nextId_ >= maxEvents_ || pendingId_[k][t] != kNone)
+            if (nextId_ >= maxEvents_ || pendingId(k, t) != kNone)
                 continue;
-            pendingId_[k][t] = nextId_++;
+            pendingId(k, t) = nextId_++;
             if (k == kLane) {
                 scheduleLane(t);
                 continue;
@@ -768,22 +770,34 @@ class Actors
     }
 
   private:
+    std::uint32_t &
+    pendingId(int kind, std::uint32_t target)
+    {
+        return pendingId_[static_cast<std::size_t>(kind) * targets_
+                          + target];
+    }
+
     std::uint64_t seed_;
+    std::uint32_t targets_;
     std::uint32_t maxEvents_;
     std::uint32_t nextId_ = 0;
-    std::array<std::array<std::uint32_t, kTargets>, kHeapKinds + 1>
-        pendingId_;
+    /** Id of each (kind, target)'s pending event, or kNone. */
+    std::vector<std::uint32_t> pendingId_;
 };
 
 class TypedActors : public Actors
 {
   public:
-    TypedActors(std::uint64_t seed, std::uint32_t max_events)
-        : Actors(seed, max_events)
+    TypedActors(std::uint64_t seed, std::uint32_t targets,
+                std::uint32_t max_events)
+        : Actors(seed, targets, max_events)
     {
         for (int k = 0; k <= kLane; ++k) {
-            kinds_[static_cast<std::size_t>(k)] = q.addKind(
-                [this, k](std::uint32_t t) { fire(k, t); });
+            kinds_[static_cast<std::size_t>(k)] =
+                q.addKind([this, k](std::uint32_t t) {
+                    peakSize = std::max(peakSize, q.size());
+                    fire(k, t);
+                });
         }
         q.setLane(kLaneDelay);
     }
@@ -795,6 +809,8 @@ class TypedActors : public Actors
     }
 
     EventQueue q;
+    /** Most events pending when one fired (the firing one counted). */
+    std::size_t peakSize = 0;
 
   private:
     Tick now() const override { return q.curTick(); }
@@ -825,11 +841,11 @@ class TypedActors : public Actors
 class ReferenceActors : public Actors
 {
   public:
-    ReferenceActors(std::uint64_t seed, std::uint32_t max_events)
-        : Actors(seed, max_events)
+    ReferenceActors(std::uint64_t seed, std::uint32_t targets,
+                    std::uint32_t max_events)
+        : Actors(seed, targets, max_events),
+          handles_(static_cast<std::size_t>(kHeapKinds) * targets, 0)
     {
-        for (auto &row : handles_)
-            row.fill(0);
         q.setLane(kLaneDelay,
                   [this](std::uint32_t t) { fire(kLane, t); });
     }
@@ -842,7 +858,7 @@ class ReferenceActors : public Actors
     void
     scheduleHeap(int kind, std::uint32_t target, Cycles delay) override
     {
-        handles_[kind][target] = q.scheduleIn(
+        handle(kind, target) = q.scheduleIn(
             delay, [this, kind, target] { fire(kind, target); });
     }
 
@@ -855,56 +871,109 @@ class ReferenceActors : public Actors
     cancel(int kind, std::uint32_t target) override
     {
         // A fired or cancelled event's handle is stale: no-op.
-        return q.deschedule(handles_[kind][target]);
+        return q.deschedule(handle(kind, target));
     }
 
-    std::array<std::array<ReferenceEventQueue::EventId, kTargets>,
-               kHeapKinds>
-        handles_;
+    ReferenceEventQueue::EventId &
+    handle(int kind, std::uint32_t target)
+    {
+        return handles_[static_cast<std::size_t>(kind) * targets()
+                        + target];
+    }
+
+    std::vector<ReferenceEventQueue::EventId> handles_;
 };
+
+/** What one differential run saw, for the tests' coverage checks. */
+struct DifferentialRun {
+    std::uint64_t executed = 0;
+    int stops = 0;
+    std::size_t cancels = 0;
+    std::size_t peakPending = 0;
+    /** Fired events whose tick equals the previous one's. */
+    std::uint64_t equalTicks = 0;
+};
+
+/**
+ * Drive a typed queue and the closure reference with the same seeded
+ * actors over @p targets targets, stopping run() at random ticks, and
+ * require identical logs, cancel results, sizes, clocks and pending
+ * answers at every stop.
+ */
+DifferentialRun
+runDifferential(std::uint64_t seed, std::uint32_t targets,
+                std::uint32_t max_events)
+{
+    DifferentialRun out;
+    TypedActors typed(seed, targets, max_events);
+    ReferenceActors reference(seed, targets, max_events);
+    for (Actors *actors :
+         {static_cast<Actors *>(&typed),
+          static_cast<Actors *>(&reference)}) {
+        actors->seed(0, 0, 0);
+        actors->seed(1, 0, 0);
+        actors->seed(0, 1, kLaneDelay);
+        actors->seed(Actors::kLane, 2, 0);
+        actors->seed(1, 3, 7);
+    }
+
+    sim::Rng stops(seed);
+    Tick stop = 0;
+    while (!typed.q.empty() || !reference.q.empty()) {
+        stop += 1 + stops.below(4 * kLaneDelay);
+        const std::uint64_t ran = typed.q.run(stop);
+        EXPECT_EQ(ran, reference.q.run(stop));
+        out.executed += ran;
+        ++out.stops;
+        EXPECT_EQ(typed.q.size(), reference.q.size());
+        EXPECT_EQ(typed.q.curTick(), reference.q.curTick());
+        for (int k = 0; k <= Actors::kLane; ++k) {
+            for (std::uint32_t t = 0; t < targets; ++t) {
+                if (typed.queuePending(k, t) != typed.expectPending(k, t)) {
+                    ADD_FAILURE() << "pending(" << k << ", " << t
+                                  << ") wrong at tick " << stop;
+                    return out;
+                }
+            }
+        }
+        if (::testing::Test::HasFailure())
+            return out;
+    }
+    EXPECT_EQ(typed.log, reference.log);
+    EXPECT_EQ(typed.cancels, reference.cancels);
+    EXPECT_EQ(out.executed, typed.log.size());
+    out.cancels = typed.cancels.size();
+    out.peakPending = typed.peakSize;
+    for (std::size_t i = 1; i < typed.log.size(); ++i)
+        out.equalTicks += typed.log[i].second == typed.log[i - 1].second;
+    return out;
+}
 
 TEST(EventQueueDifferential, MatchesTheClosureReference)
 {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         SCOPED_TRACE(seed);
-        constexpr std::uint32_t kMaxEvents = 20'000;
-        TypedActors typed(seed, kMaxEvents);
-        ReferenceActors reference(seed, kMaxEvents);
-        for (Actors *actors :
-             {static_cast<Actors *>(&typed),
-              static_cast<Actors *>(&reference)}) {
-            actors->seed(0, 0, 0);
-            actors->seed(1, 0, 0);
-            actors->seed(0, 1, kLaneDelay);
-            actors->seed(Actors::kLane, 2, 0);
-            actors->seed(1, 3, 7);
-        }
+        const DifferentialRun run = runDifferential(seed, 16, 20'000);
+        ASSERT_FALSE(HasFailure());
+        EXPECT_GT(run.executed, 10'000u);
+        EXPECT_GT(run.stops, 100);
+        EXPECT_GT(run.cancels, 100u);
+    }
+}
 
-        // Run in random-length stops, comparing state at each one.
-        sim::Rng stops(seed);
-        Tick stop = 0;
-        std::uint64_t executed = 0;
-        int stop_count = 0;
-        while (!typed.q.empty() || !reference.q.empty()) {
-            stop += 1 + stops.below(4 * kLaneDelay);
-            const std::uint64_t ran = typed.q.run(stop);
-            ASSERT_EQ(ran, reference.q.run(stop));
-            executed += ran;
-            ++stop_count;
-            ASSERT_EQ(typed.q.size(), reference.q.size());
-            ASSERT_EQ(typed.q.curTick(), reference.q.curTick());
-            for (int k = 0; k <= Actors::kLane; ++k) {
-                for (std::uint32_t t = 0; t < Actors::kTargets; ++t)
-                    ASSERT_EQ(typed.queuePending(k, t),
-                              typed.expectPending(k, t));
-            }
-        }
-        EXPECT_EQ(typed.log, reference.log);
-        EXPECT_EQ(typed.cancels, reference.cancels);
-        EXPECT_EQ(executed, typed.log.size());
-        EXPECT_GT(executed, 10'000u);
-        EXPECT_GT(stop_count, 100);
-        EXPECT_GT(typed.cancels.size(), 100u);
+TEST(EventQueueDifferential, DeepHeapMatchesTheClosureReference)
+{
+    // 1,024 targets let the actors' fan-out fill the heap with
+    // thousands of events, most of them sharing a tick with another,
+    // so every sift walks many levels and breaks ties on seq alone.
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(seed);
+        const DifferentialRun run = runDifferential(seed, 1024, 100'000);
+        ASSERT_FALSE(HasFailure());
+        EXPECT_GT(run.executed, 90'000u);
+        EXPECT_GT(run.peakPending, 1'000u);
+        EXPECT_GT(run.equalTicks, run.executed / 2);
+        EXPECT_GT(run.cancels, 1'000u);
     }
 }
 

@@ -4,16 +4,18 @@
  * model.
  *
  * mem::MemSystem answers write-invalidate snoops from a sharer
- * directory and keeps 16-byte cache ways (an empty way holds tag
- * kNoLine). The reference below is the straightforward model it
- * replaced: ways with a separate valid flag, and a write that probes
- * every other L1. Both see the same random read/write streams and
- * must agree on every access latency and every counter.
+ * directory, and each mem::Cache set keeps its lines in recency order
+ * (an empty slot holds kNoLine). The reference below is the
+ * straightforward model they replaced: ways with a valid flag and a
+ * per-way LRU stamp, and a write that probes every other L1. Both see
+ * the same random streams and must agree on every access latency,
+ * every evicted line and every counter.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mem/mem_system.h"
@@ -23,7 +25,8 @@ namespace {
 
 using mem::Addr;
 
-/** Set-associative true-LRU tag store with a valid bit per way. */
+/** Set-associative true-LRU tag store with a valid bit and a use
+ *  stamp per way: the victim of a full set is its oldest stamp. */
 class ReferenceCache
 {
   public:
@@ -35,11 +38,15 @@ class ReferenceCache
     {
     }
 
+    /** Look up @p addr, installing it on a miss; @p victim receives
+     *  the line a miss evicted, or kNoLine. */
     bool
-    access(Addr addr)
+    access(Addr addr, Addr *victim_line = nullptr)
     {
         const Addr line = mem::lineNumber(addr);
         Way *base = set(line);
+        if (victim_line != nullptr)
+            *victim_line = mem::kNoLine;
         ++useClock_;
         Way *victim = base;
         for (int w = 0; w < config_.associativity; ++w) {
@@ -57,6 +64,8 @@ class ReferenceCache
             }
         }
         ++misses;
+        if (victim_line != nullptr && victim->valid)
+            *victim_line = victim->tag;
         victim->tag = line;
         victim->valid = true;
         victim->lastUse = useClock_;
@@ -87,6 +96,13 @@ class ReferenceCache
                 return;
             }
         }
+    }
+
+    void
+    flush()
+    {
+        for (Way &way : ways_)
+            way.valid = false;
     }
 
     sim::Cycles hitLatency() const { return config_.hitLatency; }
@@ -250,6 +266,83 @@ TEST_P(MemDifferential, TinyL1GeometryMatchesReference)
     runStream(config, 60'000,
               97 + static_cast<std::uint64_t>(GetParam()));
 }
+
+/** One cache geometry of the differential below. */
+struct Geometry {
+    int sets;
+    int ways;
+};
+
+class CacheDifferential : public ::testing::TestWithParam<Geometry>
+{
+};
+
+TEST_P(CacheDifferential, MatchesTheStampLruReference)
+{
+    // A random stream of access, invalidate, contains and (rarely)
+    // flush over a pool of three times the cache's lines, so sets
+    // fill, evict and open holes. After every operation both models
+    // must give the same answer, the same victim and the same
+    // counters.
+    const Geometry geometry = GetParam();
+    const mem::CacheConfig config{
+        .sizeBytes = static_cast<std::uint64_t>(geometry.sets)
+                   * static_cast<std::uint64_t>(geometry.ways)
+                   * mem::kLineBytes,
+        .associativity = geometry.ways,
+        .hitLatency = 1};
+    mem::Cache fast(config);
+    ReferenceCache ref(config);
+    ASSERT_EQ(fast.numSets(), geometry.sets);
+    const std::uint64_t pool =
+        3 * static_cast<std::uint64_t>(geometry.sets * geometry.ways);
+    sim::Rng rng(static_cast<std::uint64_t>(geometry.sets) * 131
+                 + static_cast<std::uint64_t>(geometry.ways));
+    std::uint64_t evictions = 0;
+    int flushes = 0;
+    for (int i = 0; i < 50'000; ++i) {
+        const Addr addr =
+            (5000 + rng.below(pool)) * mem::kLineBytes + rng.below(64);
+        const std::uint64_t op = rng.below(10'000);
+        if (op < 6'000) {
+            Addr got = 0;
+            Addr want = 0;
+            ASSERT_EQ(fast.access(addr, &got), ref.access(addr, &want))
+                << "access " << i;
+            ASSERT_EQ(got, want) << "victim of access " << i;
+            evictions += got != mem::kNoLine;
+        } else if (op < 7'500) {
+            fast.invalidate(addr);
+            ref.invalidate(addr);
+        } else if (op < 9'999) {
+            ASSERT_EQ(fast.contains(addr), ref.contains(addr))
+                << "contains " << i;
+        } else {
+            fast.flush();
+            ref.flush();
+            ++flushes;
+        }
+        ASSERT_EQ(fast.hits().value(), ref.hits) << "op " << i;
+        ASSERT_EQ(fast.misses().value(), ref.misses) << "op " << i;
+        ASSERT_EQ(fast.invalidations().value(), ref.invalidations)
+            << "op " << i;
+    }
+    EXPECT_GT(fast.hits().value(), 1'000u);
+    EXPECT_GT(fast.invalidations().value(), 1'000u);
+    EXPECT_GT(evictions, 1'000u);
+    EXPECT_GT(flushes, 0);
+}
+
+// 1x1 and 1x8: one set; 2x16: the Tx confidence cache; 512x2: the
+// Table 2 L1; 64x16: a 16-way set as wide as the L2's.
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheDifferential,
+    ::testing::Values(Geometry{1, 1}, Geometry{1, 8}, Geometry{2, 16},
+                      Geometry{512, 2}, Geometry{64, 16}),
+    [](const auto &info) {
+        return std::to_string(info.param.sets) + "x"
+             + std::to_string(info.param.ways);
+    });
 
 // 130 CPUs leave the second directory mask word partly used.
 INSTANTIATE_TEST_SUITE_P(Cpus, MemDifferential,

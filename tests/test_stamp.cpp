@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "runner/experiment.h"
 #include "workloads/stamp.h"
 
@@ -62,6 +67,64 @@ TEST(Stamp, Table1SiteCountsMatchPaper)
     EXPECT_EQ(workloads::stampTargets("Ssca2").similarity.size(), 3u);
     EXPECT_EQ(workloads::stampTargets("Labyrinth").similarity.size(),
               3u);
+}
+
+/**
+ * FNV-1a over every field of @p desc, folded into @p hash: a change
+ * anywhere in a descriptor changes the hash.
+ */
+std::uint64_t
+hashDescriptor(std::uint64_t hash, const workloads::TxDescriptor &desc)
+{
+    const auto mix = [&hash](std::uint64_t value) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (value >> (8 * byte)) & 0xff;
+            hash *= 0x100000001b3ULL;
+        }
+    };
+    mix(static_cast<std::uint64_t>(desc.sTx));
+    mix(desc.workPerAccess);
+    mix(desc.nonTxWork);
+    mix(desc.accesses.size());
+    for (const workloads::TxAccess &access : desc.accesses) {
+        mix(access.addr);
+        mix(access.write ? 1 : 0);
+    }
+    return hash;
+}
+
+TEST(Stamp, DescriptorStreamsArePinned)
+{
+    // Hashes of 400 descriptors per thread, threads 0-3 drawing in
+    // turn from their own Rng, recorded before the generator kept its
+    // scratch vectors between calls. Interleaving the threads makes a
+    // stale scratch entry from one thread's descriptor show up in the
+    // next thread's.
+    const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+        {"Delaunay", 0xb58dd55bac7f0387ULL},
+        {"Genome", 0xe2deaf73ab7a551fULL},
+        {"Kmeans", 0xb0a8ce636f0a7ec3ULL},
+        {"Vacation", 0xc7c5dfbfef0b27a9ULL},
+        {"Intruder", 0xf2cd8ff6f04f62f5ULL},
+        {"Ssca2", 0x30713e43a7ef57fbULL},
+        {"Labyrinth", 0x6b7cc919ef255fccULL},
+    };
+    ASSERT_EQ(pinned.size(), workloads::stampBenchmarkNames().size());
+    for (const auto &[name, want] : pinned) {
+        constexpr int kThreads = 4;
+        auto workload = workloads::makeStampWorkload(name, kThreads);
+        std::vector<sim::Rng> rngs;
+        for (int t = 0; t < kThreads; ++t)
+            rngs.emplace_back(1000 + static_cast<std::uint64_t>(t));
+        std::uint64_t hash = 0xcbf29ce484222325ULL;
+        for (int i = 0; i < 400; ++i) {
+            for (int t = 0; t < kThreads; ++t) {
+                sim::Rng &rng = rngs[static_cast<std::size_t>(t)];
+                hash = hashDescriptor(hash, workload->next(t, rng));
+            }
+        }
+        EXPECT_EQ(hash, want) << name << ": 0x" << std::hex << hash;
+    }
 }
 
 TEST(StampDeath, UnknownBenchmarkIsFatal)
