@@ -13,7 +13,7 @@
 int
 main(int argc, char **argv)
 {
-    const auto options = bench::defaultOptions();
+    runner::RunOptions options;
     const std::vector<int> slot_counts{1, 2, 3, 0}; // 0 = exact
 
     bench::banner("Ablation: confidence-table aliasing (BFGTS-HW "

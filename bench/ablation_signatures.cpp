@@ -34,7 +34,7 @@ runCell(const std::string &workload, cm::CmKind kind,
 int
 main(int argc, char **argv)
 {
-    const auto options = bench::defaultOptions();
+    runner::RunOptions options;
     const std::vector<std::uint64_t> sizes{256, 512, 1024, 2048, 0};
 
     bench::banner("Ablation: conflict-detection signature size "

@@ -30,7 +30,7 @@ withoutSimilarity(runner::RunOptions options)
 int
 main(int argc, char **argv)
 {
-    const auto options = bench::defaultOptions();
+    runner::RunOptions options;
 
     bench::banner("Ablation: similarity-weighted confidence updates "
                   "(BFGTS-HW)");

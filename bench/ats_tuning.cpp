@@ -12,7 +12,7 @@
 int
 main()
 {
-    const auto options = bench::defaultOptions();
+    runner::RunOptions options;
     bench::banner("ATS: fixed vs dynamically tuned threshold");
 
     sim::TextTable table({"Benchmark", "fixed 0.5", "dynamic",

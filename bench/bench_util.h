@@ -3,20 +3,18 @@
  * Shared helpers for the table/figure regeneration benches.
  *
  * Every bench binary regenerates one table or figure of the paper:
- * it runs the relevant slice of the evaluation matrix and prints the
- * same rows/series the paper reports. Set BFGTS_QUICK=1 to shrink
- * the runs (fewer transactions per thread) for fast smoke runs.
+ * it runs the relevant slice of the evaluation matrix, at the Table 3
+ * inputs the paper and EXPERIMENTS.md report, and prints the same
+ * rows/series the paper reports.
  */
 
 #ifndef BFGTS_BENCH_BENCH_UTIL_H
 #define BFGTS_BENCH_BENCH_UTIL_H
 
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -33,24 +31,6 @@
 #include "workloads/stamp.h"
 
 namespace bench {
-
-/** True when BFGTS_QUICK=1: shrink runs for smoke testing. */
-inline bool
-quickMode()
-{
-    const char *env = std::getenv("BFGTS_QUICK");
-    return env != nullptr && env[0] == '1';
-}
-
-/** Default run options, shrunk in quick mode. */
-inline runner::RunOptions
-defaultOptions()
-{
-    runner::RunOptions options;
-    if (quickMode())
-        options.txPerThread = 20;
-    return options;
-}
 
 /** Geometric mean of positive values; 0.0 on empty input (a bare
  *  division would put a silent NaN into reports). */
@@ -75,58 +55,6 @@ mean(const std::vector<double> &values)
     for (double v : values)
         sum += v;
     return sum / static_cast<double>(values.size());
-}
-
-/** What pairedOverhead() measured. */
-struct PairedOverhead {
-    /** Median over the pairs of on/off - 1. */
-    double overhead = 0.0;
-    /** Median wall seconds of the off and the on runs. */
-    double offSeconds = 0.0;
-    double onSeconds = 0.0;
-};
-
-/** Alternating (off, on) pairs pairedOverhead() times. */
-constexpr int kOverheadPairs = 21;
-
-/**
- * Price what @p on adds to @p off, for the overhead gates: one
- * untimed warm-up run of @p off, then kOverheadPairs pairs that each
- * time Simulation::run() of @p off and then of @p on (construction is
- * not timed). The overhead is the median of the per-pair ratios, so
- * host noise must hit most pairs, not one run, to move it; both runs
- * of a pair share the host's state of the moment. @p setup, when
- * set, rewrites each run's copy of its config before the simulation
- * is built (the quality gate attaches a fresh recorder there).
- */
-inline PairedOverhead
-pairedOverhead(const runner::SimConfig &off, const runner::SimConfig &on,
-               const std::function<void(runner::SimConfig &)> &setup = {})
-{
-    const auto time_run = [&setup](const runner::SimConfig &config) {
-        runner::SimConfig run_config = config;
-        if (setup)
-            setup(run_config);
-        runner::Simulation simulation(run_config);
-        const auto t0 = std::chrono::steady_clock::now();
-        simulation.run();
-        const auto t1 = std::chrono::steady_clock::now();
-        return std::chrono::duration<double>(t1 - t0).count();
-    };
-    time_run(off);
-    std::vector<double> off_s;
-    std::vector<double> on_s;
-    std::vector<double> ratios;
-    for (int pair = 0; pair < kOverheadPairs; ++pair) {
-        off_s.push_back(time_run(off));
-        on_s.push_back(time_run(on));
-        ratios.push_back(on_s.back() / off_s.back());
-    }
-    PairedOverhead result;
-    result.overhead = sim::minMedianMax(ratios).median - 1.0;
-    result.offSeconds = sim::minMedianMax(off_s).median;
-    result.onSeconds = sim::minMedianMax(on_s).median;
-    return result;
 }
 
 /** Print a banner naming the table/figure being regenerated. */
@@ -302,9 +230,6 @@ class JsonReporter
         jw.kv("kind", "bench");
         jw.kv("name", name_);
         jw.kv("git", sim::buildGitDescribe());
-        jw.beginObject("options");
-        jw.kv("quick", quickMode());
-        jw.endObject();
         // Host-throughput summary of the row's own runs (Row::setHost)
         // or else of every simulation this process ran
         // (sim::hostRunTotals). Wall-clock data: these two keys

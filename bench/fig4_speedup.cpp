@@ -15,7 +15,7 @@
 int
 main(int argc, char **argv)
 {
-    const auto options = bench::defaultOptions();
+    runner::RunOptions options;
     const auto benchmarks = workloads::stampBenchmarkNames();
     const auto managers = cm::allCmKinds();
     bench::JsonReporter reporter("fig4_speedup", argc, argv);

@@ -15,7 +15,7 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReporter reporter("fig5_breakdown", argc, argv);
-    const auto options = bench::defaultOptions();
+    runner::RunOptions options;
     const std::vector<cm::CmKind> managers{
         cm::CmKind::Pts, cm::CmKind::Ats, cm::CmKind::BfgtsSw,
         cm::CmKind::BfgtsHw, cm::CmKind::BfgtsHwBackoff};

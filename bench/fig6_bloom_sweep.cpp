@@ -65,7 +65,7 @@ printSweep(const char *title, const char *variant,
 int
 main(int argc, char **argv)
 {
-    const auto options = bench::defaultOptions();
+    runner::RunOptions options;
     const auto benchmarks = workloads::stampBenchmarkNames();
     bench::JsonReporter reporter("fig6_bloom_sweep", argc, argv);
 

@@ -16,7 +16,7 @@
 int
 main(int argc, char **argv)
 {
-    const auto options = bench::defaultOptions();
+    runner::RunOptions options;
     const std::vector<int> intervals{1, 10, 20};
     const auto benchmarks = workloads::stampBenchmarkNames();
     bench::JsonReporter reporter("interval_sweep", argc, argv);

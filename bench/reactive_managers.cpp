@@ -16,7 +16,7 @@
 int
 main(int argc, char **argv)
 {
-    const auto options = bench::defaultOptions();
+    runner::RunOptions options;
     const std::vector<cm::CmKind> managers{
         cm::CmKind::Backoff, cm::CmKind::Timestamp, cm::CmKind::Polka,
         cm::CmKind::BfgtsHw};

@@ -13,8 +13,7 @@
  * The simulated columns are deterministic, so bench_compare.py holds
  * them byte-identical against bench/baselines/BENCH_scaling.json:
  * this is the gate that host-side rewrites of the predictor and
- * stall paths keep every simulated number at scale. The run size is
- * fixed (BFGTS_QUICK does not change it).
+ * stall paths keep every simulated number at scale.
  */
 
 #include <sstream>

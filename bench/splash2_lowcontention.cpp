@@ -14,15 +14,16 @@
 
 namespace {
 
+/** One run; @p tx_per_thread 0 keeps the workload's own count. */
 runner::SimResults
 run(const std::string &name, cm::CmKind kind, int cpus, int tpc,
-    int tx_override)
+    int tx_per_thread = 0)
 {
     runner::SimConfig config;
     config.cm = kind;
     config.numCpus = cpus;
     config.threadsPerCpu = tpc;
-    config.txPerThreadOverride = tx_override;
+    config.txPerThreadOverride = tx_per_thread;
     config.workloadFactory = [name](int threads) {
         return workloads::makeSplash2Workload(name, threads);
     };
@@ -35,7 +36,6 @@ run(const std::string &name, cm::CmKind kind, int cpus, int tpc,
 int
 main(int argc, char **argv)
 {
-    const int tx_override = bench::quickMode() ? 20 : 0;
     std::vector<std::string> headers{"Benchmark"};
     for (cm::CmKind kind : cm::allCmKinds())
         headers.emplace_back(cm::cmKindName(kind));
@@ -50,19 +50,14 @@ main(int argc, char **argv)
          workloads::splash2BenchmarkNames()) {
         // Single-core baseline with the same total work.
         const auto base_tx =
-            (tx_override
-                 ? tx_override
-                 : workloads::makeSplash2Workload(name, 1)
-                       ->txPerThread())
-            * 64;
+            workloads::makeSplash2Workload(name, 1)->txPerThread() * 64;
         const runner::SimResults baseline =
             run(name, cm::CmKind::Backoff, 1, 1, base_tx);
         const double base = static_cast<double>(baseline.runtime);
         std::vector<std::string> row{name};
         double backoff_cont = 0.0;
         for (cm::CmKind kind : cm::allCmKinds()) {
-            const runner::SimResults r =
-                run(name, kind, 16, 4, tx_override);
+            const runner::SimResults r = run(name, kind, 16, 4);
             if (kind == cm::CmKind::Backoff)
                 backoff_cont = r.contentionRate;
             const double speedup =

@@ -14,7 +14,7 @@ int
 main(int argc, char **argv)
 {
     bench::JsonReporter reporter("table1_similarity", argc, argv);
-    const auto options = bench::defaultOptions();
+    runner::RunOptions options;
     bench::banner("Table 1: conflict graph and per-site similarity "
                   "(measured | paper)");
 

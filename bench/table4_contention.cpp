@@ -14,7 +14,7 @@
 int
 main(int argc, char **argv)
 {
-    const auto options = bench::defaultOptions();
+    runner::RunOptions options;
     const auto managers = cm::allCmKinds();
     const auto benchmarks = workloads::stampBenchmarkNames();
     bench::JsonReporter reporter("table4_contention", argc, argv);

@@ -775,8 +775,6 @@ Simulation::abortTx(Worker &worker, const cm::TxInfo &enemy)
         trace(worker, sim::TraceCategory::Tx, "abort",
               std::move(details));
     }
-    ++abortPairs_[{std::min(winner_stx, victim_stx),
-                   std::max(winner_stx, victim_stx)}];
     {
         ConflictEdgeStats &edge =
             abortEdges_[{winner_stx, victim_stx}];
@@ -1042,6 +1040,21 @@ Simulation::classifyPrediction(const Worker &worker,
     }
 }
 
+PredictionQuality
+Simulation::predictionTotals() const
+{
+    PredictionQuality total;
+    for (const SitePrediction &site : sitePrediction_) {
+        total.predictedStalls += site.predictedStalls.value();
+        total.truePositives += site.truePositives.value();
+        total.falsePositives += site.falsePositives.value();
+        total.falseNegatives += site.falseNegatives.value();
+        total.predictedAborts += site.predictedAborts.value();
+        total.trueNegatives += site.trueNegatives.value();
+    }
+    return total;
+}
+
 void
 Simulation::visitStatGroups(
     const std::function<void(const sim::StatGroup &)> &visit) const
@@ -1113,22 +1126,14 @@ Simulation::visitStatGroups(
     }
     // Predictor decision quality (runner ground truth).
     {
+        const PredictionQuality quality = predictionTotals();
         sim::Counter stalls, tp, fp, fn, predicted_aborts, tn;
-        for (const SitePrediction &site : sitePrediction_) {
-            stalls.inc(site.predictedStalls.value());
-            tp.inc(site.truePositives.value());
-            fp.inc(site.falsePositives.value());
-            fn.inc(site.falseNegatives.value());
-            predicted_aborts.inc(site.predictedAborts.value());
-            tn.inc(site.trueNegatives.value());
-        }
-        PredictionQuality quality;
-        quality.predictedStalls = stalls.value();
-        quality.truePositives = tp.value();
-        quality.falsePositives = fp.value();
-        quality.falseNegatives = fn.value();
-        quality.predictedAborts = predicted_aborts.value();
-        quality.trueNegatives = tn.value();
+        stalls.inc(quality.predictedStalls);
+        tp.inc(quality.truePositives);
+        fp.inc(quality.falsePositives);
+        fn.inc(quality.falseNegatives);
+        predicted_aborts.inc(quality.predictedAborts);
+        tn.inc(quality.trueNegatives);
         sim::StatGroup group("predictor.quality");
         group.addCounter("predictedStalls", &stalls);
         group.addCounter("truePositives", &tp);
@@ -1203,15 +1208,7 @@ Simulation::dumpStatsJson(sim::JsonWriter &jw) const
         [&jw](const sim::StatGroup &group) { group.dumpJson(jw); });
     jw.endObject();
 
-    PredictionQuality total;
-    for (const SitePrediction &site : sitePrediction_) {
-        total.predictedStalls += site.predictedStalls.value();
-        total.truePositives += site.truePositives.value();
-        total.falsePositives += site.falsePositives.value();
-        total.falseNegatives += site.falseNegatives.value();
-        total.predictedAborts += site.predictedAborts.value();
-        total.trueNegatives += site.trueNegatives.value();
-    }
+    const PredictionQuality total = predictionTotals();
     jw.beginObject("predictor_quality");
     jw.kv("predictedStalls", total.predictedStalls);
     jw.kv("truePositives", total.truePositives);
@@ -1260,8 +1257,7 @@ Simulation::sampleSnapshot(sim::SampleCounts &counts,
     counts.aborts = aborts_.value();
     counts.conflicts = conflicts_.value();
     counts.stallTimeouts = stallTimeouts_.value();
-    for (const SitePrediction &site : sitePrediction_)
-        counts.predictedStalls += site.predictedStalls.value();
+    counts.predictedStalls += predictionTotals().predictedStalls;
 
     for (int cpu = 0; cpu < config_.numCpus; ++cpu) {
         gauges.readyQueueDepth += sched_->readyCount(cpu);
@@ -1384,25 +1380,18 @@ Simulation::run()
         results.serializations = base->serializations().value();
     }
 
-    for (const SitePrediction &site : sitePrediction_) {
-        results.prediction.predictedStalls +=
-            site.predictedStalls.value();
-        results.prediction.truePositives +=
-            site.truePositives.value();
-        results.prediction.falsePositives +=
-            site.falsePositives.value();
-        results.prediction.falseNegatives +=
-            site.falseNegatives.value();
-        results.prediction.predictedAborts +=
-            site.predictedAborts.value();
-        results.prediction.trueNegatives +=
-            site.trueNegatives.value();
-    }
+    results.prediction = predictionTotals();
 
     for (const sim::Accumulator &acc : siteSim_)
         results.similarityPerSite.push_back(acc.mean());
     results.conflictGraph = conflictGraph_;
-    results.abortPairs = abortPairs_;
+    // Undirected pair counts are the directed edges folded over
+    // direction (a site aborting itself is one edge and one pair).
+    for (const auto &[edge, stats] : abortEdges_) {
+        results.abortPairs[{std::min(edge.first, edge.second),
+                            std::max(edge.first, edge.second)}] +=
+            stats.aborts;
+    }
     results.abortEdges = abortEdges_;
     if (auto *base =
             dynamic_cast<cm::ContentionManagerBase *>(cm_.get())) {

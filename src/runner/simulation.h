@@ -242,6 +242,9 @@ class Simulation
     void classifyPrediction(const Worker &worker,
                             const std::vector<mem::Addr> &rw_lines);
 
+    /** The per-site prediction counters summed over every site. */
+    PredictionQuality predictionTotals() const;
+
     /** Build every component StatGroup and hand it to @p visit.
      *  Shared by the text and JSON stat dumps. */
     void visitStatGroups(
@@ -329,8 +332,8 @@ class Simulation
     std::vector<SimTrack> simTrack_;          // per dTxId dense index
     std::vector<sim::Accumulator> siteSim_;   // per sTxId
     std::set<std::pair<int, int>> conflictGraph_;
-    std::map<std::pair<int, int>, std::uint64_t> abortPairs_;
-    /** Directed (winner sTx, victim sTx) abort attribution. */
+    /** Directed (winner sTx, victim sTx) abort attribution; run()
+     *  folds it into SimResults::abortPairs. */
     std::map<std::pair<int, int>, ConflictEdgeStats> abortEdges_;
 };
 

@@ -8,13 +8,13 @@
  * unconditionally but opt-in at runtime (`--audit` on the CLI or
  * BFGTS_AUDIT=1 in the environment); when disabled every hook site
  * reduces to one branch, so the default simulation path stays within
- * the overhead gate enforced by bench/micro_audit_overhead.cpp.
+ * the observer-overhead gate enforced by bench/micro_overhead.cpp.
  *
  * Checks are purely observational: they read simulator state, never
  * mutate it, never draw from an RNG and add no simulated cost, so a
  * run with auditing enabled is byte-identical to the same run with
- * auditing off (the CI audit job asserts exactly that against the
- * committed bench baselines).
+ * auditing off (the CI audit job asserts exactly that on the sweep
+ * benches' reports).
  *
  * A violated invariant produces a structured AuditViolation (check
  * id, tick, cpu/thread/sTx/dTx context, message). In the default
@@ -92,8 +92,8 @@ class AuditEngine
 
     /**
      * Dry-run mode: hook sites dispatch into the engine but checker
-     * bodies are skipped. Used only by micro_audit_overhead to price
-     * the hook dispatch itself.
+     * bodies are skipped. Used only by bench/micro_overhead.cpp to
+     * price the hook dispatch itself.
      */
     void setDryRun(bool dry_run) { dryRun_ = dry_run; }
 

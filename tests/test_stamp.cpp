@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -164,6 +166,14 @@ TEST_P(Table1Reproduction, ConflictGraphAndSimilarity)
                     targets.similarity[site], 0.2)
             << name << " site " << site;
     }
+
+    // abortPairs is the directed abortEdges folded over direction.
+    std::map<std::pair<int, int>, std::uint64_t> folded;
+    for (const auto &[edge, stats] : results.abortEdges) {
+        folded[{std::min(edge.first, edge.second),
+                std::max(edge.first, edge.second)}] += stats.aborts;
+    }
+    EXPECT_EQ(results.abortPairs, folded) << name;
 
     // No conflict edge outside the paper's graph.
     for (const auto &edge : results.conflictGraph) {

@@ -1,105 +1,41 @@
 #!/usr/bin/env python3
-"""Bench-baseline comparison gate.
+"""Bench-baseline gate: a fresh bench document must equal its baseline.
 
-Compares a freshly generated bfgts-obs-v1 bench document against a
-committed baseline (bench/baselines/BENCH_*.json) and fails when any
-numeric cell drifts beyond a relative tolerance. The simulator is
-deterministic, so on an unchanged model the comparison is exact; the
-tolerance exists so intentional model tweaks elsewhere in the stack
-don't force a baseline refresh for sub-percent ripples.
-
-The ``git`` field is ignored (it differs across commits by design),
-as are the host-throughput keys ``wall_ns_per_cycle`` and
-``events_per_sec`` (wall-clock data, nondeterministic by design;
-tools/perf_compare.py gates those with wide bands instead).
-String cells must match exactly. Row sets are matched positionally --
-the benches emit rows in a fixed deterministic order.
+Compares a bfgts-obs-v1 bench document against a committed baseline
+(bench/baselines/BENCH_*.json) with tools/compare_reports.py's exact
+comparison. The simulator is deterministic, so every cell must match
+once the provenance keys (``git``, ``gitDirty``) and the host
+wall-clock keys (``wall_ns_per_cycle``, ``events_per_sec``; gated
+with wide bands by tools/perf_compare.py) are dropped. Rows are
+matched positionally -- the benches emit them in a fixed order.
 
 Usage
 -----
   bench_compare.py --baseline BENCH_x.json --candidate fresh.json
   bench_compare.py --baseline BENCH_x.json --bench path/to/bench_bin
 
-The ``--bench`` form runs the binary itself (BFGTS_QUICK=1, --json
-into a temp file) and then compares; this is how the ctest uses it.
-To refresh a baseline after an intentional change, rerun the bench
-with BFGTS_QUICK=1 and ``--json <baseline path>`` and commit the
-result.
+The ``--bench`` form runs the binary itself (--json into a temp
+file) and then compares; this is how the ctests use it. To refresh
+a baseline after an intentional model change, rerun the bench with
+``--json <baseline path>`` and commit the result (EXPERIMENTS.md,
+"Regenerating the bench baselines").
 """
 
 import argparse
-import json
 import os
 import subprocess
 import sys
 import tempfile
 
-# git differs across commits by design; the wall-clock throughput
-# keys (bench_util.h JsonReporter) are host-dependent by design and
-# gated separately -- with wide bands -- by tools/perf_compare.py.
-IGNORED_KEYS = {"git", "wall_ns_per_cycle", "events_per_sec"}
+from compare_reports import compare_files
 
 
-def numbers_close(a, b, rel_tol, abs_tol=1e-9):
-    return abs(a - b) <= abs_tol + rel_tol * max(abs(a), abs(b))
-
-
-def compare_value(path, base, cand, rel_tol, failures):
-    if isinstance(base, bool) or isinstance(cand, bool):
-        # bool is an int subclass; compare exactly and first.
-        if base != cand:
-            failures.append("%s: baseline %r, candidate %r"
-                            % (path, base, cand))
-    elif isinstance(base, (int, float)) and isinstance(cand,
-                                                       (int, float)):
-        if not numbers_close(float(base), float(cand), rel_tol):
-            drift = (float(cand) - float(base))
-            rel = drift / abs(float(base)) if base else float("inf")
-            failures.append(
-                "%s: baseline %s, candidate %s (drift %+.2f%%)"
-                % (path, base, cand, 100.0 * rel))
-    elif isinstance(base, dict) and isinstance(cand, dict):
-        for key in sorted(set(base) | set(cand)):
-            if key in IGNORED_KEYS:
-                continue
-            if key not in base or key not in cand:
-                failures.append("%s.%s: present on one side only"
-                                % (path, key))
-                continue
-            compare_value("%s.%s" % (path, key), base[key],
-                          cand[key], rel_tol, failures)
-    elif isinstance(base, list) and isinstance(cand, list):
-        if len(base) != len(cand):
-            failures.append("%s: baseline has %d entries, candidate "
-                            "%d" % (path, len(base), len(cand)))
-            return
-        for i, (b, c) in enumerate(zip(base, cand)):
-            compare_value("%s[%d]" % (path, i), b, c, rel_tol,
-                          failures)
-    elif base != cand:
-        failures.append("%s: baseline %r, candidate %r"
-                        % (path, base, cand))
-
-
-def compare_files(baseline_path, candidate_path, rel_tol):
-    with open(baseline_path, "r", encoding="utf-8") as fh:
-        baseline = json.load(fh)
-    with open(candidate_path, "r", encoding="utf-8") as fh:
-        candidate = json.load(fh)
-    failures = []
-    compare_value("$", baseline, candidate, rel_tol, failures)
-    if failures:
-        print("bench_compare: %d divergence(s) from %s "
-              "(tolerance %.1f%%)"
-              % (len(failures), baseline_path, 100.0 * rel_tol))
-        for failure in failures:
-            print("  FAIL " + failure)
+def compare(baseline, candidate):
+    status = compare_files([baseline, candidate])
+    if status:
         print("If the change is intentional, regenerate the baseline "
               "(see tools/bench_compare.py docstring).")
-        return 1
-    print("bench_compare: OK (%s matches %s within %.1f%%)"
-          % (candidate_path, baseline_path, 100.0 * rel_tol))
-    return 0
+    return status
 
 
 def main():
@@ -109,30 +45,22 @@ def main():
     parser.add_argument("--candidate",
                         help="existing bench JSON to compare")
     parser.add_argument("--bench",
-                        help="bench binary to run (BFGTS_QUICK=1) "
-                             "before comparing")
+                        help="bench binary to run before comparing")
     parser.add_argument("--bench-arg", action="append", default=[],
                         help="extra argument for --bench (repeatable;"
                              " e.g. --bench-arg=--jobs "
                              "--bench-arg=8)")
-    parser.add_argument("--tol", type=float,
-                        default=float(os.environ.get(
-                            "BFGTS_BENCH_TOL", "0.05")),
-                        help="relative tolerance (default 0.05, or "
-                             "env BFGTS_BENCH_TOL)")
     args = parser.parse_args()
     if args.bench:
         with tempfile.TemporaryDirectory() as tmp:
             candidate = os.path.join(tmp, "candidate.json")
-            env = dict(os.environ, BFGTS_QUICK="1")
             subprocess.run([args.bench, "--json", candidate]
                            + args.bench_arg,
-                           check=True, env=env,
-                           stdout=subprocess.DEVNULL)
-            return compare_files(args.baseline, candidate, args.tol)
+                           check=True, stdout=subprocess.DEVNULL)
+            return compare(args.baseline, candidate)
     if not args.candidate:
         parser.error("need --candidate or --bench")
-    return compare_files(args.baseline, args.candidate, args.tol)
+    return compare(args.baseline, args.candidate)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Exact comparison of two bfgts-obs-v1 documents, host keys aside.
 
-The byte-identity gates (CI "audit" job, profile-on/off checks) used
-to literally ``diff`` two bench JSON files. Since every bench row now
-carries the host-throughput keys ``wall_ns_per_cycle`` and
-``events_per_sec`` (bench/bench_util.h), two otherwise-identical
-runs differ in exactly those values, so the gates compare structure
-instead: this tool asserts the documents are *exactly* equal after
-dropping the host keys (and ``git``, which can differ across
-checkouts). No tolerance -- any other divergence is a determinism
-bug, which is precisely what those gates exist to catch.
+Every bench row carries the host-throughput keys
+``wall_ns_per_cycle`` and ``events_per_sec`` (bench/bench_util.h), so
+two otherwise-identical runs differ in exactly those values. This
+tool asserts the documents are *exactly* equal after dropping the
+host keys and the provenance keys ``git`` and ``gitDirty``, which
+say where a binary was built, not what it simulated. No tolerance --
+any other divergence is a determinism bug or a moved simulated
+number, which is what the baseline gates (tools/bench_compare.py)
+and the CI audit-on/off comparison exist to catch.
 
 Usage
 -----
@@ -22,7 +22,8 @@ Exit 0 when all match, 1 otherwise.
 import json
 import sys
 
-IGNORED_KEYS = {"git", "wall_ns_per_cycle", "events_per_sec"}
+IGNORED_KEYS = {"git", "gitDirty", "wall_ns_per_cycle",
+                "events_per_sec"}
 
 
 def strip(value):
@@ -56,11 +57,9 @@ def diff_paths(path, a, b, out):
         out.append("%s: %r vs %r" % (path, a, b))
 
 
-def main(argv):
-    if len(argv) < 3:
-        print(__doc__)
-        return 2
-    paths = argv[1:]
+def compare_files(paths):
+    """Compare every file in ``paths`` against the first; 0 when all
+    match, 1 otherwise (the differences are printed)."""
     docs = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
@@ -73,7 +72,7 @@ def main(argv):
         details = []
         diff_paths("$", docs[0], doc, details)
         print("compare_reports: %s differs from %s (beyond the "
-              "ignored host keys):" % (path, paths[0]))
+              "ignored keys):" % (path, paths[0]))
         for detail in details[:20]:
             print("  " + detail)
         if len(details) > 20:
@@ -82,6 +81,13 @@ def main(argv):
         print("compare_reports: OK (%d file(s) identical modulo %s)"
               % (len(paths), ", ".join(sorted(IGNORED_KEYS))))
     return status
+
+
+def main(argv):
+    if len(argv) < 3:
+        print(__doc__)
+        return 2
+    return compare_files(argv[1:])
 
 
 if __name__ == "__main__":

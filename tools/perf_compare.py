@@ -16,7 +16,7 @@ A candidate FAILS when, for any row present in both documents,
     events_per_sec    < baseline / factor     (less throughput),
 
 with ``factor`` defaulting to 8.0 (override with ``--factor`` or
-``BFGTS_PERF_FACTOR``). Baselines are quick-mode runs from CI-class
+``BFGTS_PERF_FACTOR``). Baselines are full-scale runs from CI-class
 machines; anything inside an 8x band is treated as machine variance.
 Rows are matched positionally, like bench_compare.py. Baselines
 written before the wall keys existed (or candidates without them)
@@ -28,8 +28,8 @@ Usage
   perf_compare.py --baseline BENCH_x.json --candidate fresh.json
   perf_compare.py --baseline BENCH_x.json --bench path/to/bench_bin
 
-The ``--bench`` form runs the binary (BFGTS_QUICK=1, --json into a
-temp file) before comparing, mirroring bench_compare.py.
+The ``--bench`` form runs the binary (--json into a temp file)
+before comparing, mirroring bench_compare.py.
 """
 
 import argparse
@@ -101,8 +101,7 @@ def main():
     parser.add_argument("--candidate",
                         help="existing bench JSON to compare")
     parser.add_argument("--bench",
-                        help="bench binary to run (BFGTS_QUICK=1) "
-                             "before comparing")
+                        help="bench binary to run before comparing")
     parser.add_argument("--bench-arg", action="append", default=[],
                         help="extra argument for --bench "
                              "(repeatable)")
@@ -116,11 +115,9 @@ def main():
     if args.bench:
         with tempfile.TemporaryDirectory() as tmp:
             candidate = os.path.join(tmp, "candidate.json")
-            env = dict(os.environ, BFGTS_QUICK="1")
             subprocess.run([args.bench, "--json", candidate]
                            + args.bench_arg,
-                           check=True, env=env,
-                           stdout=subprocess.DEVNULL)
+                           check=True, stdout=subprocess.DEVNULL)
             return compare_rows(args.baseline, candidate, args.factor)
     if not args.candidate:
         parser.error("need --candidate or --bench")

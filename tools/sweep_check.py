@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep-engine differential gate (the `sweep_identical` ctest).
 
-Drives `bfgts_cli --sweep` over a small quick-mode matrix and asserts
+Drives `bfgts_cli --sweep` over a small matrix and asserts
 the properties the sweep engine guarantees (src/runner/sweep.h):
 
 * **Worker-count invariance** -- the bfgts-sweep-v1 report of an
@@ -43,7 +43,7 @@ SUMMARY_RE = re.compile(
 
 def run_sweep(cli, json_path, jobs, hash_seed, cache_dir=None):
     """Run one sweep; returns (report bytes, summary tuple)."""
-    env = dict(os.environ, BFGTS_QUICK="1", BFGTS_HASH_SEED=hash_seed)
+    env = dict(os.environ, BFGTS_HASH_SEED=hash_seed)
     env.pop("BFGTS_SWEEP_CACHE", None)
     cmd = [cli] + SWEEP_ARGS + ["--jobs", str(jobs),
                                 "--json", json_path]

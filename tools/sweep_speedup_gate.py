@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Wall-clock gate for the sweep engine's host parallelism.
 
-Times a quick-mode sweep bench serially (``--jobs 1``) and in
+Times a sweep bench serially (``--jobs 1``) and in
 parallel (``--jobs N``) and fails unless the parallel run is at least
 ``--min-speedup`` times faster. The sweep cells are independent
 CPU-bound simulations, so anything far below linear scaling points at
@@ -28,7 +28,7 @@ import time
 
 
 def timed_run(bench, jobs):
-    env = dict(os.environ, BFGTS_QUICK="1")
+    env = dict(os.environ)
     env.pop("BFGTS_SWEEP_CACHE", None)
     best = None
     for _ in range(2):

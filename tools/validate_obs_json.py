@@ -30,8 +30,8 @@ Three modes:
       semantics-checked, being wall-clock data.
 
   validate_obs_json.py --bench PATH_TO_BENCH_BINARY
-      Run the bench with BFGTS_QUICK=1 and --json and schema-check
-      the emitted document.
+      Run the bench with --json and schema-check the emitted
+      document.
 
 Exits non-zero on the first failure. Stdlib only: the JSON Schema
 subset the three schemas use (type/const/enum/required/properties/
@@ -303,7 +303,6 @@ def check_bench(doc, where):
     validate_schema(doc, SCHEMA, where)
     check_envelope(doc, where)
     check(doc["kind"] == "bench", f"{where}: kind is not 'bench'")
-    check("options" in doc, f"{where}: missing options")
     check(isinstance(doc.get("rows"), list) and doc["rows"],
           f"{where}: rows missing or empty")
     keys = list(doc["rows"][0].keys())
@@ -718,8 +717,7 @@ def mode_cli(cli, workdir):
 def mode_bench(bench, workdir):
     json_path = os.path.join(
         workdir, f"BENCH_{os.path.basename(bench)}.json")
-    run([bench, "--json", json_path], cwd=workdir,
-        env_extra={"BFGTS_QUICK": "1"})
+    run([bench, "--json", json_path], cwd=workdir)
     check_bench(load(json_path), json_path)
     print(f"validate_obs_json: bench OK ({os.path.basename(bench)})")
 
