@@ -10,10 +10,11 @@
 #include "runner/simulation.h"
 
 int
-main()
+main(int argc, char **argv)
 {
     runner::RunOptions options;
     bench::banner("ATS: fixed vs dynamically tuned threshold");
+    bench::JsonReporter reporter("ats_tuning", argc, argv);
 
     sim::TextTable table({"Benchmark", "fixed 0.5", "dynamic",
                           "final threshold"});
@@ -33,14 +34,21 @@ main()
         const auto &manager =
             dynamic_cast<const cm::AtsManager &>(simulation.manager());
 
-        table.addRow(
-            {name,
-             sim::fmtDouble(base / static_cast<double>(fixed.runtime),
-                            2),
-             sim::fmtDouble(
-                 base / static_cast<double>(dynamic.runtime), 2),
-             sim::fmtDouble(manager.threshold(), 2)});
+        const double fixed_speedup =
+            base / static_cast<double>(fixed.runtime);
+        const double dynamic_speedup =
+            base / static_cast<double>(dynamic.runtime);
+        reporter.addRow()
+            .set("benchmark", name)
+            .set("fixed", fixed_speedup)
+            .set("dynamic", dynamic_speedup)
+            .set("finalThreshold", manager.threshold());
+        table.addRow({name, sim::fmtDouble(fixed_speedup, 2),
+                      sim::fmtDouble(dynamic_speedup, 2),
+                      sim::fmtDouble(manager.threshold(), 2)});
     }
     table.print(std::cout);
+    if (!reporter.write())
+        return 1;
     return 0;
 }

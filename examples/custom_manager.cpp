@@ -2,10 +2,14 @@
  * @file
  * Writing your own contention manager.
  *
- * The ContentionManager interface is the other main extension point
- * (next to Workload): implement the begin / conflict / abort /
- * commit hooks, report your bookkeeping's cycle cost, and the
- * simulator schedules around your decisions. This example builds a
+ * cm::ContentionManager is the other main extension point (next to
+ * Workload). Derive from it, implement the begin / start / abort /
+ * commit hooks, report your bookkeeping's cycle cost, and call the
+ * protected trackStart / trackEnd / trackSerialization helpers from
+ * them; the simulator schedules around your decisions and reports
+ * the manager's "cm" stats, serializations and CPU-table audit like
+ * any built-in one. Override profileMemory, visitStatGroups,
+ * sampleGauges or auditCheck to report more. This example builds a
  * deliberately simple manager -- "GreedyLimit" -- that caps the
  * number of concurrently running transactions per static site at a
  * fixed limit, with no learning at all, and compares it against
@@ -21,19 +25,19 @@
 #include <cstdio>
 #include <vector>
 
-#include "cm/base.h"
+#include "cm/contention_manager.h"
 #include "runner/experiment.h"
 #include "runner/simulation.h"
 
 namespace {
 
 /** At most `limit` transactions of the same site run concurrently. */
-class GreedyLimitManager : public cm::ContentionManagerBase
+class GreedyLimitManager : public cm::ContentionManager
 {
   public:
     GreedyLimitManager(int num_cpus, int num_sites,
                        const cm::Services &services, int limit)
-        : ContentionManagerBase(num_cpus, services),
+        : ContentionManager(num_cpus, services),
           running_(static_cast<std::size_t>(num_sites), 0),
           limit_(limit)
     {

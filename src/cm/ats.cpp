@@ -6,13 +6,14 @@
 
 #include "os/scheduler.h"
 #include "sim/logging.h"
+#include "sim/sampler.h"
 
 namespace cm {
 
 AtsManager::AtsManager(int num_cpus, int num_static_tx,
                        const Services &services,
                        const AtsConfig &config)
-    : ContentionManagerBase(num_cpus, services), config_(config),
+    : ContentionManager(num_cpus, services), config_(config),
       threshold_(config.threshold),
       pressure_(static_cast<std::size_t>(num_static_tx), 0.0)
 {
@@ -51,15 +52,15 @@ AtsManager::pressure(htm::STxId stx) const
     return pressure_[static_cast<std::size_t>(stx)];
 }
 
-double
-AtsManager::meanPressure() const
+void
+AtsManager::sampleGauges(sim::SampleGauges &gauges) const
 {
     double sum = 0.0;
     for (double p : pressure_)
         sum += p;
-    return pressure_.empty()
-               ? 0.0
-               : sum / static_cast<double>(pressure_.size());
+    gauges.conflictPressure =
+        pressure_.empty() ? 0.0
+                          : sum / static_cast<double>(pressure_.size());
 }
 
 void

@@ -23,7 +23,7 @@
 #include <deque>
 #include <vector>
 
-#include "cm/base.h"
+#include "cm/contention_manager.h"
 
 namespace cm {
 
@@ -59,7 +59,7 @@ struct AtsConfig {
 };
 
 /** Central-queue adaptive serializer. */
-class AtsManager : public ContentionManagerBase
+class AtsManager : public ContentionManager
 {
   public:
     AtsManager(int num_cpus, int num_static_tx,
@@ -79,8 +79,8 @@ class AtsManager : public ContentionManagerBase
     /** Current conflict pressure of a transaction site (tests). */
     double pressure(htm::STxId stx) const;
 
-    /** Mean conflict pressure over all sites (sim::Sampler gauge). */
-    double meanPressure() const;
+    /** The conflictPressure gauge: mean pressure over all sites. */
+    void sampleGauges(sim::SampleGauges &gauges) const override;
 
     /** Current serialization threshold (fixed or self-tuned). */
     double threshold() const { return threshold_; }

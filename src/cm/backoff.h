@@ -14,7 +14,7 @@
 
 #include <vector>
 
-#include "cm/base.h"
+#include "cm/contention_manager.h"
 
 namespace cm {
 
@@ -27,12 +27,12 @@ struct BackoffConfig {
 };
 
 /** Randomized exponential backoff. */
-class BackoffManager : public ContentionManagerBase
+class BackoffManager : public ContentionManager
 {
   public:
     BackoffManager(int num_cpus, const Services &services,
                    const BackoffConfig &config = {})
-        : ContentionManagerBase(num_cpus, services), config_(config)
+        : ContentionManager(num_cpus, services), config_(config)
     {
     }
 

@@ -9,6 +9,7 @@
 #include "sim/logging.h"
 #include "sim/profiler.h"
 #include "sim/quality.h"
+#include "sim/sampler.h"
 
 namespace cm {
 
@@ -31,7 +32,7 @@ bfgtsVariantName(BfgtsVariant variant)
 BfgtsManager::BfgtsManager(int num_cpus, const htm::TxIdSpace &ids,
                            const Services &services,
                            const BfgtsConfig &config)
-    : ContentionManagerBase(num_cpus, services), config_(config),
+    : ContentionManager(num_cpus, services), config_(config),
       ids_(ids)
 {
     const auto slots = static_cast<std::size_t>(numSlots());
@@ -132,48 +133,6 @@ double
 BfgtsManager::pressure(htm::STxId stx) const
 {
     return pressure_[static_cast<std::size_t>(slotOf(stx))];
-}
-
-double
-BfgtsManager::meanConfidence() const
-{
-    if (conf_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double entry : conf_)
-        sum += entry;
-    return sum / static_cast<double>(conf_.size());
-}
-
-double
-BfgtsManager::meanBloomOccupancy() const
-{
-    double sum = 0.0;
-    std::size_t live = 0;
-    for (const DtxStats &stats : stats_) {
-        if (!stats.lastBloom)
-            continue;
-        const auto *sig = dynamic_cast<const bloom::BloomSignature *>(
-            stats.lastBloom.get());
-        if (sig == nullptr)
-            continue; // perfect signatures have no bit density
-        const bloom::BloomFilter &filter = sig->filter();
-        sum += static_cast<double>(filter.popCount())
-               / static_cast<double>(filter.numBits());
-        ++live;
-    }
-    return live == 0 ? 0.0 : sum / static_cast<double>(live);
-}
-
-double
-BfgtsManager::meanPressure() const
-{
-    if (pressure_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double p : pressure_)
-        sum += p;
-    return sum / static_cast<double>(pressure_.size());
 }
 
 void
@@ -394,6 +353,57 @@ BfgtsManager::profileMemory(sim::Profiler &profiler) const
 }
 
 void
+BfgtsManager::visitStatGroups(
+    const std::function<void(const sim::StatGroup &)> &visit) const
+{
+    sim::StatGroup group("bfgts");
+    group.addCounter("gatedBegins", &gatedBegins_);
+    group.addCounter("skippedSimUpdates", &skippedSimUpdates_);
+    group.addHistogram("similarity", &similarityHist_);
+    group.addHistogram("confidence", &confidenceHist_);
+    visit(group);
+}
+
+namespace {
+
+/** Mean of @p values; 0 when empty. */
+double
+meanOf(const std::vector<double> &values)
+{
+    double sum = 0.0;
+    for (double v : values)
+        sum += v;
+    return values.empty() ? 0.0
+                          : sum / static_cast<double>(values.size());
+}
+
+} // namespace
+
+void
+BfgtsManager::sampleGauges(sim::SampleGauges &gauges) const
+{
+    gauges.meanConfidence = meanOf(conf_);
+    gauges.conflictPressure = meanOf(pressure_);
+
+    double occupancy = 0.0;
+    std::size_t live = 0;
+    for (const DtxStats &stats : stats_) {
+        if (!stats.lastBloom)
+            continue;
+        const auto *sig = dynamic_cast<const bloom::BloomSignature *>(
+            stats.lastBloom.get());
+        if (sig == nullptr)
+            continue; // perfect signatures have no bit density
+        const bloom::BloomFilter &filter = sig->filter();
+        occupancy += static_cast<double>(filter.popCount())
+                     / static_cast<double>(filter.numBits());
+        ++live;
+    }
+    gauges.bloomOccupancy =
+        live == 0 ? 0.0 : occupancy / static_cast<double>(live);
+}
+
+void
 BfgtsManager::auditCheck(sim::AuditEngine &audit, sim::Tick tick) const
 {
     for (std::size_t i = 0; i < conf_.size(); ++i) {
@@ -443,6 +453,15 @@ BfgtsManager::auditCheck(sim::AuditEngine &audit, sim::Tick tick) const
                              + std::to_string(i) + " escaped [0,1]";
                     },
                     tick);
+    }
+    if (usesHardware()) {
+        // The snooped hardware CPU Table mirrors the software view
+        // the broadcasts are generated from.
+        std::vector<htm::DTxId> expected(
+            static_cast<std::size_t>(numCpus()));
+        for (int cpu = 0; cpu < numCpus(); ++cpu)
+            expected[static_cast<std::size_t>(cpu)] = runningOn(cpu);
+        services_.predictors->auditCheck(audit, expected, tick);
     }
 }
 

@@ -45,7 +45,7 @@
 #include <vector>
 
 #include "bloom/signature.h"
-#include "cm/base.h"
+#include "cm/contention_manager.h"
 
 namespace cm {
 
@@ -145,7 +145,7 @@ struct BfgtsConfig {
 };
 
 /** The BFGTS contention manager (all four variants). */
-class BfgtsManager : public ContentionManagerBase
+class BfgtsManager : public ContentionManager
 {
   public:
     /**
@@ -184,18 +184,6 @@ class BfgtsManager : public ContentionManagerBase
     /** Hybrid conflict pressure of a transaction site. */
     double pressure(htm::STxId stx) const;
 
-    // ---- time-series gauges (sim::Sampler) ---------------------------
-
-    /** Mean confidence-table entry over all slots (0..255 scale). */
-    double meanConfidence() const;
-
-    /** Mean set-bit fraction over live Bloom signatures; 0 when no
-     *  signature exists yet or signatures are perfect sets. */
-    double meanBloomOccupancy() const;
-
-    /** Mean hybrid conflict pressure over transaction sites. */
-    double meanPressure() const;
-
     /** Number of begins that skipped prediction (hybrid gating). */
     const sim::Counter &gatedBegins() const { return gatedBegins_; }
 
@@ -205,19 +193,9 @@ class BfgtsManager : public ContentionManagerBase
         return skippedSimUpdates_;
     }
 
-    /** Distribution of freshly measured similarities (Eq. 4). */
-    const sim::Histogram &similarityHist() const
-    {
-        return similarityHist_;
-    }
-
-    /** Distribution of confidence values after each table write. */
-    const sim::Histogram &confidenceHist() const
-    {
-        return confidenceHist_;
-    }
-
     const BfgtsConfig &config() const { return config_; }
+
+    // ---- reports ------------------------------------------------------
 
     /**
      * Invariant audit (sim/audit.h) over the prediction structures:
@@ -227,15 +205,29 @@ class BfgtsManager : public ContentionManagerBase
      *  - cm.stats:        average footprints are non-negative and a
      *    recorded serialization target is a valid dTxID slot;
      *  - cm.pressure:     hybrid conflict-pressure EWMAs stay in
-     *    [0,1].
+     *    [0,1];
+     *  - predictor.cputable (Hw and HwBackoff): the snooped hardware
+     *    CPU Table mirrors this manager's software view.
      */
-    void auditCheck(sim::AuditEngine &audit, sim::Tick tick) const;
+    void auditCheck(sim::AuditEngine &audit,
+                    sim::Tick tick) const override;
 
     /** Host-profiler byte gauges: confidence/pressure tables plus
      *  the live per-dTxID Bloom signatures (ROADMAP item 2 says both
      *  explode with sTxID^2 and thread count; this makes the growth
      *  visible). */
     void profileMemory(sim::Profiler &profiler) const override;
+
+    /** The "bfgts" group: gating, skipped similarity updates and the
+     *  similarity and confidence distributions. */
+    void visitStatGroups(
+        const std::function<void(const sim::StatGroup &)> &visit)
+        const override;
+
+    /** Mean confidence-table entry (0..255 scale), mean set-bit
+     *  fraction over live Bloom signatures (0 when none exists yet or
+     *  signatures are perfect sets) and mean hybrid pressure. */
+    void sampleGauges(sim::SampleGauges &gauges) const override;
 
     // ---- audit mutation-selftest hooks. Never call outside tests.
     /** Corrupt a confidence entry, bypassing the saturating clamp. */

@@ -1,6 +1,6 @@
 /**
  * @file
- * Contention manager interface.
+ * The contention manager class every manager derives from.
  *
  * A contention manager (CM) observes four events in a transaction's
  * life -- begin, conflict-abort, commit, plus the moment it actually
@@ -10,26 +10,71 @@
  * cycles, because the paper's evaluation (Fig. 5) is largely a story
  * about who pays how much overhead where.
  *
+ * The class also keeps what every manager wants: the software view
+ * of the CPU Table -- which dTxID is running on each CPU -- that PTS
+ * and BFGTS-SW scan at begin time, and the commit, abort and
+ * serialization counters. Services gives a CM controlled access to
+ * the simulated machine: the OS scheduler (to wake blocked threads),
+ * the RNG (for randomized backoff) and the hardware predictor system
+ * (BFGTS-HW only).
+ *
  * Implementations: BackoffManager (reactive baseline), AtsManager
  * (Yoo & Lee), PtsManager (Blake et al., MICRO'09), BfgtsManager
- * (this paper, four variants).
+ * (this paper, four variants), TimestampManager and PolkaManager
+ * (Scherer & Scott).
  */
 
 #ifndef BFGTS_CM_CONTENTION_MANAGER_H
 #define BFGTS_CM_CONTENTION_MANAGER_H
 
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "htm/tx_id.h"
 #include "mem/addr.h"
+#include "sim/random.h"
+#include "sim/stats.h"
 #include "sim/types.h"
 
+namespace os {
+class OsScheduler;
+}
+namespace cpu {
+class PredictorSystem;
+}
 namespace sim {
+class AuditEngine;
+class EventQueue;
 class Profiler;
+class QualityRecorder;
+struct SampleGauges;
 }
 
 namespace cm {
+
+/** Simulated-machine services a CM may use. */
+struct Services {
+    os::OsScheduler *scheduler = nullptr;
+    sim::Rng *rng = nullptr;
+    /** Only wired for BFGTS-HW / BFGTS-HW/Backoff. */
+    cpu::PredictorSystem *predictors = nullptr;
+    /** Simulated clock, for throughput-based self-tuning. */
+    const sim::EventQueue *events = nullptr;
+    /** Invariant auditor; null or disabled outside --audit runs. */
+    sim::AuditEngine *audit = nullptr;
+    /** Host-performance profiler; null outside --profile runs. Only
+     *  wall-time/memory accounting may flow through it -- never model
+     *  state. */
+    sim::Profiler *profiler = nullptr;
+    /** Decision-quality recorder; null outside --quality runs.
+     *  Observational only: hooks may report estimates and exact
+     *  RW-sets to it but must never read it back. */
+    sim::QualityRecorder *quality = nullptr;
+};
 
 /** Cycle cost of a CM hook, split by accounting bucket. */
 struct CmCost {
@@ -123,15 +168,29 @@ struct AbortResponse {
 };
 
 /**
- * Abstract contention manager.
+ * A contention manager: the lifecycle hooks, the per-CPU
+ * running-transaction table and the counters.
  *
- * Tracking duties shared by every implementation (which transaction
- * runs on which CPU) live in the ContentionManagerBase helper below.
+ * A manager implements the pure hooks and calls the protected
+ * track*() helpers from them: trackStart() from onTxStart(),
+ * trackEnd() from onTxAbort()/onTxCommit(), trackSerialization() for
+ * each begin-time serialization. The runner reports on every manager
+ * the same way: the "cm" stats group from the counters, then the
+ * four report hooks, whose defaults report nothing.
  */
 class ContentionManager
 {
   public:
+    ContentionManager(int num_cpus, const Services &services)
+        : services_(services),
+          runningByCpu_(static_cast<std::size_t>(num_cpus), htm::kNoTx)
+    {
+    }
+
     virtual ~ContentionManager() = default;
+
+    ContentionManager(const ContentionManager &) = delete;
+    ContentionManager &operator=(const ContentionManager &) = delete;
 
     /** Human-readable name, e.g. "BFGTS-HW". */
     virtual std::string name() const = 0;
@@ -163,7 +222,7 @@ class ContentionManager
     /**
      * A conflict was detected (the requester got NACKed) between the
      * running transaction @p tx and @p other. Called once per
-     * conflicting access, whether or not the conflict later ends in
+     * attempt and enemy, whether or not the conflict later ends in
      * an abort -- profiling managers learn their conflict graphs
      * from these events.
      */
@@ -194,16 +253,122 @@ class ContentionManager
                               const std::vector<mem::Addr> &rw_lines)
         = 0;
 
+    // ---- report hooks. Observational only; the defaults report
+    // nothing.
+
     /**
      * Report this manager's per-structure memory footprint (byte
      * high-water gauges) into the host profiler at the end of a
-     * profiled run. Observational only; the default reports nothing.
+     * profiled run.
      */
     virtual void
     profileMemory(sim::Profiler &profiler) const
     {
         (void)profiler;
     }
+
+    /**
+     * Hand this manager's own stats groups to @p visit. The runner
+     * emits the shared "cm" group just before calling this.
+     */
+    virtual void
+    visitStatGroups(
+        const std::function<void(const sim::StatGroup &)> &visit) const
+    {
+        (void)visit;
+    }
+
+    /** Set the sampler gauges this manager can measure. */
+    virtual void
+    sampleGauges(sim::SampleGauges &gauges) const
+    {
+        (void)gauges;
+    }
+
+    /**
+     * Invariant audit (sim/audit.h) over this manager's own
+     * structures, run in each audit sweep after the runner's
+     * CPU-table liveness check.
+     */
+    virtual void
+    auditCheck(sim::AuditEngine &audit, sim::Tick tick) const
+    {
+        (void)audit;
+        (void)tick;
+    }
+
+    // ---- shared bookkeeping
+
+    /** dTxID running on @p cpu, or kNoTx. */
+    htm::DTxId
+    runningOn(sim::CpuId cpu) const
+    {
+        return runningByCpu_[static_cast<std::size_t>(cpu)];
+    }
+
+    int
+    numCpus() const
+    {
+        return static_cast<int>(runningByCpu_.size());
+    }
+
+    const sim::Counter &commits() const { return commits_; }
+    const sim::Counter &aborts() const { return aborts_; }
+    const sim::Counter &serializations() const { return serializations_; }
+
+    /**
+     * Begin-time serializations per (winner sTx, victim sTx) edge:
+     * how often each site was made to wait behind each other site.
+     * Winner kUnknownSite means the CM serialized without naming an
+     * enemy transaction (ATS's central token queue). Ordered map, so
+     * iteration is deterministic.
+     */
+    static constexpr int kUnknownSite = -1;
+    const std::map<std::pair<int, int>, std::uint64_t> &
+    serializationEdges() const
+    {
+        return serializationEdges_;
+    }
+
+  protected:
+    /** Record that @p tx started running (call from onTxStart). */
+    void
+    trackStart(const TxInfo &tx)
+    {
+        runningByCpu_[static_cast<std::size_t>(tx.cpu)] = tx.dTx;
+    }
+
+    /** Record that @p tx stopped (call from onTxAbort/onTxCommit). */
+    void
+    trackEnd(const TxInfo &tx, bool committed)
+    {
+        auto &slot = runningByCpu_[static_cast<std::size_t>(tx.cpu)];
+        if (slot == tx.dTx)
+            slot = htm::kNoTx;
+        if (committed)
+            commits_.inc();
+        else
+            aborts_.inc();
+    }
+
+    /** Count a begin-time serialization decision and attribute the
+     *  (winner, victim) site edge; kUnknownSite when the CM has no
+     *  specific enemy (token-based schemes). */
+    void
+    trackSerialization(int winner_stx, int victim_stx)
+    {
+        serializations_.inc();
+        ++serializationEdges_[{winner_stx, victim_stx}];
+    }
+
+    Services services_;
+
+  private:
+    std::vector<htm::DTxId> runningByCpu_;
+    sim::Counter commits_;
+    sim::Counter aborts_;
+    sim::Counter serializations_;
+    std::map<std::pair<int, int>, std::uint64_t> serializationEdges_;
 };
 
 } // namespace cm

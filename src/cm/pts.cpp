@@ -9,7 +9,7 @@ namespace cm {
 PtsManager::PtsManager(int num_cpus, const htm::TxIdSpace &ids,
                        const Services &services,
                        const PtsConfig &config)
-    : ContentionManagerBase(num_cpus, services), config_(config),
+    : ContentionManager(num_cpus, services), config_(config),
       ids_(ids)
 {
     const auto n = static_cast<std::size_t>(ids.numDynamicTx());

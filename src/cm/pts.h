@@ -28,7 +28,7 @@
 #include <vector>
 
 #include "bloom/signature.h"
-#include "cm/base.h"
+#include "cm/contention_manager.h"
 
 namespace cm {
 
@@ -63,7 +63,7 @@ struct PtsConfig {
 };
 
 /** Conflict-graph-driven proactive scheduler. */
-class PtsManager : public ContentionManagerBase
+class PtsManager : public ContentionManager
 {
   public:
     PtsManager(int num_cpus, const htm::TxIdSpace &ids,

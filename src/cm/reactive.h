@@ -27,7 +27,7 @@
 #ifndef BFGTS_CM_REACTIVE_H
 #define BFGTS_CM_REACTIVE_H
 
-#include "cm/base.h"
+#include "cm/contention_manager.h"
 
 namespace cm {
 
@@ -41,14 +41,14 @@ struct TimestampConfig {
 };
 
 /** Timestamp manager: oldest transaction wins every conflict. */
-class TimestampManager : public ContentionManagerBase
+class TimestampManager : public ContentionManager
 {
   public:
     using Config = TimestampConfig;
 
     TimestampManager(int num_cpus, const Services &services,
                      const Config &config = {})
-        : ContentionManagerBase(num_cpus, services), config_(config)
+        : ContentionManager(num_cpus, services), config_(config)
     {
     }
 
@@ -99,14 +99,14 @@ struct PolkaConfig {
 };
 
 /** Polka: karma-weighted randomized-backoff victim selection. */
-class PolkaManager : public ContentionManagerBase
+class PolkaManager : public ContentionManager
 {
   public:
     using Config = PolkaConfig;
 
     PolkaManager(int num_cpus, const Services &services,
                  const Config &config = {})
-        : ContentionManagerBase(num_cpus, services), config_(config)
+        : ContentionManager(num_cpus, services), config_(config)
     {
     }
 

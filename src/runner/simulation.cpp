@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "cm/ats.h"
-#include "cm/bfgts.h"
 #include "sim/host_clock.h"
 #include "sim/json.h"
 #include "sim/logging.h"
@@ -199,58 +197,16 @@ Simulation::isTxRunning(htm::DTxId dtx) const
 }
 
 void
-Simulation::charge(Worker &worker, sim::Cycles cycles, Bucket bucket)
+Simulation::advance(Worker &worker, const Charges &charges)
 {
-    switch (bucket) {
-      case Bucket::NonTx:
-        worker.buckets.nonTx += cycles;
-        break;
-      case Bucket::Kernel:
-        worker.buckets.kernel += cycles;
-        break;
-      case Bucket::Sched:
-        worker.buckets.sched += cycles;
-        break;
-      case Bucket::Abort:
-        worker.buckets.aborted += cycles;
-        break;
-      case Bucket::Attempt:
-        worker.attemptCycles += cycles;
-        break;
-    }
-}
-
-void
-Simulation::advance(Worker &worker, sim::Cycles cycles, Bucket bucket)
-{
-    const Charge single{cycles, bucket};
-    advanceSpan(worker, &single, 1);
-}
-
-void
-Simulation::advanceMulti(Worker &worker,
-                         std::initializer_list<Charge> charges)
-{
-    advanceSpan(worker, charges.begin(), charges.size());
-}
-
-void
-Simulation::advanceMulti(Worker &worker,
-                         const std::vector<Charge> &charges)
-{
-    advanceSpan(worker, charges.data(), charges.size());
-}
-
-void
-Simulation::advanceSpan(Worker &worker, const Charge *charges,
-                        std::size_t count)
-{
-    sim::Cycles total = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-        charge(worker, charges[i].cycles, charges[i].bucket);
-        total += charges[i].cycles;
-    }
-    events_.scheduleIn(total, continueKind_,
+    worker.buckets.nonTx += charges.nonTx;
+    worker.buckets.kernel += charges.kernel;
+    worker.buckets.sched += charges.sched;
+    worker.buckets.aborted += charges.abort;
+    worker.attemptCycles += charges.attempt;
+    events_.scheduleIn(charges.nonTx + charges.kernel + charges.sched
+                           + charges.abort + charges.attempt,
+                       continueKind_,
                        static_cast<std::uint32_t>(worker.tid));
 }
 
@@ -362,7 +318,7 @@ Simulation::doNonTxWork(Worker &worker)
     const sim::Cycles chunk =
         std::min(worker.nonTxRemaining, config_.nonTxChunk);
     worker.nonTxRemaining -= chunk;
-    advance(worker, chunk, Bucket::NonTx);
+    advance(worker, {.nonTx = chunk});
     return false;
 }
 
@@ -376,9 +332,8 @@ Simulation::doTxBegin(Worker &worker)
                                     sim::Profiler::kCmDecide);
         decision = cm_->onTxBegin(info);
     }
-    const Charge cost_charges[2] = {
-        {decision.cost.sched, Bucket::Sched},
-        {decision.cost.kernel, Bucket::Kernel}};
+    const Charges cost_charges{.kernel = decision.cost.kernel,
+                               .sched = decision.cost.sched};
 
     switch (decision.action) {
       case cm::BeginAction::Proceed: {
@@ -414,7 +369,7 @@ Simulation::doTxBegin(Worker &worker)
         worker.phase = Phase::TxAccess;
         if (decision.cost.sched + decision.cost.kernel == 0)
             return true;
-        advanceSpan(worker, cost_charges, 2);
+        advance(worker, cost_charges);
         return false;
       }
       case cm::BeginAction::StallOn: {
@@ -433,7 +388,7 @@ Simulation::doTxBegin(Worker &worker)
         worker.stallOn = decision.waitOn;
         worker.stallStart = events_.curTick();
         worker.phase = Phase::BeginStall;
-        advanceSpan(worker, cost_charges, 2);
+        advance(worker, cost_charges);
         return false;
       }
       case cm::BeginAction::YieldOn: {
@@ -452,7 +407,7 @@ Simulation::doTxBegin(Worker &worker)
         worker.phase = Phase::YieldNow;
         if (decision.cost.sched + decision.cost.kernel == 0)
             return true;
-        advanceSpan(worker, cost_charges, 2);
+        advance(worker, cost_charges);
         return false;
       }
       case cm::BeginAction::Block: {
@@ -460,7 +415,7 @@ Simulation::doTxBegin(Worker &worker)
         worker.phase = Phase::BlockNow;
         if (decision.cost.sched + decision.cost.kernel == 0)
             return true;
-        advanceSpan(worker, cost_charges, 2);
+        advance(worker, cost_charges);
         return false;
       }
     }
@@ -476,7 +431,7 @@ Simulation::spinBeginStall(Worker &worker)
         || sched_->shouldPreempt(worker.tid)) {
         return false;
     }
-    charge(worker, config_.beginStallPollInterval, Bucket::Sched);
+    worker.buckets.sched += config_.beginStallPollInterval;
     events_.scheduleLane(pollKind_,
                          static_cast<std::uint32_t>(worker.tid));
     return true;
@@ -554,10 +509,8 @@ Simulation::doTxAccess(Worker &worker)
         worker.descriptorAborts);
 
     // Extra charges from CM conflict notification, folded into the
-    // next advance so bucket totals match consumed CPU time. Reuses
-    // the worker's scratch list so the access path never allocates.
-    std::vector<Charge> &notify_charges = worker.chargeScratch;
-    notify_charges.clear();
+    // next advance so bucket totals match consumed CPU time.
+    Charges notify_charges;
     if (result.resolution != htm::Resolution::Proceed) {
         // Conflict arbitration + notification is CM decide-path work.
         sim::ScopedPhase prof_phase(config_.profiler,
@@ -604,17 +557,17 @@ Simulation::doTxAccess(Worker &worker)
             }
         }
         conflicts_.inc();
-        for (const htm::TxState *holder : result.conflicts) {
-            const int a = ids_->staticOf(worker.tx.dTxId);
-            const int b = ids_->staticOf(holder->dTxId);
-            conflictGraph_.insert({std::min(a, b), std::max(a, b)});
-        }
         // Tell the CM about the conflict once per (attempt, enemy)
         // pair -- the granularity of the paper's txConflict() -- not
-        // on every NACKed access or stall retry.
+        // on every NACKed access or stall retry. Both sites are fixed
+        // for the attempt, so the conflict graph needs the same one
+        // insert per enemy.
         for (const htm::TxState *holder : result.conflicts) {
             if (!worker.reportedEnemies.insert(holder->dTxId))
                 continue;
+            const int a = ids_->staticOf(worker.tx.dTxId);
+            const int b = ids_->staticOf(holder->dTxId);
+            conflictGraph_.insert({std::min(a, b), std::max(a, b)});
             if (wantsTrace(sim::TraceCategory::Cm)) {
                 std::vector<std::pair<std::string, std::string>>
                     details;
@@ -629,8 +582,8 @@ Simulation::doTxAccess(Worker &worker)
             }
             const cm::CmCost cost = cm_->onConflictDetected(
                 infoFor(worker), infoFor(*holder));
-            notify_charges.push_back({cost.sched, Bucket::Sched});
-            notify_charges.push_back({cost.kernel, Bucket::Kernel});
+            notify_charges.kernel += cost.kernel;
+            notify_charges.sched += cost.sched;
         }
     }
 
@@ -656,7 +609,7 @@ Simulation::doTxAccess(Worker &worker)
         worker.tx.workDone += latency;
         ++worker.tx.accessesDone;
         ++worker.accessIndex;
-        advance(worker, latency, Bucket::Attempt);
+        advance(worker, {.attempt = latency});
         return false;
       }
       case htm::Resolution::StallRequester: {
@@ -667,9 +620,8 @@ Simulation::doTxAccess(Worker &worker)
                 worker.waitHolders.insert(holder->dTxId);
             auditSweep();
         }
-        notify_charges.push_back(
-            {config_.nackRetryInterval, Bucket::Attempt});
-        advanceMulti(worker, notify_charges);
+        notify_charges.attempt = config_.nackRetryInterval;
+        advance(worker, notify_charges);
         return false;
       }
       case htm::Resolution::AbortRequester: {
@@ -687,8 +639,7 @@ Simulation::doTxAccess(Worker &worker)
                                     holder->thread)]
                     .committing;
             });
-        notify_charges.push_back(
-            {config_.nackRetryInterval, Bucket::Attempt});
+        notify_charges.attempt = config_.nackRetryInterval;
         if (any_committing) {
             ++worker.stallRetries;
             if (auditing()) {
@@ -696,7 +647,7 @@ Simulation::doTxAccess(Worker &worker)
                 for (const htm::TxState *holder : result.conflicts)
                     worker.waitHolders.insert(holder->dTxId);
             }
-            advanceMulti(worker, notify_charges);
+            advance(worker, notify_charges);
             return false;
         }
         const cm::TxInfo enemy = infoFor(worker);
@@ -705,7 +656,7 @@ Simulation::doTxAccess(Worker &worker)
                     enemy);
         }
         worker.stallRetries = 0;
-        advanceMulti(worker, notify_charges);
+        advance(worker, notify_charges);
         return false;
       }
     }
@@ -805,9 +756,9 @@ Simulation::abortTx(Worker &worker, const cm::TxInfo &enemy)
     worker.accessIndex = 0;
     worker.stallRetries = 0;
     worker.phase = Phase::TxBegin;
-    advanceMulti(worker, {{rollback + resp.backoff, Bucket::Abort},
-                          {resp.cost.sched, Bucket::Sched},
-                          {resp.cost.kernel, Bucket::Kernel}});
+    advance(worker, {.kernel = resp.cost.kernel,
+                     .sched = resp.cost.sched,
+                     .abort = rollback + resp.backoff});
 }
 
 bool
@@ -817,8 +768,7 @@ Simulation::doCommit(Worker &worker)
     worker.committing = true;
     worker.phase = Phase::CommitDone;
     advance(worker,
-            config_.commitLatency + worker.undoLog.commit(),
-            Bucket::Attempt);
+            {.attempt = config_.commitLatency + worker.undoLog.commit()});
     return false;
 }
 
@@ -875,8 +825,7 @@ Simulation::doCommitDone(Worker &worker)
     worker.phase = Phase::StartDescriptor;
     if (cost.sched + cost.kernel == 0)
         return true;
-    advanceMulti(worker, {{cost.sched, Bucket::Sched},
-                          {cost.kernel, Bucket::Kernel}});
+    advance(worker, {.kernel = cost.kernel, .sched = cost.sched});
     return false;
 }
 
@@ -937,40 +886,20 @@ Simulation::auditSweep()
     }
     auditWaitGraph(*audit_, active_ts, edges, tick);
 
-    if (const auto *base =
-            dynamic_cast<const cm::ContentionManagerBase *>(
-                cm_.get())) {
-        // The CM's software CPU Table only names running txs.
-        std::vector<std::int64_t> cm_view(
-            static_cast<std::size_t>(config_.numCpus), -1);
-        for (int cpu = 0; cpu < config_.numCpus; ++cpu) {
-            const htm::DTxId dtx = base->runningOn(cpu);
-            if (dtx != htm::kNoTx)
-                cm_view[static_cast<std::size_t>(cpu)] =
-                    static_cast<std::int64_t>(dtx);
-        }
-        auditCmCpuTable(*audit_, cm_view,
-                        std::vector<std::int64_t>(running.begin(),
-                                                  running.end()),
-                        tick);
+    // The CM's software CPU Table only names running txs.
+    std::vector<std::int64_t> cm_view(
+        static_cast<std::size_t>(config_.numCpus), -1);
+    for (int cpu = 0; cpu < config_.numCpus; ++cpu) {
+        const htm::DTxId dtx = cm_->runningOn(cpu);
+        if (dtx != htm::kNoTx)
+            cm_view[static_cast<std::size_t>(cpu)] =
+                static_cast<std::int64_t>(dtx);
     }
-    if (const auto *bfgts =
-            dynamic_cast<const cm::BfgtsManager *>(cm_.get())) {
-        bfgts->auditCheck(*audit_, tick);
-        const cm::BfgtsVariant variant = bfgts->config().variant;
-        if (variant == cm::BfgtsVariant::Hw
-            || variant == cm::BfgtsVariant::HwBackoff) {
-            // The snooped hardware CPU Table mirrors the software
-            // view the broadcasts are generated from.
-            std::vector<htm::DTxId> expected(
-                static_cast<std::size_t>(config_.numCpus),
-                htm::kNoTx);
-            for (int cpu = 0; cpu < config_.numCpus; ++cpu)
-                expected[static_cast<std::size_t>(cpu)] =
-                    bfgts->runningOn(cpu);
-            predictors_->auditCheck(*audit_, expected, tick);
-        }
-    }
+    auditCmCpuTable(*audit_, cm_view,
+                    std::vector<std::int64_t>(running.begin(),
+                                              running.end()),
+                    tick);
+    cm_->auditCheck(*audit_, tick);
 }
 
 void
@@ -1147,25 +1076,16 @@ Simulation::visitStatGroups(
         group.addScalar("accuracy", quality.accuracy());
         visit(group);
     }
-    // Contention manager.
-    if (auto *base =
-            dynamic_cast<cm::ContentionManagerBase *>(cm_.get())) {
+    // Contention manager: the counters every manager keeps, then
+    // the manager's own groups (BFGTS: "bfgts").
+    {
         sim::StatGroup group("cm");
-        group.addCounter("commits", &base->commits());
-        group.addCounter("aborts", &base->aborts());
-        group.addCounter("serializations", &base->serializations());
+        group.addCounter("commits", &cm_->commits());
+        group.addCounter("aborts", &cm_->aborts());
+        group.addCounter("serializations", &cm_->serializations());
         visit(group);
     }
-    // BFGTS internals (similarity EWMA inputs and gating).
-    if (auto *bfgts = dynamic_cast<cm::BfgtsManager *>(cm_.get())) {
-        sim::StatGroup group("bfgts");
-        group.addCounter("gatedBegins", &bfgts->gatedBegins());
-        group.addCounter("skippedSimUpdates",
-                         &bfgts->skippedSimUpdates());
-        group.addHistogram("similarity", &bfgts->similarityHist());
-        group.addHistogram("confidence", &bfgts->confidenceHist());
-        visit(group);
-    }
+    cm_->visitStatGroups(visit);
     // OS scheduler.
     {
         sim::Counter yields, preemptions, blocks, kernel;
@@ -1271,15 +1191,7 @@ Simulation::sampleSnapshot(sim::SampleCounts &counts,
         }
     }
 
-    if (const auto *bfgts =
-            dynamic_cast<const cm::BfgtsManager *>(cm_.get())) {
-        gauges.meanConfidence = bfgts->meanConfidence();
-        gauges.bloomOccupancy = bfgts->meanBloomOccupancy();
-        gauges.conflictPressure = bfgts->meanPressure();
-    } else if (const auto *ats =
-                   dynamic_cast<const cm::AtsManager *>(cm_.get())) {
-        gauges.conflictPressure = ats->meanPressure();
-    }
+    cm_->sampleGauges(gauges);
 
     if (config_.quality != nullptr) {
         gauges.calibrationBrier =
@@ -1375,10 +1287,7 @@ Simulation::run()
         static_cast<sim::Cycles>(config_.numCpus) * results.runtime;
     results.breakdown.idle = capacity > busy ? capacity - busy : 0;
 
-    if (auto *base =
-            dynamic_cast<cm::ContentionManagerBase *>(cm_.get())) {
-        results.serializations = base->serializations().value();
-    }
+    results.serializations = cm_->serializations().value();
 
     results.prediction = predictionTotals();
 
@@ -1393,10 +1302,7 @@ Simulation::run()
             stats.aborts;
     }
     results.abortEdges = abortEdges_;
-    if (auto *base =
-            dynamic_cast<cm::ContentionManagerBase *>(cm_.get())) {
-        results.serializationEdges = base->serializationEdges();
-    }
+    results.serializationEdges = cm_->serializationEdges();
 
     if (auditing()) {
         // End-of-run conservation: every begin resolved, the cycle
@@ -1411,13 +1317,8 @@ Simulation::run()
                       lastFinish_);
         auditBreakdown(*audit_, results.breakdown, results.runtime,
                        config_.numCpus, lastFinish_);
-        if (const auto *base =
-                dynamic_cast<const cm::ContentionManagerBase *>(
-                    cm_.get())) {
-            auditResultTotals(*audit_, results,
-                              base->commits().value(),
-                              base->aborts().value(), lastFinish_);
-        }
+        auditResultTotals(*audit_, results, cm_->commits().value(),
+                          cm_->aborts().value(), lastFinish_);
         auditSweep();
     }
     return results;

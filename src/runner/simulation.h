@@ -98,12 +98,15 @@ class Simulation
         CommitDone,
     };
 
-    enum class Bucket { NonTx, Kernel, Sched, Abort, Attempt };
-
-    /** A (cycles, bucket) charge for multi-bucket advances. */
-    struct Charge {
-        sim::Cycles cycles;
-        Bucket bucket;
+    /** Cycles one step charges to each accounting bucket. */
+    struct Charges {
+        sim::Cycles nonTx = 0;
+        sim::Cycles kernel = 0;
+        sim::Cycles sched = 0;
+        /** Rollback and backoff after an abort. */
+        sim::Cycles abort = 0;
+        /** The running attempt: "tx" on commit, "aborted" on abort. */
+        sim::Cycles attempt = 0;
     };
 
     /**
@@ -179,8 +182,6 @@ class Simulation
         /** Reusable commit-set buffer (doCommitDone); cleared per
          *  commit, capacity kept so steady state never allocates. */
         std::vector<mem::Addr> commitLines;
-        /** Reusable charge list for the access path, same idea. */
-        std::vector<Charge> chargeScratch;
         Breakdown buckets;
     };
 
@@ -204,17 +205,9 @@ class Simulation
      *  that ends the stall steps the worker. */
     void pollBeginStall(Worker &worker);
 
-    /** Charge cycles and schedule the next step after them. */
-    void advance(Worker &worker, sim::Cycles cycles, Bucket bucket);
-    /** Literal charge lists: no heap allocation at the call site. */
-    void advanceMulti(Worker &worker,
-                      std::initializer_list<Charge> charges);
-    /** Dynamically built charge lists (worker.chargeScratch). */
-    void advanceMulti(Worker &worker,
-                      const std::vector<Charge> &charges);
-    void advanceSpan(Worker &worker, const Charge *charges,
-                     std::size_t count);
-    void charge(Worker &worker, sim::Cycles cycles, Bucket bucket);
+    /** Add each charge to its bucket and schedule the worker's next
+     *  step after their sum. */
+    void advance(Worker &worker, const Charges &charges);
 
     /** Abort @p worker's transaction; @p enemy is the other party. */
     void abortTx(Worker &worker, const cm::TxInfo &enemy);

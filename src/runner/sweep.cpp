@@ -1,6 +1,7 @@
 #include "sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -8,13 +9,13 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include <unistd.h>
 
 #include "sim/audit.h"
 #include "sim/json.h"
-#include "sim/thread_pool.h"
 
 namespace runner {
 
@@ -355,20 +356,30 @@ SweepRunner::run(const std::vector<SweepCell> &cells)
         }
     }
 
-    // No more workers than cells: the rest would only sit idle.
+    // No more workers than cells: the rest would only sit idle. Each
+    // worker thread claims the next cell index until none is left;
+    // runCell never throws.
     const std::size_t workers =
         std::min<std::size_t>(std::max(options_.jobs, 1), cells_.size());
-    sim::ThreadPool pool(static_cast<int>(workers));
+    std::atomic<std::size_t> next{0};
     std::size_t completed = 0;
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-        pool.submit([this, i, &completed] {
-            runCell(i);
-            std::lock_guard<std::mutex> lock(mutex_);
-            ++completed;
-            progressLine(completed, i);
-        });
+    {
+        // jthreads join when the vector goes out of scope, also when
+        // starting a later one throws.
+        std::vector<std::jthread> threads;
+        threads.reserve(workers);
+        for (std::size_t w = 0; w < workers; ++w) {
+            threads.emplace_back([this, &next, &completed] {
+                for (std::size_t i = next++; i < cells_.size();
+                     i = next++) {
+                    runCell(i);
+                    std::lock_guard<std::mutex> lock(mutex_);
+                    ++completed;
+                    progressLine(completed, i);
+                }
+            });
+        }
     }
-    pool.wait();
     return results_;
 }
 

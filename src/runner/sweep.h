@@ -4,10 +4,10 @@
  *
  * Every table/figure bench and `bfgts_cli --sweep` walks a matrix of
  * independent deterministic simulations: (workload, manager, seed,
- * RunOptions) cells. SweepRunner executes such a matrix on a host
- * thread pool (src/sim/thread_pool.h) and guarantees:
+ * RunOptions) cells. SweepRunner executes such a matrix on up to
+ * `jobs` host threads and guarantees:
  *
- *  - determinism: results are collected in job-index order, so
+ *  - determinism: results are collected in cell-index order, so
  *    aggregation and the JSON report are byte-identical no matter
  *    how many workers ran the sweep or in what order cells finished
  *    (tests/test_sweep.cpp proves parallel == serial bit-for-bit);

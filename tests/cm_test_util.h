@@ -10,7 +10,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cm/base.h"
+#include "cm/contention_manager.h"
 #include "cpu/predictor.h"
 #include "htm/tx_id.h"
 #include "os/scheduler.h"

@@ -11,9 +11,9 @@
  * not fire spuriously.
  *
  * The end-to-end cases close the loop: a fully audited contended
- * simulation reports zero violations while provably running
- * thousands of checks, and its stats digest is byte-identical to the
- * unaudited run (auditing is purely observational).
+ * simulation reports zero violations while running an exact,
+ * recorded number of checks, and its stats digest is byte-identical
+ * to the unaudited run (auditing is purely observational).
  */
 
 #include <gtest/gtest.h>
@@ -698,9 +698,19 @@ auditedConfig(cm::CmKind kind)
 
 TEST(AuditEndToEnd, ContendedRunsAreViolationFree)
 {
-    for (cm::CmKind kind :
-         {cm::CmKind::Backoff, cm::CmKind::Ats, cm::CmKind::BfgtsHw,
-          cm::CmKind::BfgtsNoOverhead}) {
+    // Exact check counts: every checker of the sweep, the manager's
+    // own auditCheck and the predictor CPU-table mirror (BFGTS-HW)
+    // included, so dropping any one of them changes the count.
+    const struct {
+        cm::CmKind kind;
+        std::uint64_t checks;
+    } cases[] = {
+        {cm::CmKind::Backoff, 12308},
+        {cm::CmKind::Ats, 13143},
+        {cm::CmKind::BfgtsHw, 26473},
+        {cm::CmKind::BfgtsNoOverhead, 26742},
+    };
+    for (const auto &[kind, checks] : cases) {
         sim::AuditEngine engine = collectEngine();
         runner::SimConfig config = auditedConfig(kind);
         config.audit = true;
@@ -709,7 +719,7 @@ TEST(AuditEndToEnd, ContendedRunsAreViolationFree)
         runner::Simulation simulation(config);
         simulation.run();
 
-        EXPECT_GT(engine.checksRun(), 1000u);
+        EXPECT_EQ(engine.checksRun(), checks) << cm::cmKindName(kind);
         EXPECT_EQ(engine.violationCount(), 0u)
             << "first violation: "
             << (engine.violations().empty()

@@ -10,7 +10,7 @@
 
 #include <memory>
 
-#include "cm/base.h"
+#include "cm/contention_manager.h"
 #include "runner/experiment.h"
 #include "runner/simulation.h"
 #include "workloads/generator.h"
@@ -18,11 +18,11 @@
 namespace {
 
 /** A manager that stalls every beginner behind any running tx. */
-class AlwaysStallManager : public cm::ContentionManagerBase
+class AlwaysStallManager : public cm::ContentionManager
 {
   public:
     AlwaysStallManager(int num_cpus, const cm::Services &services)
-        : ContentionManagerBase(num_cpus, services)
+        : ContentionManager(num_cpus, services)
     {
     }
 
@@ -65,12 +65,12 @@ class AlwaysStallManager : public cm::ContentionManagerBase
 };
 
 /** A manager that always yields at begin N times per thread. */
-class YieldNTimesManager : public cm::ContentionManagerBase
+class YieldNTimesManager : public cm::ContentionManager
 {
   public:
     YieldNTimesManager(int num_cpus, int yields,
                        const cm::Services &services)
-        : ContentionManagerBase(num_cpus, services), yields_(yields)
+        : ContentionManager(num_cpus, services), yields_(yields)
     {
     }
 

@@ -15,6 +15,7 @@
 #include "runner/experiment.h"
 #include "runner/simulation.h"
 #include "sim/event_queue.h"
+#include "sim/json.h"
 #include "sim/sampler.h"
 
 namespace {
@@ -180,6 +181,51 @@ TEST(Sampler, SimulationWindowDeltasSumToRunTotals)
         runner::runStamp("Intruder", cm::CmKind::BfgtsHw, options);
     EXPECT_EQ(plain.runtime, r.runtime);
     EXPECT_EQ(plain.commits, r.commits);
+}
+
+TEST(Sampler, ManagerGaugesArePinned)
+{
+    // The managers fill these gauges themselves (sampleGauges); each
+    // is summed over every window of Intruder 16x4 at 5 tx/thread.
+    const struct {
+        cm::CmKind kind;
+        const char *confidence;
+        const char *occupancy;
+        const char *pressure;
+    } cases[] = {
+        {cm::CmKind::BfgtsHw, "434.25962738651555", "0.1941410414807212",
+         "0"},
+        {cm::CmKind::BfgtsHwBackoff, "743.6666666666665", "0",
+         "3.020857477768327"},
+        {cm::CmKind::Ats, "0", "0", "2.017383020786517"},
+    };
+    for (const auto &expected : cases) {
+        runner::RunOptions options;
+        options.txPerThread = 5;
+        runner::SimConfig config =
+            runner::makeConfig("Intruder", expected.kind, options);
+        sim::Sampler::Config sampler_config;
+        sampler_config.interval = 5'000;
+        sim::Sampler sampler(sampler_config);
+        config.sampler = &sampler;
+        runner::Simulation simulation(config);
+        simulation.run();
+
+        double confidence = 0.0;
+        double occupancy = 0.0;
+        double pressure = 0.0;
+        for (const sim::TimeSeriesWindow &w : sampler.windows()) {
+            confidence += w.gauges.meanConfidence;
+            occupancy += w.gauges.bloomOccupancy;
+            pressure += w.gauges.conflictPressure;
+        }
+        const char *name = cm::cmKindName(expected.kind);
+        EXPECT_EQ(sim::jsonNumber(confidence), expected.confidence)
+            << name;
+        EXPECT_EQ(sim::jsonNumber(occupancy), expected.occupancy)
+            << name;
+        EXPECT_EQ(sim::jsonNumber(pressure), expected.pressure) << name;
+    }
 }
 
 } // namespace

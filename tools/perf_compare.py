@@ -12,12 +12,12 @@ shipped as a baseline) without ever failing on ordinary host noise.
 
 A candidate FAILS when, for any row present in both documents,
 
-    wall_ns_per_cycle > baseline * factor     (slower per cycle), or
-    events_per_sec    < baseline / factor     (less throughput),
+    wall_ns_per_cycle > baseline * FACTOR     (slower per cycle), or
+    events_per_sec    < baseline / FACTOR     (less throughput),
 
-with ``factor`` defaulting to 8.0 (override with ``--factor`` or
-``BFGTS_PERF_FACTOR``). Baselines are full-scale runs from CI-class
-machines; anything inside an 8x band is treated as machine variance.
+with one fixed ``FACTOR`` of 8.0. Baselines are full-scale runs from
+CI-class machines; anything inside an 8x band is treated as machine
+variance.
 Rows are matched positionally, like bench_compare.py. Baselines
 written before the wall keys existed (or candidates without them)
 are skipped with a note -- absence is never an error, so old
@@ -40,6 +40,7 @@ import sys
 import tempfile
 
 WALL_KEYS = ("wall_ns_per_cycle", "events_per_sec")
+FACTOR = 8.0
 
 
 def load_rows(path):
@@ -50,7 +51,7 @@ def load_rows(path):
     return doc.get("rows", [])
 
 
-def compare_rows(baseline_path, candidate_path, factor):
+def compare_rows(baseline_path, candidate_path):
     base_rows = load_rows(baseline_path)
     cand_rows = load_rows(candidate_path)
     failures = []
@@ -68,25 +69,25 @@ def compare_rows(baseline_path, candidate_path, factor):
         compared += 1
         wall = cand["wall_ns_per_cycle"]
         rate = cand["events_per_sec"]
-        if wall > base["wall_ns_per_cycle"] * factor:
+        if wall > base["wall_ns_per_cycle"] * FACTOR:
             failures.append(
                 "row %d: wall_ns_per_cycle %.1f vs baseline %.1f "
                 "(> %.0fx slower)"
-                % (i, wall, base["wall_ns_per_cycle"], factor))
-        if rate < base["events_per_sec"] / factor:
+                % (i, wall, base["wall_ns_per_cycle"], FACTOR))
+        if rate < base["events_per_sec"] / FACTOR:
             failures.append(
                 "row %d: events_per_sec %.0f vs baseline %.0f "
                 "(> %.0fx less throughput)"
-                % (i, rate, base["events_per_sec"], factor))
+                % (i, rate, base["events_per_sec"], FACTOR))
     if failures:
         print("perf_compare: %d regression(s) vs %s (factor %.1fx)"
-              % (len(failures), baseline_path, factor))
+              % (len(failures), baseline_path, FACTOR))
         for failure in failures:
             print("  FAIL " + failure)
         return 1
     print("perf_compare: OK (%s within %.1fx of %s; %d row(s) "
           "compared, %d skipped)"
-          % (candidate_path, factor, baseline_path, compared,
+          % (candidate_path, FACTOR, baseline_path, compared,
              skipped))
     return 0
 
@@ -105,12 +106,6 @@ def main():
     parser.add_argument("--bench-arg", action="append", default=[],
                         help="extra argument for --bench "
                              "(repeatable)")
-    parser.add_argument("--factor", type=float,
-                        default=float(os.environ.get(
-                            "BFGTS_PERF_FACTOR", "8.0")),
-                        help="multiplicative tolerance band "
-                             "(default 8.0, or env "
-                             "BFGTS_PERF_FACTOR)")
     args = parser.parse_args()
     if args.bench:
         with tempfile.TemporaryDirectory() as tmp:
@@ -118,10 +113,10 @@ def main():
             subprocess.run([args.bench, "--json", candidate]
                            + args.bench_arg,
                            check=True, stdout=subprocess.DEVNULL)
-            return compare_rows(args.baseline, candidate, args.factor)
+            return compare_rows(args.baseline, candidate)
     if not args.candidate:
         parser.error("need --candidate or --bench")
-    return compare_rows(args.baseline, args.candidate, args.factor)
+    return compare_rows(args.baseline, args.candidate)
 
 
 if __name__ == "__main__":
