@@ -8,11 +8,12 @@ namespace bloom {
 
 BloomFilter::BloomFilter(const BloomConfig &config)
     : config_(config),
+      bankBits_(config.partitioned
+                    ? config.numBits
+                          / static_cast<std::uint64_t>(config.numHashes)
+                    : 0),
       hashes_(config.numHashes,
-              config.partitioned ? config.numBits
-                                       / static_cast<std::uint64_t>(
-                                           config.numHashes)
-                                 : config.numBits,
+              config.partitioned ? bankBits_ : config.numBits,
               config.seed),
       words_((config.numBits + 63) / 64, 0)
 {
@@ -25,38 +26,30 @@ BloomFilter::BloomFilter(const BloomConfig &config)
     }
 }
 
-std::uint64_t
-BloomFilter::bitIndexFor(int fn, std::uint64_t key) const
+void
+BloomFilter::positions(std::uint64_t key, Positions &out) const
 {
-    if (!config_.partitioned)
-        return hashes_.hash(fn, key);
-    // Bank fn owns bits [fn * m/k, (fn+1) * m/k).
-    const std::uint64_t bank_bits =
-        config_.numBits / static_cast<std::uint64_t>(
-            config_.numHashes);
-    return static_cast<std::uint64_t>(fn) * bank_bits
-         + hashes_.hash(fn, key);
+    hashes_.hashAll(key, out.data());
+    for (int fn = 0; fn < config_.numHashes; ++fn)
+        out[static_cast<std::size_t>(fn)] +=
+            static_cast<std::uint64_t>(fn) * bankBits_;
 }
 
 void
 BloomFilter::insert(std::uint64_t key)
 {
-    for (int fn = 0; fn < config_.numHashes; ++fn) {
-        std::uint64_t bit = bitIndexFor(fn, key);
-        words_[bit >> 6] |= 1ULL << (bit & 63);
-    }
+    Positions pos{};
+    positions(key, pos);
+    setPositions(words_.data(), pos, config_.numHashes);
     ++numInserted_;
 }
 
 bool
 BloomFilter::mayContain(std::uint64_t key) const
 {
-    for (int fn = 0; fn < config_.numHashes; ++fn) {
-        std::uint64_t bit = bitIndexFor(fn, key);
-        if (!(words_[bit >> 6] & (1ULL << (bit & 63))))
-            return false;
-    }
-    return true;
+    Positions pos{};
+    positions(key, pos);
+    return hasPositions(words_.data(), pos, config_.numHashes);
 }
 
 void

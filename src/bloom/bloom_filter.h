@@ -17,6 +17,7 @@
 #ifndef BFGTS_BLOOM_BLOOM_FILTER_H
 #define BFGTS_BLOOM_BLOOM_FILTER_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -60,6 +61,13 @@ struct BloomConfig {
 class BloomFilter
 {
   public:
+    /**
+     * One key's bit index per hash function; entries [0, k) are
+     * used. positions() fills it, so a caller testing one key against
+     * many filters of the same geometry hashes it once.
+     */
+    using Positions = std::array<std::uint64_t, H3HashFamily::kMaxHashes>;
+
     /** Build an empty filter for @p config. */
     explicit BloomFilter(const BloomConfig &config = BloomConfig{});
 
@@ -68,6 +76,39 @@ class BloomFilter
 
     /** @return false if @p key was definitely never inserted. */
     bool mayContain(std::uint64_t key) const;
+
+    /**
+     * The bit hash function fn maps @p key to, for every fn in
+     * [0, k): bank-aware in the partitioned layout (bank fn owns bits
+     * [fn * m/k, (fn+1) * m/k)).
+     */
+    void positions(std::uint64_t key, Positions &out) const;
+
+    /**
+     * Set bits @p pos[0, @p k) in @p words, a filter's words or any
+     * array laid out like them (insert() on precomputed positions).
+     */
+    static void
+    setPositions(std::uint64_t *words, const Positions &pos, int k)
+    {
+        for (int fn = 0; fn < k; ++fn) {
+            const std::uint64_t bit = pos[static_cast<std::size_t>(fn)];
+            words[bit >> 6] |= 1ULL << (bit & 63);
+        }
+    }
+
+    /** True if every bit @p pos[0, @p k) is set in @p words
+     *  (mayContain() on precomputed positions). */
+    static bool
+    hasPositions(const std::uint64_t *words, const Positions &pos, int k)
+    {
+        for (int fn = 0; fn < k; ++fn) {
+            const std::uint64_t bit = pos[static_cast<std::size_t>(fn)];
+            if (!(words[bit >> 6] & (1ULL << (bit & 63))))
+                return false;
+        }
+        return true;
+    }
 
     /** Remove all elements. */
     void clear();
@@ -112,13 +153,6 @@ class BloomFilter
     /** Raw words, for the Eq. 3 estimator, the audit and tests. */
     const std::vector<std::uint64_t> &words() const { return words_; }
 
-    /**
-     * Bit index hash function @p fn maps @p key to (bank-aware in the
-     * partitioned layout). Exposed so the audit engine can validate
-     * the partitioned-layout no-false-negative property per bank.
-     */
-    std::uint64_t bitIndexFor(int fn, std::uint64_t key) const;
-
     /** Test-only: set one raw bit (word-loop differential tests). */
     void testSetBit(std::uint64_t bit);
 
@@ -127,6 +161,9 @@ class BloomFilter
 
   private:
     BloomConfig config_;
+    /** Bits per bank in the partitioned layout, else 0: function fn's
+     *  bit is fn * bankBits_ + its hash. */
+    std::uint64_t bankBits_;
     H3HashFamily hashes_;
     std::vector<std::uint64_t> words_;
     std::uint64_t numInserted_ = 0;

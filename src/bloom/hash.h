@@ -30,21 +30,44 @@ namespace bloom {
  * built from the same seed are identical, which is what makes two
  * Bloom filters with the same (bits, hashes, seed) unionable.
  *
+ * hashAll() evaluates all k functions together. With a power-of-two
+ * bucket count, function fn's rows are masked to a log2(buckets)-bit
+ * lane and packed beside the other functions' rows (the low bits of
+ * an XOR are the XOR of the low bits), so one walk over the key's set
+ * bits, one XOR per bit, yields every function that fits in a 64-bit
+ * word, with no division. Otherwise a lane is a whole word and each
+ * sum is reduced with %. Rows are drawn in the same function-major
+ * order either way, so every hash value is independent of the
+ * packing.
+ *
  * The matrix is held behind a shared const pointer, so copying a
- * family (and therefore a Bloom filter: the runtime stores one
- * signature per dTxID and clones a prototype on the fast path) is a
- * reference-count bump, not a k*64-word copy.
+ * family (and therefore a Bloom filter) is a reference-count bump,
+ * not a matrix copy.
  */
 class H3HashFamily
 {
   public:
     /**
-     * @param num_hashes  Number of independent hash functions (k).
+     * Most hash functions a family may have. It sizes the stack
+     * buffers of a key's positions, whose zero-fill stays a few vector
+     * stores at this size (a longer one is a rep stos per access).
+     */
+    static constexpr int kMaxHashes = 8;
+
+    /**
+     * @param num_hashes  Number of independent hash functions (k),
+     *                    at most kMaxHashes.
      * @param num_buckets Output range: hashes fall in [0, num_buckets).
      * @param seed        Seed for the random matrices.
      */
     H3HashFamily(int num_hashes, std::uint64_t num_buckets,
                  std::uint64_t seed);
+
+    /**
+     * Every function applied to @p key: out[fn] = hash(fn, key) for
+     * fn in [0, numHashes()). One pass over the key's set bits.
+     */
+    void hashAll(std::uint64_t key, std::uint64_t *out) const;
 
     /** Value of hash function @p fn (0-based) applied to @p key. */
     std::uint64_t hash(int fn, std::uint64_t key) const;
@@ -55,9 +78,17 @@ class H3HashFamily
   private:
     int numHashes_;
     std::uint64_t numBuckets_;
+    /** Lane width in bits: log2(buckets), or 64 when not a power of
+     *  two. */
+    int laneBits_;
+    /** Mask of one lane's bits. */
+    std::uint64_t laneMask_;
+    /** Packed words per row: ceil(k / lanes per word). */
+    std::size_t numWords_;
     /**
-     * matrix_[fn * 64 + bit] = random row for input bit @p bit.
-     * Immutable after construction and shared across copies.
+     * matrix_[w * 64 + bit] packs the rows of input bit @p bit for
+     * the functions whose lanes fall in word w. Immutable after
+     * construction and shared across copies.
      */
     std::shared_ptr<const std::vector<std::uint64_t>> matrix_;
 };

@@ -502,22 +502,23 @@ BfgtsManager::auditSignature(const TxInfo &tx,
     if (const auto *sig =
             dynamic_cast<const bloom::BloomSignature *>(&n_bloom)) {
         const bloom::BloomFilter &filter = sig->filter();
-        const auto k = static_cast<std::uint64_t>(filter.numHashes());
-        const std::uint64_t bank_bits = filter.numBits() / k;
+        const int k = filter.numHashes();
+        const std::uint64_t bank_bits =
+            filter.numBits() / static_cast<std::uint64_t>(k);
         bool member = true;
         bool in_bank = true;
+        bloom::BloomFilter::Positions pos{};
         for (const mem::Addr line : rw_lines) {
-            for (int fn = 0; fn < filter.numHashes(); ++fn) {
-                const std::uint64_t bit = filter.bitIndexFor(fn, line);
-                member = member
-                      && (filter.words()[bit >> 6]
-                          & (1ULL << (bit & 63)))
-                             != 0;
-                if (filter.config().partitioned) {
-                    in_bank = in_bank
-                           && bit / bank_bits
-                                  == static_cast<std::uint64_t>(fn);
-                }
+            filter.positions(line, pos);
+            member = member
+                  && bloom::BloomFilter::hasPositions(
+                         filter.words().data(), pos, k);
+            if (!filter.config().partitioned)
+                continue;
+            for (int fn = 0; fn < k; ++fn) {
+                in_bank = in_bank
+                       && pos[static_cast<std::size_t>(fn)] / bank_bits
+                              == static_cast<std::uint64_t>(fn);
             }
         }
         audit.check(member, "bloom.partition",

@@ -27,6 +27,7 @@
 #ifndef BFGTS_CM_CONTENTION_MANAGER_H
 #define BFGTS_CM_CONTENTION_MANAGER_H
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -183,7 +184,8 @@ class ContentionManager
   public:
     ContentionManager(int num_cpus, const Services &services)
         : services_(services),
-          runningByCpu_(static_cast<std::size_t>(num_cpus), htm::kNoTx)
+          runningByCpu_(static_cast<std::size_t>(num_cpus), htm::kNoTx),
+          runningMask_((static_cast<std::size_t>(num_cpus) + 63) / 64, 0)
     {
     }
 
@@ -312,6 +314,28 @@ class ContentionManager
         return static_cast<int>(runningByCpu_.size());
     }
 
+    /**
+     * First CPU at or after @p cpu that runs a transaction, or
+     * numCpus() when none does. Walks a bit per CPU, so a scan of the
+     * running CPUs in CPU order costs their number, not numCpus().
+     */
+    sim::CpuId
+    nextRunning(sim::CpuId cpu) const
+    {
+        auto index = static_cast<std::size_t>(cpu);
+        for (std::size_t word = index / 64; word < runningMask_.size();
+             ++word, index = word * 64) {
+            const std::uint64_t bits =
+                runningMask_[word] & (~0ULL << (index % 64));
+            if (bits != 0) {
+                return static_cast<sim::CpuId>(
+                    word * 64
+                    + static_cast<unsigned>(std::countr_zero(bits)));
+            }
+        }
+        return numCpus();
+    }
+
     const sim::Counter &commits() const { return commits_; }
     const sim::Counter &aborts() const { return aborts_; }
     const sim::Counter &serializations() const { return serializations_; }
@@ -335,16 +359,15 @@ class ContentionManager
     void
     trackStart(const TxInfo &tx)
     {
-        runningByCpu_[static_cast<std::size_t>(tx.cpu)] = tx.dTx;
+        setRunning(tx.cpu, tx.dTx);
     }
 
     /** Record that @p tx stopped (call from onTxAbort/onTxCommit). */
     void
     trackEnd(const TxInfo &tx, bool committed)
     {
-        auto &slot = runningByCpu_[static_cast<std::size_t>(tx.cpu)];
-        if (slot == tx.dTx)
-            slot = htm::kNoTx;
+        if (runningOn(tx.cpu) == tx.dTx)
+            setRunning(tx.cpu, htm::kNoTx);
         if (committed)
             commits_.inc();
         else
@@ -364,7 +387,22 @@ class ContentionManager
     Services services_;
 
   private:
+    /** Set @p cpu's running dTxID and its bit in runningMask_. */
+    void
+    setRunning(sim::CpuId cpu, htm::DTxId dtx)
+    {
+        const auto index = static_cast<std::size_t>(cpu);
+        runningByCpu_[index] = dtx;
+        const std::uint64_t bit = 1ULL << (index % 64);
+        if (dtx != htm::kNoTx)
+            runningMask_[index / 64] |= bit;
+        else
+            runningMask_[index / 64] &= ~bit;
+    }
+
     std::vector<htm::DTxId> runningByCpu_;
+    /** Bit per CPU: set while runningByCpu_ names a dTxID there. */
+    std::vector<std::uint64_t> runningMask_;
     sim::Counter commits_;
     sim::Counter aborts_;
     sim::Counter serializations_;

@@ -1,6 +1,7 @@
 #include "pts.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.h"
 
@@ -16,7 +17,7 @@ PtsManager::PtsManager(int num_cpus, const htm::TxIdSpace &ids,
     graph_.assign(n * (n + 1) / 2, 0.0);
     edgeTouched_.assign(n * (n + 1) / 2, 0);
     stats_.resize(n);
-    protoSig_ = std::make_unique<bloom::BloomSignature>(config_.bloom);
+    spareSig_ = std::make_unique<bloom::BloomSignature>(config_.bloom);
 }
 
 std::size_t
@@ -61,13 +62,14 @@ PtsManager::onTxBegin(const TxInfo &tx)
     BeginDecision decision;
     decision.cost.sched = config_.scanBaseCost;
 
+    // Consult the running CPUs in CPU order, paying scanPerEntryCost
+    // for each, until the first edge over the threshold.
     double max_conf = 0.0;
-    for (int cpu = 0; cpu < numCpus(); ++cpu) {
+    for (sim::CpuId cpu = nextRunning(0); cpu < numCpus();
+         cpu = nextRunning(cpu + 1)) {
         if (cpu == tx.cpu)
             continue;
         const htm::DTxId running = runningOn(cpu);
-        if (running == htm::kNoTx)
-            continue;
         decision.cost.sched += config_.scanPerEntryCost;
         const double conf = confidence(tx.dTx, running);
         max_conf = std::max(max_conf, conf);
@@ -130,11 +132,12 @@ PtsManager::onTxCommit(const TxInfo &tx,
     stats.avgSize = stats.avgSize == 0.0 ? size
                                          : 0.5 * (stats.avgSize + size);
 
-    // Encode this commit's read/write set in a clone of the empty
-    // prototype, which shares the H3 matrix behind a refcount.
-    std::unique_ptr<bloom::Signature> sig = protoSig_->clone();
+    // Encode this commit's read/write set in the cleared spare
+    // signature (equal to a fresh empty one).
+    bloom::Signature &sig = *spareSig_;
+    sig.clear();
     for (mem::Addr line : rw_lines)
-        sig->insert(line);
+        sig.insert(line);
     const sim::Cycles words = (config_.bloom.numBits + 63) / 64;
     cost.sched += words * config_.perWordCycle;
 
@@ -144,14 +147,19 @@ PtsManager::onTxCommit(const TxInfo &tx,
         if (!holder.lastBloom)
             continue;
         cost.sched += words * config_.perWordCycle;
-        if (sig->intersectsNonEmpty(*holder.lastBloom)) {
+        if (sig.intersectsNonEmpty(*holder.lastBloom)) {
             bumpConfidence(tx.dTx, waited, config_.incVal);
         } else {
             bumpConfidence(tx.dTx, waited, -config_.decVal);
         }
     }
     stats.waitedOn.clear();
-    stats.lastBloom = std::move(sig);
+    // The dTx's previous signature becomes the next spare. A dTx's
+    // first commit has none to give back, so the spare is a copy
+    // sharing the H3 matrix; after that a commit allocates nothing.
+    std::swap(stats.lastBloom, spareSig_);
+    if (!spareSig_)
+        spareSig_ = stats.lastBloom->clone();
     return cost;
 }
 

@@ -120,8 +120,9 @@ class PtsManager : public ContentionManager
     std::size_t graphEdges_ = 0;
     /** Per-dTx stats, indexed by TxIdSpace::denseIndex(). */
     std::vector<DtxStats> stats_;
-    /** Empty prototype signature, cloned per commit. */
-    std::unique_ptr<bloom::Signature> protoSig_;
+    /** Signature the next commit clears and fills, then swaps with
+     *  its dTx's lastBloom. */
+    std::unique_ptr<bloom::Signature> spareSig_;
 };
 
 } // namespace cm

@@ -9,20 +9,21 @@
 
 namespace htm {
 
-ConflictDetector::TxSignatures &
-ConflictDetector::signaturesFor(TxState &tx)
+std::size_t
+ConflictDetector::sigSlot(const TxState &tx)
 {
-    auto it = std::lower_bound(
-        signatures_.begin(), signatures_.end(), tx.dTxId,
-        [](const std::unique_ptr<TxSignatures> &entry, DTxId id) {
-            return entry->dTxId < id;
-        });
-    if (it == signatures_.end() || (*it)->dTxId != tx.dTxId) {
-        it = signatures_.insert(
-            it, std::make_unique<TxSignatures>(tx.dTxId, &tx,
-                                               sigProto_));
+    sim_assert(tx.thread >= 0, "signature access by a tx with no thread");
+    const auto thread = static_cast<std::size_t>(tx.thread);
+    if (thread >= sigOwners_.size()) {
+        const std::size_t slots =
+            std::max(thread + 1, 2 * sigOwners_.size());
+        sigOwners_.resize(slots, nullptr);
+        sigArena_.resize(2 * wordsPerSig_ * slots, 0);
     }
-    return **it;
+    sim_assert(sigOwners_[thread] == nullptr || sigOwners_[thread] == &tx,
+               "thread %d's signature slot is held by another tx",
+               tx.thread);
+    return thread;
 }
 
 std::size_t
@@ -138,8 +139,9 @@ ConflictDetector::unlinkReader(Entry &entry, const TxState *tx)
 }
 
 void
-ConflictDetector::findConflicts(const TxState &tx, mem::Addr line,
-                                bool is_write, const Entry &entry,
+ConflictDetector::findConflicts(const TxState &tx, bool is_write,
+                                const Entry &entry,
+                                const bloom::BloomFilter::Positions &pos,
                                 std::vector<TxState *> &conflicts)
 {
     if (policy_.detectionMode == DetectionMode::Exact) {
@@ -162,19 +164,24 @@ ConflictDetector::findConflicts(const TxState &tx, mem::Addr line,
         return;
     }
 
-    // Signature mode: coherence requests test every active remote
-    // transaction's Bloom signatures; hits beyond the exact holders
-    // are false conflicts (signature aliasing). signatures_ is kept
-    // sorted by dTxID, so this snoop sweep produces holders in
-    // deterministic order by construction.
-    for (const auto &sigs : signatures_) {
-        TxState *other = sigs->owner;
-        if (other == &tx || !other->active)
+    // Signature mode: coherence requests test every live remote
+    // signature slot at the line's bit positions; hits beyond the
+    // exact holders are false conflicts (signature aliasing).
+    // liveSigs_ is kept sorted by dTxID, so this snoop sweep produces
+    // holders in deterministic order by construction.
+    const int k = policy_.signature.numHashes;
+    const auto self = static_cast<std::size_t>(tx.thread);
+    for (const LiveSig &live : liveSigs_) {
+        if (live.thread == self)
             continue;
+        const std::uint64_t *read = sigWords(live.thread);
         const bool hit =
-            sigs->writeSig.mayContain(line)
-            || (is_write && sigs->readSig.mayContain(line));
+            bloom::BloomFilter::hasPositions(read + wordsPerSig_, pos, k)
+            || (is_write && bloom::BloomFilter::hasPositions(read, pos, k));
         if (!hit)
+            continue;
+        TxState *other = sigOwners_[live.thread];
+        if (!other->active)
             continue;
         conflicts.push_back(other);
         const bool real = entry.writer == other
@@ -192,7 +199,17 @@ ConflictDetector::access(TxState &tx, mem::Addr line, bool is_write,
 
     AccessResult result;
     const std::size_t slot = slotFor(line);
-    findConflicts(tx, line, is_write, slots_[slot], result.conflicts);
+    // Signature mode hashes the line once: the same positions serve
+    // every remote snoop and the requester's own insert.
+    const bool signature =
+        policy_.detectionMode == DetectionMode::Signature;
+    bloom::BloomFilter::Positions pos{};
+    std::size_t thread = 0;
+    if (signature) {
+        thread = sigSlot(tx);
+        sigGeometry_.positions(line, pos);
+    }
+    findConflicts(tx, is_write, slots_[slot], pos, result.conflicts);
 
     if (result.conflicts.empty()) {
         // Conflict-free: record ownership. The entry says whether tx
@@ -208,12 +225,21 @@ ConflictDetector::access(TxState &tx, mem::Addr line, bool is_write,
             appendReader(entry, &tx);
             tx.readSet.push_back(line);
         }
-        if (policy_.detectionMode == DetectionMode::Signature) {
-            TxSignatures &sigs = signaturesFor(tx);
-            if (is_write)
-                sigs.writeSig.insert(line);
-            else
-                sigs.readSig.insert(line);
+        if (signature) {
+            if (sigOwners_[thread] == nullptr) {
+                sigOwners_[thread] = &tx;
+                const LiveSig live{tx.dTxId, thread};
+                liveSigs_.insert(
+                    std::lower_bound(liveSigs_.begin(), liveSigs_.end(),
+                                     live,
+                                     [](const LiveSig &a, const LiveSig &b) {
+                                         return a.dTxId < b.dTxId;
+                                     }),
+                    live);
+            }
+            bloom::BloomFilter::setPositions(
+                sigWords(thread) + (is_write ? wordsPerSig_ : 0), pos,
+                policy_.signature.numHashes);
         }
         result.resolution = Resolution::Proceed;
         return result;
@@ -252,14 +278,14 @@ ConflictDetector::access(TxState &tx, mem::Addr line, bool is_write,
 void
 ConflictDetector::removeTx(TxState &tx)
 {
-    auto sig_it = std::lower_bound(
-        signatures_.begin(), signatures_.end(), tx.dTxId,
-        [](const std::unique_ptr<TxSignatures> &entry, DTxId id) {
-            return entry->dTxId < id;
-        });
-    if (sig_it != signatures_.end() && (*sig_it)->dTxId == tx.dTxId
-        && (*sig_it)->owner == &tx) {
-        signatures_.erase(sig_it);
+    // A tx with no thread converts to a huge index: it owns no slot.
+    const auto thread = static_cast<std::size_t>(tx.thread);
+    if (thread < sigOwners_.size() && sigOwners_[thread] == &tx) {
+        sigOwners_[thread] = nullptr;
+        std::fill_n(sigWords(thread), 2 * wordsPerSig_, 0);
+        liveSigs_.erase(std::find_if(
+            liveSigs_.begin(), liveSigs_.end(),
+            [thread](const LiveSig &live) { return live.thread == thread; }));
     }
     // Per-line releases commute, so the final registry is the same in
     // any visit order; reader lists stay in registration order.
@@ -400,11 +426,17 @@ ConflictDetector::auditCheck(sim::AuditEngine &audit,
     if (policy_.detectionMode != DetectionMode::Signature)
         return;
 
-    // Signatures exist only for active transactions (removeTx erases
+    // Live slots belong only to active transactions (removeTx frees
     // them on commit/abort) and never report false negatives on the
     // owner's own exact sets.
-    for (const auto &sigs : signatures_) {
-        const TxState *owner = sigs->owner;
+    const int k = policy_.signature.numHashes;
+    bloom::BloomFilter::Positions pos{};
+    const auto holds = [&](const std::uint64_t *words, mem::Addr line) {
+        sigGeometry_.positions(line, pos);
+        return bloom::BloomFilter::hasPositions(words, pos, k);
+    };
+    for (const LiveSig &live : liveSigs_) {
+        const TxState *owner = sigOwners_[live.thread];
         const bool is_active =
             std::find(active.begin(), active.end(), owner)
             != active.end();
@@ -414,11 +446,12 @@ ConflictDetector::auditCheck(sim::AuditEngine &audit,
                     static_cast<std::int64_t>(owner->dTxId));
         if (!is_active)
             continue;
+        const std::uint64_t *read = sigWords(live.thread);
         bool covered = true;
         for (mem::Addr line : owner->readSet)
-            covered = covered && sigs->readSig.mayContain(line);
+            covered = covered && holds(read, line);
         for (mem::Addr line : owner->writeSet)
-            covered = covered && sigs->writeSig.mayContain(line);
+            covered = covered && holds(read + wordsPerSig_, line);
         audit.check(covered, "bloom.membership",
                     "signature misses a line of its own exact set "
                     "(false negative)",

@@ -10,6 +10,12 @@
  *            set.
  * Read-read sharing never conflicts.
  *
+ * In Signature mode each thread has one slot of read and write
+ * signatures, as LogTM-SE keeps one pair per hardware context: a
+ * thread runs one attempt at a time, so its slot is reused by every
+ * attempt it makes. An access hashes its line once and tests the
+ * same bit positions against every remote slot.
+ *
  * Resolution policy (LogTM-flavored, hybrid "eldest wins"):
  *   - If the requester is older than every conflicting holder, the
  *     holders abort (the oldest transaction in the system can always
@@ -24,7 +30,6 @@
 #define BFGTS_HTM_CONFLICT_DETECTOR_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "bloom/bloom_filter.h"
@@ -112,14 +117,16 @@ struct ConflictPolicy {
  *
  * All methods are O(1)-ish per line touched; commit/abort removal is
  * proportional to the transaction's footprint. In steady state the
- * registry allocates nothing: its table and reader pool keep their
- * capacity, and transactions' read/write sets keep theirs.
+ * registry allocates nothing: its table, reader pool and signature
+ * slots keep their capacity, and transactions' read/write sets keep
+ * theirs.
  */
 class ConflictDetector
 {
   public:
     explicit ConflictDetector(const ConflictPolicy &policy = {})
-        : policy_(policy), sigProto_(policy.signature)
+        : policy_(policy), sigGeometry_(policy.signature),
+          wordsPerSig_(sigGeometry_.words().size())
     {
     }
 
@@ -187,8 +194,8 @@ class ConflictDetector
      *    line has exactly one writer and no foreign readers;
      *  - bloom.membership (Signature mode): a transaction's hardware
      *    signatures contain its entire exact sets (Bloom filters
-     *    never report false negatives) and signatures exist only for
-     *    active transactions (cleared on commit/abort).
+     *    never report false negatives) and live signature slots
+     *    belong only to active transactions (freed on commit/abort).
      */
     void auditCheck(sim::AuditEngine &audit,
                     const std::vector<const TxState *> &active,
@@ -229,34 +236,39 @@ class ConflictDetector
         std::uint32_t next = kNil;
     };
 
-    /**
-     * Per-transaction hardware signatures (Signature mode). Built by
-     * copying the detector's empty prototype filter: the H3 matrix is
-     * shared behind a refcount, so per-transaction setup is two word
-     * vectors, not a matrix rebuild.
-     */
-    struct TxSignatures {
+    /** A live signature slot: its owner's dTxID and thread. */
+    struct LiveSig {
         htm::DTxId dTxId;
-        TxState *owner;
-        bloom::BloomFilter readSig;
-        bloom::BloomFilter writeSig;
-        TxSignatures(htm::DTxId id, TxState *tx,
-                     const bloom::BloomFilter &proto)
-            : dTxId(id), owner(tx), readSig(proto), writeSig(proto)
-        {
-        }
+        std::size_t thread;
     };
 
     /**
      * Append to @p conflicts the holders the configured mechanism
      * reports for an access to the line whose registry entry (or
-     * empty slot) is @p entry.
+     * empty slot) is @p entry and whose signature bit positions
+     * (Signature mode) are @p pos.
      */
-    void findConflicts(const TxState &tx, mem::Addr line, bool is_write,
+    void findConflicts(const TxState &tx, bool is_write,
                        const Entry &entry,
+                       const bloom::BloomFilter::Positions &pos,
                        std::vector<TxState *> &conflicts);
 
-    TxSignatures &signaturesFor(TxState &tx);
+    /**
+     * Signature slot of @p tx's thread, grown on first use. Asserts a
+     * valid thread id whose slot is free or already @p tx's.
+     */
+    std::size_t sigSlot(const TxState &tx);
+    /** Read-signature words of slot @p thread; its write words follow. */
+    std::uint64_t *
+    sigWords(std::size_t thread)
+    {
+        return sigArena_.data() + 2 * wordsPerSig_ * thread;
+    }
+    const std::uint64_t *
+    sigWords(std::size_t thread) const
+    {
+        return sigArena_.data() + 2 * wordsPerSig_ * thread;
+    }
 
     /**
      * Slot of @p line, or the empty slot where it would go; grows the
@@ -282,8 +294,11 @@ class ConflictDetector
     void unlinkReader(Entry &entry, const TxState *tx);
 
     ConflictPolicy policy_;
-    /** Empty prototype filter cloned into each TxSignatures. */
-    bloom::BloomFilter sigProto_;
+    /** Empty filter of the signature geometry: maps a line to its
+     *  bit positions. */
+    bloom::BloomFilter sigGeometry_;
+    /** Words in one signature. */
+    std::size_t wordsPerSig_;
     /**
      * Line registry: an open-addressed table keyed by line number
      * (linear probing, sim::SeededHash, backward-shift deletion). It
@@ -297,14 +312,20 @@ class ConflictDetector
     std::vector<ReaderNode> readers_;
     std::uint32_t freeReader_ = kNil;
     /**
-     * Active transactions' signatures, sorted by dTxID. A flat array
-     * ordered by construction: the snoop sweep in findConflicts()
-     * visits remote transactions in dTxID order directly -- no hash
-     * iteration, no post-hoc sort. The active population is small
-     * (one tx per hardware thread), so ordered insertion into a
-     * contiguous vector beats hashing.
+     * Signature slots, one per thread: slot t's read words, then its
+     * write words, at sigWords(t). A free slot is all zero.
      */
-    std::vector<std::unique_ptr<TxSignatures>> signatures_;
+    std::vector<std::uint64_t> sigArena_;
+    /** Transaction holding each thread's slot, or null when free. */
+    std::vector<TxState *> sigOwners_;
+    /**
+     * Live slots (those of transactions that recorded an access this
+     * attempt), sorted by dTxID: the snoop sweep in findConflicts()
+     * reports remote holders in dTxID order by construction. A slot
+     * joins at its owner's first recorded access and leaves in
+     * removeTx(), so the list changes once each per attempt.
+     */
+    std::vector<LiveSig> liveSigs_;
     sim::Counter conflicts_;
     sim::Counter falseConflicts_;
     sim::Histogram nackRetryHist_ = sim::Histogram::makeLog2(12);

@@ -35,8 +35,12 @@ SimConfig::validate() const
                    static_cast<long long>(bloom.numBits),
                    "at least 64");
     }
-    if (bloom.numHashes < 1)
-        return bad("bloom.numHashes", bloom.numHashes, "at least 1");
+    if (bloom.numHashes < 1
+        || bloom.numHashes > bloom::H3HashFamily::kMaxHashes) {
+        return bad("bloom.numHashes", bloom.numHashes,
+                   "between 1 and "
+                       + std::to_string(bloom::H3HashFamily::kMaxHashes));
+    }
     if (bloom.partitioned
         && bloom.numBits % static_cast<std::uint64_t>(bloom.numHashes)
                != 0) {

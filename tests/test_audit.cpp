@@ -557,7 +557,9 @@ TEST(AuditBfgts, PartitionFiresOnClearedSignatureBit)
     // Clear one bit an inserted line hashes to: the no-false-negative
     // membership property of the partitioned layout is now broken and
     // the commit-time audit must say so.
-    sig.testFilter().testClearBit(sig.filter().bitIndexFor(1, 22));
+    bloom::BloomFilter::Positions pos{};
+    sig.filter().positions(22, pos);
+    sig.testFilter().testClearBit(pos[1]);
     manager.testAuditSignature(tx, sig, rw_lines);
     EXPECT_TRUE(engine.fired("bloom.partition"));
 }

@@ -16,6 +16,9 @@
  * words at fixed fill densities, and real inserts at the paper's
  * filter sizes. SignatureFuzz feeds real inserts over random
  * (m, k, partitioned) geometries, and the all-zero and all-one edges.
+ * It also checks the H3 bit positions, which the production family
+ * computes for all k functions at once from lane-packed rows, against
+ * the seed's per-function walk and % reduction.
  */
 
 #include <gtest/gtest.h>
@@ -87,6 +90,52 @@ seedIntersectionEstimate(const Words &a, const Words &b,
         + bloom::estimateSetSize(seedPopcount(b), num_bits, num_hashes)
         - bloom::estimateSetSize(seedPopcount(u), num_bits, num_hashes);
     return std::max(est, 0.0);
+}
+
+/**
+ * The seed's H3 family: a 64-row matrix per function, drawn
+ * function-major from the family seed, and one walk over the key's set
+ * bits per function, reduced with %.
+ */
+class SeedH3
+{
+  public:
+    SeedH3(int num_hashes, std::uint64_t num_buckets, std::uint64_t seed)
+        : numBuckets_(num_buckets),
+          rows_(static_cast<std::size_t>(num_hashes) * 64)
+    {
+        std::uint64_t sm = seed ^ 0x8e1f0cafe5a5a5a5ULL;
+        for (auto &row : rows_)
+            row = sim::splitmix64(sm);
+    }
+
+    std::uint64_t
+    hash(int fn, std::uint64_t key) const
+    {
+        const std::uint64_t *rows =
+            rows_.data() + static_cast<std::size_t>(fn) * 64;
+        std::uint64_t acc = 0;
+        for (std::uint64_t k = key; k != 0; k &= k - 1)
+            acc ^= rows[__builtin_ctzll(k)];
+        return acc % numBuckets_;
+    }
+
+  private:
+    std::uint64_t numBuckets_;
+    Words rows_;
+};
+
+/** The seed's bit index of function @p fn: bank fn owns bits
+ *  [fn * m/k, (fn+1) * m/k) in the partitioned layout. */
+std::uint64_t
+seedBitIndex(const SeedH3 &h3, const bloom::BloomConfig &config, int fn,
+             std::uint64_t key)
+{
+    if (!config.partitioned)
+        return h3.hash(fn, key);
+    const std::uint64_t bank_bits =
+        config.numBits / static_cast<std::uint64_t>(config.numHashes);
+    return static_cast<std::uint64_t>(fn) * bank_bits + h3.hash(fn, key);
 }
 
 // ---------------------------------------------------------------------
@@ -231,6 +280,65 @@ TEST(SignatureFuzz, KernelsAgreeOnRandomFilterGeometries)
                                    + std::to_string(m)
                                    + " k=" + std::to_string(k));
     }
+}
+
+TEST(SignatureFuzz, PositionsMatchTheSeedHash)
+{
+    // Power-of-two bucket counts pack several functions' lanes into a
+    // word (two words at k = 8 and m = 8192, and for m = 1024 or 2048
+    // once k passes 6 or 5); 1000 bits, and its banks, take whole-word
+    // lanes reduced with %.
+    sim::Rng rng(0x4a5b1e5ULL);
+    int geometries = 0;
+    for (const std::uint64_t m : {64, 512, 1000, 1024, 2048, 8192}) {
+        for (int k = 1; k <= 8; ++k) {
+            for (const bool partitioned : {false, true}) {
+                const auto kk = static_cast<std::uint64_t>(k);
+                if (partitioned && (m % kk != 0 || m / kk < 2))
+                    continue;
+                bloom::BloomConfig config;
+                config.numBits = m;
+                config.numHashes = k;
+                config.partitioned = partitioned;
+                config.seed = rng.next();
+                const SeedH3 h3(k, partitioned ? m / kk : m, config.seed);
+                const std::string what =
+                    "m=" + std::to_string(m) + " k=" + std::to_string(k)
+                    + (partitioned ? " partitioned" : "");
+
+                bloom::BloomFilter inserted(config);
+                Words expected(inserted.words().size(), 0);
+                Words through_positions(expected.size(), 0);
+                bloom::BloomFilter::Positions pos{};
+                for (int i = 0; i < 300; ++i) {
+                    // Line-number-like keys, full-width keys and the
+                    // all-zero and all-one edges.
+                    const std::uint64_t key =
+                        i == 0   ? 0
+                        : i == 1 ? ~0ULL
+                        : i % 2 == 0
+                            ? (1ULL << 26) + rng.below(1ULL << 22)
+                            : rng.next();
+                    inserted.positions(key, pos);
+                    for (int fn = 0; fn < k; ++fn) {
+                        const std::uint64_t bit =
+                            seedBitIndex(h3, config, fn, key);
+                        ASSERT_EQ(pos[static_cast<std::size_t>(fn)], bit)
+                            << what << " fn=" << fn << " key=" << key;
+                        expected[bit >> 6] |= 1ULL << (bit & 63);
+                    }
+                    bloom::BloomFilter::setPositions(
+                        through_positions.data(), pos, k);
+                    inserted.insert(key);
+                    ASSERT_TRUE(inserted.mayContain(key)) << what;
+                }
+                EXPECT_EQ(inserted.words(), expected) << what;
+                EXPECT_EQ(through_positions, expected) << what;
+                ++geometries;
+            }
+        }
+    }
+    EXPECT_EQ(geometries, 48 + 25);
 }
 
 TEST(SignatureFuzz, KernelsAgreeOnSaturationAndEmptyEdges)

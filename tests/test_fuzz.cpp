@@ -19,6 +19,7 @@
 
 #include "bloom/bloom_filter.h"
 #include "htm/conflict_detector.h"
+#include "htm/tx_id.h"
 #include "runner/simulation.h"
 #include "runner/sweep.h"
 #include "sim/random.h"
@@ -73,9 +74,11 @@ struct ReferenceModel {
         return result;
     }
 
-    /** Transactions whose signatures hit, in dTxID order. */
+    /** Transactions whose signatures hit, in the order of their
+     *  dTxIDs @p dtx (indexed by transaction). */
     std::vector<int>
-    signatureConflicts(int tx, mem::Addr line, bool write) const
+    signatureConflicts(int tx, mem::Addr line, bool write,
+                       const std::vector<htm::DTxId> &dtx) const
     {
         std::vector<int> result;
         for (int other = 0; other < static_cast<int>(readSigs.size());
@@ -87,6 +90,10 @@ struct ReferenceModel {
                 result.push_back(other);
             }
         }
+        std::sort(result.begin(), result.end(), [&](int a, int b) {
+            return dtx[static_cast<std::size_t>(a)]
+                 < dtx[static_cast<std::size_t>(b)];
+        });
         return result;
     }
 
@@ -144,6 +151,13 @@ struct DetectorFuzzParams {
     double removeChance = 0.05;
     int ops = 4000;
     std::uint64_t seed = 2024;
+    /**
+     * Transaction sites. With more than one, transaction i runs on
+     * thread i with dTxID TxIdSpace::make(i, site), the site drawn at
+     * the start and again at each restart, so dTxID order differs from
+     * thread order. With one, the dTxID is the thread.
+     */
+    int sites = 1;
 };
 
 /**
@@ -163,16 +177,27 @@ fuzzDetector(const DetectorFuzzParams &params)
     std::vector<htm::TxState> txs(
         static_cast<std::size_t>(params.txCount));
     std::vector<htm::TxState *> active;
+    std::vector<htm::DTxId> dtx(static_cast<std::size_t>(params.txCount));
+    const htm::TxIdSpace ids(params.sites, params.txCount);
+    sim::Rng rng(params.seed);
+    const auto assign_dtx = [&](int i) {
+        htm::TxState &tx = txs[static_cast<std::size_t>(i)];
+        tx.dTxId = params.sites == 1
+                     ? i
+                     : ids.make(i, static_cast<htm::STxId>(rng.below(
+                                       static_cast<std::uint64_t>(
+                                           params.sites))));
+        dtx[static_cast<std::size_t>(i)] = tx.dTxId;
+    };
     for (int i = 0; i < params.txCount; ++i) {
         htm::TxState &tx = txs[static_cast<std::size_t>(i)];
-        tx.dTxId = i;
+        assign_dtx(i);
         tx.thread = i;
         tx.timestamp = static_cast<std::uint64_t>(i) + 1;
         tx.active = true;
         active.push_back(&tx);
     }
 
-    sim::Rng rng(params.seed);
     std::uint64_t false_conflicts = 0;
     std::size_t max_owned = 0;
     for (int op = 0; op < params.ops; ++op) {
@@ -184,6 +209,7 @@ fuzzDetector(const DetectorFuzzParams &params)
             detector.removeTx(state);
             reference.remove(tx);
             state.resetAttempt();
+            assign_dtx(tx);
             state.active = true;
         } else {
             const mem::Addr line =
@@ -195,7 +221,8 @@ fuzzDetector(const DetectorFuzzParams &params)
                 reference.conflicts(tx, line, write);
             std::vector<int> expected = exact;
             if (signature) {
-                expected = reference.signatureConflicts(tx, line, write);
+                expected =
+                    reference.signatureConflicts(tx, line, write, dtx);
                 for (int holder : expected) {
                     if (std::find(exact.begin(), exact.end(), holder)
                         == exact.end()) {
@@ -207,7 +234,7 @@ fuzzDetector(const DetectorFuzzParams &params)
                 detector.access(state, line, write, 0);
             std::vector<int> reported;
             for (const htm::TxState *holder : result.conflicts)
-                reported.push_back(holder->dTxId);
+                reported.push_back(holder->thread);
             EXPECT_EQ(reported, expected) << "op " << op;
             if (expected.empty()) {
                 EXPECT_EQ(result.resolution, htm::Resolution::Proceed)
@@ -271,6 +298,29 @@ TEST(ConflictDetectorFuzz, SignatureModeMatchesReferenceModel)
     params.removeChance = 0.03;
     params.ops = 8000;
     params.seed = 7;
+    fuzzDetector(params);
+}
+
+TEST(ConflictDetectorFuzz, SignatureModeReportsHoldersInDTxIdOrder)
+{
+    // dTxIDs put the site above the thread, so holders sorted by dTxID
+    // are not in thread order, and a restart on a new site moves a
+    // thread within that order. Partitioned banks of 400 bits (not a
+    // power of two) take the whole-word, % reduced hash lanes.
+    DetectorFuzzParams params;
+    params.policy.detectionMode = htm::DetectionMode::Signature;
+    params.policy.signature.numBits = 1200;
+    params.policy.signature.numHashes = 3;
+    params.policy.signature.partitioned = true;
+    params.txCount = 12;
+    params.sites = 5;
+    params.hotLines = 16;
+    params.coldLines = 1 << 12;
+    params.hotFraction = 0.3;
+    params.writeFraction = 0.3;
+    params.removeChance = 0.03;
+    params.ops = 8000;
+    params.seed = 25;
     fuzzDetector(params);
 }
 

@@ -152,6 +152,21 @@ TEST(Simulation, BloomBitsOptionReachesBfgts)
     EXPECT_EQ(config.tuning.bfgts.bloom.numBits, 512u);
 }
 
+TEST(Simulation, ValidateBoundsTheBloomHashCount)
+{
+    // The H3 family sizes its stack buffers for kMaxHashes functions.
+    runner::SimConfig config =
+        runner::makeConfig("Genome", cm::CmKind::BfgtsHw, quick());
+    config.tuning.bfgts.bloom.numHashes =
+        bloom::H3HashFamily::kMaxHashes;
+    EXPECT_EQ(config.validate(), "");
+    config.tuning.bfgts.bloom.numHashes =
+        bloom::H3HashFamily::kMaxHashes + 1;
+    EXPECT_NE(config.validate().find("bloom.numHashes"), std::string::npos);
+    config.tuning.bfgts.bloom.numHashes = 0;
+    EXPECT_NE(config.validate().find("bloom.numHashes"), std::string::npos);
+}
+
 TEST(Simulation, IntervalOptionReachesBfgts)
 {
     runner::RunOptions options = quick();
