@@ -14,7 +14,6 @@
 #include <cstdio>
 
 #include "bloom/estimate.h"
-#include "bloom/signature.h"
 #include "sim/random.h"
 
 namespace {

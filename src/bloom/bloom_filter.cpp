@@ -41,7 +41,6 @@ BloomFilter::insert(std::uint64_t key)
     Positions pos{};
     positions(key, pos);
     setPositions(words_.data(), pos, config_.numHashes);
-    ++numInserted_;
 }
 
 bool
@@ -56,7 +55,6 @@ void
 BloomFilter::clear()
 {
     std::fill(words_.begin(), words_.end(), 0);
-    numInserted_ = 0;
 }
 
 std::uint64_t
@@ -86,35 +84,6 @@ bool
 BloomFilter::compatibleWith(const BloomFilter &other) const
 {
     return config_ == other.config_;
-}
-
-void
-BloomFilter::unionInPlace(const BloomFilter &other)
-{
-    sim_assert(compatibleWith(other));
-    for (std::size_t i = 0; i < words_.size(); ++i)
-        words_[i] |= other.words_[i];
-    numInserted_ += other.numInserted_;
-}
-
-BloomFilter
-BloomFilter::unionWith(const BloomFilter &other) const
-{
-    BloomFilter result = *this;
-    result.unionInPlace(other);
-    return result;
-}
-
-BloomFilter
-BloomFilter::intersectWith(const BloomFilter &other) const
-{
-    sim_assert(compatibleWith(other));
-    BloomFilter result = *this;
-    for (std::size_t i = 0; i < words_.size(); ++i)
-        result.words_[i] &= other.words_[i];
-    // The exact insert count of an intersection is unknowable; keep 0.
-    result.numInserted_ = 0;
-    return result;
 }
 
 bool

@@ -1,17 +1,15 @@
 /**
  * @file
- * Bloom filter with the set-algebra operations BFGTS needs.
+ * The Bloom filter BFGTS and PTS use as a read/write-set signature.
  *
- * Beyond the classic insert/query, this filter supports the operations
- * the paper builds its similarity metric on (Section 3.2, after
- * Michael et al.'s distributed-join work):
- *  - popCount()           t, the number of set bits
- *  - unionWith()          bitwise OR of two compatible filters
- *  - intersectWith()      bitwise AND (approximate intersection)
- *  - estimateSetSize()    Eq. 2: S^-1(t) = ln(1-t/m) / (k ln(1-1/m))
+ * Beyond the classic insert/query, the paper's similarity metric
+ * (Section 3.2, after Michael et al.'s distributed-join work) needs
+ * popCount(), t, the number of set bits: bloom/estimate.h turns it
+ * into the Eq. 2-4 estimates, and intersectionNonEmpty() is the
+ * commit-time overlap test.
  *
- * Two filters are compatible (unionable/intersectable) iff they were
- * built with the same bit count, hash count and hash seed.
+ * Two filters are compatible (intersectable) iff they were built with
+ * the same bit count, hash count, hash seed and layout.
  */
 
 #ifndef BFGTS_BLOOM_BLOOM_FILTER_H
@@ -52,7 +50,8 @@ struct BloomConfig {
 };
 
 /**
- * A plain (non-partitioned) Bloom filter over 64-bit keys.
+ * A Bloom filter over 64-bit keys, in the plain or the partitioned
+ * layout (BloomConfig::partitioned).
  *
  * The hash family is shared via a const reference-counted pointer so
  * that copying filters (the runtime stores one per dTxID) does not
@@ -116,9 +115,6 @@ class BloomFilter
     /** Number of set bits (t in Eq. 2). */
     std::uint64_t popCount() const;
 
-    /** Number of keys inserted (exact bookkeeping, for tests/stats). */
-    std::uint64_t numInserted() const { return numInserted_; }
-
     /** True if no bit is set. */
     bool empty() const { return popCount() == 0; }
 
@@ -130,23 +126,14 @@ class BloomFilter
 
     const BloomConfig &config() const { return config_; }
 
-    /** True if @p other can be unioned/intersected with this filter. */
+    /** True if @p other can be intersected with this filter. */
     bool compatibleWith(const BloomFilter &other) const;
-
-    /** Bitwise-OR @p other into this filter. @pre compatibleWith. */
-    void unionInPlace(const BloomFilter &other);
-
-    /** @return a new filter = this OR other. @pre compatibleWith. */
-    BloomFilter unionWith(const BloomFilter &other) const;
-
-    /** @return a new filter = this AND other. @pre compatibleWith. */
-    BloomFilter intersectWith(const BloomFilter &other) const;
 
     /**
      * True if the bitwise AND of the two filters has any bit set.
      * This is the paper's intersectBlooms() commit-time test; it can
      * report a spurious overlap (false positive) but never misses a
-     * real one.
+     * real one. @pre compatibleWith.
      */
     bool intersectionNonEmpty(const BloomFilter &other) const;
 
@@ -166,7 +153,6 @@ class BloomFilter
     std::uint64_t bankBits_;
     H3HashFamily hashes_;
     std::vector<std::uint64_t> words_;
-    std::uint64_t numInserted_ = 0;
 };
 
 } // namespace bloom

@@ -66,26 +66,4 @@ H3HashFamily::hash(int fn, std::uint64_t key) const
     return out[fn];
 }
 
-MultiplyShiftHashFamily::MultiplyShiftHashFamily(
-    int num_hashes, std::uint64_t num_buckets, std::uint64_t seed)
-    : numHashes_(num_hashes), numBuckets_(num_buckets)
-{
-    sim_assert(num_hashes > 0);
-    sim_assert(num_buckets > 1);
-    std::uint64_t sm = seed ^ 0x51ab7e9d3c0ffee1ULL;
-    mult_.resize(static_cast<std::size_t>(num_hashes));
-    add_.resize(static_cast<std::size_t>(num_hashes));
-    for (int i = 0; i < num_hashes; ++i) {
-        mult_[i] = sim::splitmix64(sm) | 1; // must be odd
-        add_[i] = sim::splitmix64(sm);
-    }
-}
-
-std::uint64_t
-MultiplyShiftHashFamily::hash(int fn, std::uint64_t key) const
-{
-    sim_assert(fn >= 0 && fn < numHashes_);
-    return sim::mix64(key * mult_[fn] + add_[fn]) % numBuckets_;
-}
-
 } // namespace bloom

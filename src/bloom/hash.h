@@ -1,13 +1,10 @@
 /**
  * @file
- * Hash families for Bloom filter signatures.
+ * The hash family for Bloom filter signatures.
  *
  * Sanchez et al. (MICRO'07, "Implementing Signatures for Transactional
  * Memory") showed H3 hashing is both hardware-cheap and close to ideal
- * for signature false-positive rates, so H3 is the default family here.
- * A multiply-shift family is provided as a cheaper software alternative
- * and to let tests cross-check that the estimation math (Eqs. 2-4 of
- * the BFGTS paper) is hash-family independent.
+ * for signature false-positive rates, so every filter here uses H3.
  */
 
 #ifndef BFGTS_BLOOM_HASH_H
@@ -91,30 +88,6 @@ class H3HashFamily
      * construction and shared across copies.
      */
     std::shared_ptr<const std::vector<std::uint64_t>> matrix_;
-};
-
-/**
- * Multiply-shift family: h_i(x) = mix64(x * odd_i + add_i) mod buckets.
- *
- * Not hardware-realistic, but fast and statistically strong; used by
- * tests to verify the estimators are not H3-specific.
- */
-class MultiplyShiftHashFamily
-{
-  public:
-    MultiplyShiftHashFamily(int num_hashes, std::uint64_t num_buckets,
-                            std::uint64_t seed);
-
-    std::uint64_t hash(int fn, std::uint64_t key) const;
-
-    int numHashes() const { return numHashes_; }
-    std::uint64_t numBuckets() const { return numBuckets_; }
-
-  private:
-    int numHashes_;
-    std::uint64_t numBuckets_;
-    std::vector<std::uint64_t> mult_;
-    std::vector<std::uint64_t> add_;
 };
 
 } // namespace bloom

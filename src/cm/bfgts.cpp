@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
+#include "bloom/estimate.h"
 #include "cpu/predictor.h"
 #include "sim/audit.h"
 #include "sim/event_queue.h"
@@ -33,7 +35,7 @@ BfgtsManager::BfgtsManager(int num_cpus, const htm::TxIdSpace &ids,
                            const Services &services,
                            const BfgtsConfig &config)
     : ContentionManager(num_cpus, services), config_(config),
-      ids_(ids)
+      ids_(ids), scratch_(config.bloom)
 {
     const auto slots = static_cast<std::size_t>(numSlots());
     conf_.assign(slots * slots, 0.0);
@@ -41,10 +43,6 @@ BfgtsManager::BfgtsManager(int num_cpus, const htm::TxIdSpace &ids,
     stats_.resize(slots * static_cast<std::size_t>(ids.numThreads()));
     for (DtxStats &s : stats_)
         s.similarity = config_.initialSimilarity;
-    if (!noOverhead()) {
-        protoSig_ =
-            std::make_unique<bloom::BloomSignature>(config_.bloom);
-    }
     if (usesHardware())
         sim_assert(services_.predictors != nullptr);
 }
@@ -78,14 +76,22 @@ BfgtsManager::usesHardware() const
         || config_.variant == BfgtsVariant::HwBackoff;
 }
 
-std::unique_ptr<bloom::Signature>
-BfgtsManager::makeSignature() const
+double
+BfgtsManager::signatureSize(const std::vector<mem::Addr> &lines) const
 {
     if (noOverhead())
-        return std::make_unique<bloom::PerfectSignature>();
-    // Clone the empty prototype: the clone shares its H3 matrix behind
-    // a refcount instead of rebuilding it on every commit.
-    return protoSig_->clone();
+        return static_cast<double>(lines.size());
+    return bloom::estimateSetSize(scratch_);
+}
+
+double
+BfgtsManager::overlapWith(const std::vector<mem::Addr> &lines,
+                          const DtxStats &stored) const
+{
+    if (noOverhead())
+        return static_cast<double>(
+            mem::commonLines(lines, *stored.lastLines));
+    return bloom::estimateIntersectionSize(scratch_, *stored.lastBloom);
 }
 
 BfgtsManager::DtxStats &
@@ -337,16 +343,17 @@ BfgtsManager::profileMemory(sim::Profiler &profiler) const
     profiler.recordBytes(sim::Profiler::kConfidenceTables,
                          (conf_.size() + pressure_.size())
                              * sizeof(double));
-    // Live signatures, approximated from the configured geometry
-    // (perfect signatures in the NoOverhead variant are costed the
-    // same way; the gauge tracks growth, not exact heap bytes).
-    const std::uint64_t per_signature =
-        sizeof(bloom::BloomSignature)
-        + static_cast<std::uint64_t>(config_.bloom.numBits) / 8;
+    // Stored signatures: a filter and its words, or 8 B per line of
+    // a perfect signature.
     std::uint64_t signature_bytes = 0;
     for (const DtxStats &stats : stats_) {
-        if (stats.lastBloom)
-            signature_bytes += per_signature;
+        if (stats.lastBloom) {
+            signature_bytes +=
+                sizeof(bloom::BloomFilter)
+                + stats.lastBloom->words().size() * sizeof(std::uint64_t);
+        }
+        if (stats.lastLines)
+            signature_bytes += stats.lastLines->size() * sizeof(mem::Addr);
     }
     profiler.recordBytes(sim::Profiler::kBloomSignatures,
                          signature_bytes);
@@ -389,14 +396,9 @@ BfgtsManager::sampleGauges(sim::SampleGauges &gauges) const
     std::size_t live = 0;
     for (const DtxStats &stats : stats_) {
         if (!stats.lastBloom)
-            continue;
-        const auto *sig = dynamic_cast<const bloom::BloomSignature *>(
-            stats.lastBloom.get());
-        if (sig == nullptr)
             continue; // perfect signatures have no bit density
-        const bloom::BloomFilter &filter = sig->filter();
-        occupancy += static_cast<double>(filter.popCount())
-                     / static_cast<double>(filter.numBits());
+        occupancy += static_cast<double>(stats.lastBloom->popCount())
+                     / static_cast<double>(stats.lastBloom->numBits());
         ++live;
     }
     gauges.bloomOccupancy =
@@ -467,7 +469,7 @@ BfgtsManager::auditCheck(sim::AuditEngine &audit, sim::Tick tick) const
 
 void
 BfgtsManager::auditSignature(const TxInfo &tx,
-                             const bloom::Signature &n_bloom,
+                             const std::vector<mem::Addr> &lines,
                              const std::vector<mem::Addr> &rw_lines)
 {
     sim::AuditEngine &audit = *services_.audit;
@@ -476,13 +478,13 @@ BfgtsManager::auditSignature(const TxInfo &tx,
     const auto dtx = static_cast<std::int64_t>(tx.dTx);
     const auto stx = static_cast<std::int64_t>(tx.sTx);
 
-    const double est = n_bloom.estimateSize();
+    const double est = signatureSize(lines);
     audit.check(est >= 0.0, "bloom.estimate",
                 "negative Eq. 2 set-size estimate", tick, tx.cpu,
                 tx.thread, stx, dtx);
     if (noOverhead()) {
         // Perfect signatures estimate exactly: the count of distinct
-        // lines inserted.
+        // lines committed.
         std::vector<mem::Addr> unique(rw_lines);
         std::sort(unique.begin(), unique.end());
         unique.erase(std::unique(unique.begin(), unique.end()),
@@ -492,28 +494,24 @@ BfgtsManager::auditSignature(const TxInfo &tx,
                     "perfect signature misestimates its exact set "
                     "size",
                     tick, tx.cpu, tx.thread, stx, dtx);
-    }
-
-    // Layout and membership of the Bloom encoding itself: every hash
-    // function must map every inserted line to a set bit (a Bloom
-    // filter never false-negatives on its own set), and under the
-    // partitioned layout (Sanchez et al.) hash function i may only
-    // index bank i's bit range.
-    if (const auto *sig =
-            dynamic_cast<const bloom::BloomSignature *>(&n_bloom)) {
-        const bloom::BloomFilter &filter = sig->filter();
-        const int k = filter.numHashes();
+    } else {
+        // Layout and membership of the Bloom encoding itself: every
+        // hash function must map every inserted line to a set bit (a
+        // Bloom filter never false-negatives on its own set), and
+        // under the partitioned layout (Sanchez et al.) hash function
+        // i may only index bank i's bit range.
+        const int k = scratch_.numHashes();
         const std::uint64_t bank_bits =
-            filter.numBits() / static_cast<std::uint64_t>(k);
+            scratch_.numBits() / static_cast<std::uint64_t>(k);
         bool member = true;
         bool in_bank = true;
         bloom::BloomFilter::Positions pos{};
         for (const mem::Addr line : rw_lines) {
-            filter.positions(line, pos);
+            scratch_.positions(line, pos);
             member = member
                   && bloom::BloomFilter::hasPositions(
-                         filter.words().data(), pos, k);
-            if (!filter.config().partitioned)
+                         scratch_.words().data(), pos, k);
+            if (!scratch_.config().partitioned)
                 continue;
             for (int fn = 0; fn < k; ++fn) {
                 in_bank = in_bank
@@ -535,17 +533,18 @@ BfgtsManager::auditSignature(const TxInfo &tx,
     // two Eq. 2 size estimates (monotonicity of the estimator), and
     // the derived Eq. 4 similarity lands in [0,1].
     const DtxStats &self = statsFor(tx.dTx);
-    if (self.lastBloom) {
-        const double other = self.lastBloom->estimateSize();
-        const double inter =
-            n_bloom.estimateIntersectionSize(*self.lastBloom);
+    if (hasSignature(self)) {
+        const double other =
+            self.lastLines ? static_cast<double>(self.lastLines->size())
+                           : bloom::estimateSetSize(*self.lastBloom);
+        const double inter = overlapWith(lines, self);
         const double bound = std::min(est, other) + 1e-9;
         audit.check(inter >= -1e-9 && inter <= bound, "bloom.estimate",
                     "Eq. 3 intersection estimate exceeds the smaller "
                     "set estimate",
                     tick, tx.cpu, tx.thread, stx, dtx);
-        const double new_sim = bloom::signatureSimilarity(
-            n_bloom, *self.lastBloom, self.avgSize);
+        const double new_sim =
+            bloom::exactSimilarity(inter, self.avgSize);
         audit.check(new_sim >= 0.0 && new_sim <= 1.0,
                     "bloom.similarity",
                     "Eq. 4 similarity escaped [0,1]", tick, tx.cpu,
@@ -613,38 +612,36 @@ BfgtsManager::onTxCommit(const TxInfo &tx,
                                 sim::Profiler::kBloom);
 
     // readCPUBloomFilter(): encode the just-committed read/write set.
-    std::unique_ptr<bloom::Signature> n_bloom = makeSignature();
-    for (mem::Addr line : rw_lines)
-        n_bloom->insert(line);
+    // A perfect signature is rw_lines itself (sorted and unique).
+    if (!noOverhead()) {
+        scratch_.clear();
+        for (mem::Addr line : rw_lines)
+            scratch_.insert(line);
+    }
 
     if (services_.audit != nullptr && services_.audit->shouldCheck())
-        auditSignature(tx, *n_bloom, rw_lines);
+        auditSignature(tx, rw_lines, rw_lines);
 
     if (sim_update_due) {
         // updateBloom(), Example 4: newSim via Eqs. 2-4 against the
         // previous execution's filter, then EWMA into the stats.
         cost.sched += bloomUpdateCost();
-        if (self.lastBloom) {
-            const double new_sim = bloom::signatureSimilarity(
-                *n_bloom, *self.lastBloom, self.avgSize);
+        if (hasSignature(self)) {
+            const double inter = overlapWith(rw_lines, self);
+            const double new_sim =
+                bloom::exactSimilarity(inter, self.avgSize);
             similarityHist_.sample(new_sim);
             self.similarity = 0.5 * (self.similarity + new_sim);
             if (services_.quality != nullptr) {
-                double occupancy = 0.0;
-                const auto *sig =
-                    dynamic_cast<const bloom::BloomSignature *>(
-                        n_bloom.get());
-                if (sig != nullptr) {
-                    const bloom::BloomFilter &filter = sig->filter();
-                    occupancy =
-                        static_cast<double>(filter.popCount())
-                        / static_cast<double>(filter.numBits());
-                }
+                const double occupancy =
+                    noOverhead()
+                        ? 0.0
+                        : static_cast<double>(scratch_.popCount())
+                              / static_cast<double>(scratch_.numBits());
                 services_.quality->recordEstimate(
                     static_cast<std::int64_t>(tx.dTx), rw_lines,
-                    n_bloom->estimateSize(),
-                    n_bloom->estimateIntersectionSize(*self.lastBloom),
-                    new_sim, occupancy, self.avgSize);
+                    signatureSize(rw_lines), inter, new_sim, occupancy,
+                    self.avgSize);
             }
         }
     } else {
@@ -656,7 +653,7 @@ BfgtsManager::onTxCommit(const TxInfo &tx,
         const htm::DTxId waited = self.waitingOn;
         self.waitingOn = htm::kNoTx;
         const DtxStats &holder = statsFor(waited);
-        if (holder.lastBloom) {
+        if (hasSignature(holder)) {
             if (!noOverhead()) {
                 const sim::Cycles words =
                     (config_.bloom.numBits + 63) / 64;
@@ -673,8 +670,7 @@ BfgtsManager::onTxCommit(const TxInfo &tx,
             // a few chance bits in common, which is exactly the
             // "rudimentary Bloom filter use" the paper criticizes
             // PTS for.
-            if (n_bloom->estimateIntersectionSize(*holder.lastBloom)
-                >= 1.0) {
+            if (overlapWith(rw_lines, holder) >= 1.0) {
                 writeConfidence(tx.sTx, ids_.staticOf(waited),
                                 config_.incVal * sim_avg);
             } else {
@@ -685,7 +681,12 @@ BfgtsManager::onTxCommit(const TxInfo &tx,
     }
 
     if (sim_update_due) {
-        self.lastBloom = std::move(n_bloom);
+        if (noOverhead())
+            self.lastLines = rw_lines;
+        else if (self.lastBloom)
+            std::swap(*self.lastBloom, scratch_);
+        else
+            self.lastBloom = scratch_;
         // The recorder's exact previous set must track the stored
         // signature so Eq. 3/4 ground truth matches what the next
         // estimate is computed against.

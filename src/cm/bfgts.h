@@ -34,17 +34,17 @@
  *                 below the pressure threshold BFGTS is off and plain
  *                 randomized backoff is used (Section 4.3).
  *  - NoOverhead:  every scheduling operation costs one cycle and
- *                 signatures are perfect (exact sets) -- the paper's
- *                 upper bound.
+ *                 signatures are perfect (exact sets: a commit's
+ *                 sorted, unique lines) -- the paper's upper bound.
  */
 
 #ifndef BFGTS_CM_BFGTS_H
 #define BFGTS_CM_BFGTS_H
 
-#include <memory>
+#include <optional>
 #include <vector>
 
-#include "bloom/signature.h"
+#include "bloom/bloom_filter.h"
 #include "cm/contention_manager.h"
 
 namespace cm {
@@ -213,9 +213,8 @@ class BfgtsManager : public ContentionManager
                     sim::Tick tick) const override;
 
     /** Host-profiler byte gauges: confidence/pressure tables plus
-     *  the live per-dTxID Bloom signatures (ROADMAP item 2 says both
-     *  explode with sTxID^2 and thread count; this makes the growth
-     *  visible). */
+     *  the stored per-dTxID signatures (both grow with sTxID^2 and
+     *  thread count; this makes the growth visible). */
     void profileMemory(sim::Profiler &profiler) const override;
 
     /** The "bfgts" group: gating, skipped similarity updates and the
@@ -256,13 +255,23 @@ class BfgtsManager : public ContentionManager
     {
         pressure_[static_cast<std::size_t>(slotOf(stx))] = value;
     }
-    /** Run the commit-time signature audit on a crafted signature
-     *  (requires services.audit). */
+    /** Run the commit-time signature audit on a crafted Bloom
+     *  filter (Bloom variants; requires services.audit). */
     void
-    testAuditSignature(const TxInfo &tx, const bloom::Signature &sig,
+    testAuditSignature(const TxInfo &tx, const bloom::BloomFilter &sig,
                        const std::vector<mem::Addr> &rw_lines)
     {
-        auditSignature(tx, sig, rw_lines);
+        scratch_ = sig;
+        auditSignature(tx, rw_lines, rw_lines);
+    }
+    /** Run the commit-time signature audit on a crafted perfect
+     *  signature (NoOverhead; requires services.audit). */
+    void
+    testAuditSignature(const TxInfo &tx,
+                       const std::vector<mem::Addr> &lines,
+                       const std::vector<mem::Addr> &rw_lines)
+    {
+        auditSignature(tx, lines, rw_lines);
     }
 
   private:
@@ -277,7 +286,11 @@ class BfgtsManager : public ContentionManager
         double similarity;
         htm::DTxId waitingOn = htm::kNoTx;
         int commitsSinceSimUpdate = 0;
-        std::unique_ptr<bloom::Signature> lastBloom;
+        /** Bloom variants: the filter of the last similarity update;
+         *  empty until the first. */
+        std::optional<bloom::BloomFilter> lastBloom;
+        /** NoOverhead: the lines of the last similarity update. */
+        std::optional<std::vector<mem::Addr>> lastLines;
     };
 
     bool usesHardware() const;
@@ -286,8 +299,26 @@ class BfgtsManager : public ContentionManager
         return config_.variant == BfgtsVariant::NoOverhead;
     }
 
-    /** Make a signature of the configured kind (Bloom or perfect). */
-    std::unique_ptr<bloom::Signature> makeSignature() const;
+    /** True once @p stats holds a signature (lastBloom/lastLines). */
+    static bool
+    hasSignature(const DtxStats &stats)
+    {
+        return stats.lastBloom || stats.lastLines;
+    }
+
+    /**
+     * Eq. 2 size of this commit's signature: the scratch filter's
+     * estimate, or the exact count of @p lines under NoOverhead.
+     */
+    double signatureSize(const std::vector<mem::Addr> &lines) const;
+
+    /**
+     * Eq. 3 overlap of this commit's signature with the one @p stored
+     * holds: exact common lines with @p lines under NoOverhead.
+     * @pre hasSignature(stored).
+     */
+    double overlapWith(const std::vector<mem::Addr> &lines,
+                       const DtxStats &stored) const;
 
     DtxStats &statsFor(htm::DTxId dtx);
     const DtxStats &statsFor(htm::DTxId dtx) const;
@@ -300,12 +331,14 @@ class BfgtsManager : public ContentionManager
                           CmCost cost);
 
     /**
-     * Commit-time audit of the freshly built signature: Eq. 2-4
-     * estimator bounds ("bloom.estimate", "bloom.similarity").
-     * Caller guarantees services_.audit is attached and checking.
+     * Commit-time audit of the freshly built signature (scratch_, or
+     * @p lines under NoOverhead) for the commit of @p rw_lines:
+     * Eq. 2-4 estimator bounds ("bloom.estimate", "bloom.similarity")
+     * and the Bloom layout ("bloom.partition"). Caller guarantees
+     * services_.audit is attached and checking.
      */
     void auditSignature(const TxInfo &tx,
-                        const bloom::Signature &n_bloom,
+                        const std::vector<mem::Addr> &lines,
                         const std::vector<mem::Addr> &rw_lines);
 
     /** Hybrid pressure update. */
@@ -316,8 +349,13 @@ class BfgtsManager : public ContentionManager
 
     BfgtsConfig config_;
     const htm::TxIdSpace &ids_;
-    /** Empty prototype signature, cloned per commit. */
-    std::unique_ptr<bloom::Signature> protoSig_;
+    /**
+     * Bloom variants: the filter each commit fills. A similarity
+     * update swaps it with the dTx's lastBloom, or copies it there at
+     * the dTx's first one, so every stored filter shares its H3
+     * matrix.
+     */
+    bloom::BloomFilter scratch_;
     /** Confidence table, numStaticTx^2, row-major, 0..255. */
     std::vector<double> conf_;
     std::vector<DtxStats> stats_;

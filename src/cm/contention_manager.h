@@ -247,9 +247,10 @@ class ContentionManager
     /**
      * The transaction committed.
      *
-     * @param rw_lines Exact read/write set as line numbers (what the
-     *                 hardware exposes via readCPUBloomFilter(); the
-     *                 CM encodes it into its own signature).
+     * @param rw_lines Exact read/write set as line numbers, ascending
+     *                 and duplicate-free (what the hardware exposes via
+     *                 readCPUBloomFilter(); the CM encodes it into its
+     *                 own signature).
      */
     virtual CmCost onTxCommit(const TxInfo &tx,
                               const std::vector<mem::Addr> &rw_lines)

@@ -1,7 +1,6 @@
 #include "pts.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "sim/logging.h"
 
@@ -11,13 +10,12 @@ PtsManager::PtsManager(int num_cpus, const htm::TxIdSpace &ids,
                        const Services &services,
                        const PtsConfig &config)
     : ContentionManager(num_cpus, services), config_(config),
-      ids_(ids)
+      ids_(ids), proto_(config.bloom)
 {
     const auto n = static_cast<std::size_t>(ids.numDynamicTx());
     graph_.assign(n * (n + 1) / 2, 0.0);
     edgeTouched_.assign(n * (n + 1) / 2, 0);
     stats_.resize(n);
-    spareSig_ = std::make_unique<bloom::BloomSignature>(config_.bloom);
 }
 
 std::size_t
@@ -132,34 +130,31 @@ PtsManager::onTxCommit(const TxInfo &tx,
     stats.avgSize = stats.avgSize == 0.0 ? size
                                          : 0.5 * (stats.avgSize + size);
 
-    // Encode this commit's read/write set in the cleared spare
-    // signature (equal to a fresh empty one).
-    bloom::Signature &sig = *spareSig_;
-    sig.clear();
+    // Encode this commit's read/write set in the dTx's own filter,
+    // refilled in place: the holders checked below are other dTxs.
+    std::optional<bloom::BloomFilter> &sig = stats.lastBloom;
+    if (!sig)
+        sig = proto_;
+    sig->clear();
     for (mem::Addr line : rw_lines)
-        sig.insert(line);
+        sig->insert(line);
     const sim::Cycles words = (config_.bloom.numBits + 63) / 64;
     cost.sched += words * config_.perWordCycle;
 
     // Verify every serialization decision taken this execution.
     for (htm::DTxId waited : stats.waitedOn) {
-        DtxStats &holder = statsFor(waited);
+        sim_assert(waited != tx.dTx, "a dTx never waits on itself");
+        const DtxStats &holder = statsFor(waited);
         if (!holder.lastBloom)
             continue;
         cost.sched += words * config_.perWordCycle;
-        if (sig.intersectsNonEmpty(*holder.lastBloom)) {
+        if (sig->intersectionNonEmpty(*holder.lastBloom)) {
             bumpConfidence(tx.dTx, waited, config_.incVal);
         } else {
             bumpConfidence(tx.dTx, waited, -config_.decVal);
         }
     }
     stats.waitedOn.clear();
-    // The dTx's previous signature becomes the next spare. A dTx's
-    // first commit has none to give back, so the spare is a copy
-    // sharing the H3 matrix; after that a commit allocates nothing.
-    std::swap(stats.lastBloom, spareSig_);
-    if (!spareSig_)
-        spareSig_ = stats.lastBloom->clone();
     return cost;
 }
 

@@ -24,10 +24,10 @@
 #define BFGTS_CM_PTS_H
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <vector>
 
-#include "bloom/signature.h"
+#include "bloom/bloom_filter.h"
 #include "cm/contention_manager.h"
 
 namespace cm {
@@ -98,7 +98,9 @@ class PtsManager : public ContentionManager
     struct DtxStats {
         double avgSize = 0.0;
         std::vector<htm::DTxId> waitedOn;
-        std::unique_ptr<bloom::Signature> lastBloom;
+        /** Filter of the last commit, refilled in place at each
+         *  commit; empty until the first. */
+        std::optional<bloom::BloomFilter> lastBloom;
     };
 
     DtxStats &statsFor(htm::DTxId dtx);
@@ -120,9 +122,9 @@ class PtsManager : public ContentionManager
     std::size_t graphEdges_ = 0;
     /** Per-dTx stats, indexed by TxIdSpace::denseIndex(). */
     std::vector<DtxStats> stats_;
-    /** Signature the next commit clears and fills, then swaps with
-     *  its dTx's lastBloom. */
-    std::unique_ptr<bloom::Signature> spareSig_;
+    /** Empty filter a dTx's lastBloom is copied from at its first
+     *  commit, so every filter shares one H3 matrix. */
+    bloom::BloomFilter proto_;
 };
 
 } // namespace cm

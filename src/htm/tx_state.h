@@ -5,9 +5,9 @@
  * The baseline system is LogTM-like: eager version management (undo
  * log) and eager conflict detection on exact read/write sets held at
  * cache-line granularity ("perfect signature used for conflict
- * detection", Table 2). Contention managers never see these exact
- * sets directly; they work from the Bloom/perfect Signature the
- * runtime captures at commit.
+ * detection", Table 2). Contention managers never see these sets
+ * directly; at commit they get the sorted, unique union and encode it
+ * in their own signatures (Bloom filters, or the lines themselves).
  */
 
 #ifndef BFGTS_HTM_TX_STATE_H

@@ -1,7 +1,6 @@
 #include "simulation.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "sim/host_clock.h"
 #include "sim/json.h"
@@ -12,37 +11,6 @@
 #include "workloads/stamp.h"
 
 namespace runner {
-
-namespace {
-
-/**
- * Lines common to two ascending, duplicate-free line lists (commit
- * sets), counting at most @p limit of them: a merge walk, so no
- * lookup structure is built.
- */
-std::size_t
-commonLines(const std::vector<mem::Addr> &a,
-            const std::vector<mem::Addr> &b,
-            std::size_t limit = std::numeric_limits<std::size_t>::max())
-{
-    std::size_t count = 0;
-    auto i = a.begin();
-    auto j = b.begin();
-    while (i != a.end() && j != b.end() && count < limit) {
-        if (*i < *j) {
-            ++i;
-        } else if (*j < *i) {
-            ++j;
-        } else {
-            ++count;
-            ++i;
-            ++j;
-        }
-    }
-    return count;
-}
-
-} // namespace
 
 Simulation::Simulation(const SimConfig &config)
     : config_(config), rng_(config.seed)
@@ -913,7 +881,8 @@ Simulation::recordSimilarity(Worker &worker,
                         ? size
                         : 0.5 * (track.avgSize + size);
     if (!track.lastSet.empty() && track.avgSize > 0.0) {
-        const std::size_t inter = commonLines(rw_lines, track.lastSet);
+        const std::size_t inter =
+            mem::commonLines(rw_lines, track.lastSet);
         const double sim = std::clamp(
             static_cast<double>(inter) / track.avgSize, 0.0, 1.0);
         siteSim_[static_cast<std::size_t>(
@@ -950,7 +919,8 @@ Simulation::classifyPrediction(const Worker &worker,
     // have committed clean and the stall was wasted (false positive).
     const SimTrack &track = simTrack_[static_cast<std::size_t>(
         ids_->denseIndex(enemy))];
-    const bool overlap = commonLines(rw_lines, track.lastSet, 1) > 0;
+    const bool overlap =
+        mem::commonLines(rw_lines, track.lastSet, 1) > 0;
     if (overlap)
         site.truePositives.inc();
     else

@@ -280,22 +280,9 @@ QualityRecorder::recordEstimate(std::int64_t key,
         return;
 
     // Both sets arrive sorted and unique (the runner canonicalizes
-    // rw_lines before the CM sees them), so the exact intersection
-    // is a linear two-pointer walk.
-    std::uint64_t exact_inter = 0;
-    auto a = rw_lines.begin();
-    auto b = prev->second.begin();
-    while (a != rw_lines.end() && b != prev->second.end()) {
-        if (*a < *b) {
-            ++a;
-        } else if (*b < *a) {
-            ++b;
-        } else {
-            ++exact_inter;
-            ++a;
-            ++b;
-        }
-    }
+    // rw_lines before the CM sees them).
+    const std::size_t exact_inter =
+        mem::commonLines(rw_lines, prev->second);
     data_.eq3Intersection.sample(
         est_inter - static_cast<double>(exact_inter), true_size,
         occupancy);

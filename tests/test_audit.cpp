@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "bloom/signature.h"
+#include "bloom/bloom_filter.h"
 #include "cm/bfgts.h"
 #include "cm/factory.h"
 #include "cpu/predictor.h"
@@ -500,11 +500,8 @@ TEST(AuditBfgts, EstimateFiresOnMisestimatingSignature)
 
     // A perfect signature claiming three lines for a two-line set:
     // Eq. 2 must be exact under NoOverhead.
-    bloom::PerfectSignature sig;
-    sig.insert(1);
-    sig.insert(2);
-    sig.insert(3);
-    manager.testAuditSignature(tx, sig, {1, 2});
+    manager.testAuditSignature(tx, std::vector<mem::Addr>{1, 2, 3},
+                               {1, 2});
     EXPECT_TRUE(engine.fired("bloom.estimate"));
 }
 
@@ -524,10 +521,8 @@ TEST(AuditBfgts, HonestSignaturePassesTheEstimateAudit)
     tx.sTx = 0;
     tx.dTx = ids.make(0, 0);
 
-    bloom::PerfectSignature sig;
-    sig.insert(1);
-    sig.insert(2);
-    manager.testAuditSignature(tx, sig, {1, 2, 2});
+    manager.testAuditSignature(tx, std::vector<mem::Addr>{1, 2},
+                               {1, 2, 2});
     EXPECT_GT(engine.checksRun(), 0u);
     EXPECT_EQ(engine.violationCount(), 0u);
 }
@@ -550,7 +545,7 @@ TEST(AuditBfgts, PartitionFiresOnClearedSignatureBit)
     tx.dTx = ids.make(0, 0);
 
     const std::vector<mem::Addr> rw_lines = {11, 22, 33};
-    bloom::BloomSignature sig(config.bloom);
+    bloom::BloomFilter sig(config.bloom);
     for (const mem::Addr line : rw_lines)
         sig.insert(line);
 
@@ -558,8 +553,8 @@ TEST(AuditBfgts, PartitionFiresOnClearedSignatureBit)
     // membership property of the partitioned layout is now broken and
     // the commit-time audit must say so.
     bloom::BloomFilter::Positions pos{};
-    sig.filter().positions(22, pos);
-    sig.testFilter().testClearBit(pos[1]);
+    sig.positions(22, pos);
+    sig.testClearBit(pos[1]);
     manager.testAuditSignature(tx, sig, rw_lines);
     EXPECT_TRUE(engine.fired("bloom.partition"));
 }
@@ -582,7 +577,7 @@ TEST(AuditBfgts, PartitionedHonestSignaturePasses)
     tx.dTx = ids.make(0, 0);
 
     const std::vector<mem::Addr> rw_lines = {11, 22, 33};
-    bloom::BloomSignature sig(config.bloom);
+    bloom::BloomFilter sig(config.bloom);
     for (const mem::Addr line : rw_lines)
         sig.insert(line);
     manager.testAuditSignature(tx, sig, rw_lines);

@@ -1,14 +1,19 @@
 /**
  * @file
  * Property tests for the paper's Eqs. 2-4: set-size estimation,
- * intersection estimation and similarity from Bloom filters.
+ * intersection estimation and similarity from Bloom filters, checked
+ * against perfect signatures (exact sorted line sets, intersected by
+ * mem::commonLines) where the two meet.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "bloom/estimate.h"
+#include "mem/addr.h"
 #include "sim/random.h"
 
 namespace {
@@ -279,5 +284,65 @@ TEST_P(SimilaritySizeSweep, HalfOverlapMeasuresAboutHalf)
 INSTANTIATE_TEST_SUITE_P(PaperSizes, SimilaritySizeSweep,
                          ::testing::Values(512, 1024, 2048, 4096,
                                            8192));
+
+// ---- perfect signatures: a commit's sorted, unique lines ------------
+
+TEST(PerfectSignature, ExactSizeAndIntersection)
+{
+    std::vector<mem::Addr> a, b;
+    for (mem::Addr line = 0; line < 20; ++line)
+        a.push_back(line);
+    for (mem::Addr line = 10; line < 30; ++line)
+        b.push_back(line);
+    EXPECT_EQ(mem::commonLines(a, b), 10u);
+    EXPECT_EQ(mem::commonLines(b, a), 10u);
+    // The limit turns the count into the is-it-non-empty test.
+    EXPECT_EQ(mem::commonLines(a, b, 1), 1u);
+}
+
+TEST(PerfectSignature, DisjointSetsDoNotIntersect)
+{
+    const std::vector<mem::Addr> odd = {1, 3, 5}, even = {2, 4, 6};
+    EXPECT_EQ(mem::commonLines(odd, even), 0u);
+    EXPECT_EQ(mem::commonLines(odd, even, 1), 0u);
+    EXPECT_EQ(mem::commonLines(odd, {}), 0u);
+}
+
+TEST(SignatureSimilarity, AgreesAcrossImplementations)
+{
+    // The same half-overlapping sets as Bloom filters and as perfect
+    // signatures: the Bloom Eq. 4 estimate must approximate the exact
+    // similarity BFGTS-NoOverhead computes.
+    BloomFilter bloom_new, bloom_old;
+    std::vector<mem::Addr> exact_new, exact_old;
+    sim::Rng rng(21);
+    constexpr int kSize = 60;
+    for (int i = 0; i < kSize; ++i) {
+        const std::uint64_t key = rng.next();
+        const std::uint64_t old_key = i < kSize / 2 ? key : rng.next();
+        bloom_new.insert(key);
+        exact_new.push_back(key);
+        bloom_old.insert(old_key);
+        exact_old.push_back(old_key);
+    }
+    std::sort(exact_new.begin(), exact_new.end());
+    std::sort(exact_old.begin(), exact_old.end());
+    const double exact = bloom::exactSimilarity(
+        static_cast<double>(mem::commonLines(exact_new, exact_old)),
+        kSize);
+    const double approx = bloom::similarity(bloom_new, bloom_old, kSize);
+    EXPECT_NEAR(exact, 0.5, 0.05);
+    EXPECT_NEAR(approx, exact, 0.2);
+}
+
+TEST(SignatureSimilarity, PerfectIdenticalIsOne)
+{
+    std::vector<mem::Addr> a;
+    for (mem::Addr line = 0; line < 25; ++line)
+        a.push_back(line);
+    EXPECT_DOUBLE_EQ(bloom::exactSimilarity(
+                         static_cast<double>(mem::commonLines(a, a)), 25.0),
+                     1.0);
+}
 
 } // namespace

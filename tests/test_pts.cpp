@@ -151,6 +151,9 @@ TEST_F(PtsTest, CommitWeakensDisprovenSerialization)
 {
     const cm::TxInfo a = machine_.tx(0, 0), b = machine_.tx(1, 1);
     commit(b, {1, 2, 3, 4});
+    // a's previous commit overlapped b's set; its filter is refilled
+    // in place, so only the commit below may count.
+    commit(a, {1, 2, 3, 4});
     manager_.onConflictDetected(a, b);
     manager_.onTxStart(b);
     manager_.onTxBegin(a);

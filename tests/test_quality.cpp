@@ -30,6 +30,7 @@
 #include "runner/results.h"
 #include "runner/sweep.h"
 #include "sim/det_hash.h"
+#include "sim/json.h"
 #include "sim/quality.h"
 
 namespace {
@@ -407,6 +408,51 @@ TEST(QualityIntegrationTest, RecordedRunLeavesResultsIdentical)
     EXPECT_GT(data.estimateSamples, 0u);
     EXPECT_GT(data.brierSamples, 0u);
     EXPECT_FALSE(data.pairs.empty());
+}
+
+TEST(QualityIntegrationTest, EstimatorErrorsArePinned)
+{
+    // Intruder 16x4 at 5 tx/thread. Perfect signatures estimate every
+    // Eq. 2-4 value exactly; the Bloom errors under BFGTS-HW are
+    // pinned, so a change to the signature build, the stored
+    // filters or the recorder's exact intersection shows here.
+    runner::RunOptions options;
+    options.txPerThread = 5;
+
+    QualityRecorder exact;
+    runner::runStamp("Intruder", cm::CmKind::BfgtsNoOverhead, options,
+                     nullptr, &exact);
+    for (const QualityRecorder::ErrorStats *stats :
+         {&exact.data().eq2SetSize, &exact.data().eq3Intersection,
+          &exact.data().eq4Similarity}) {
+        EXPECT_GT(stats->count, 0u);
+        EXPECT_EQ(stats->maxAbs, 0.0);
+    }
+
+    QualityRecorder bloom;
+    runner::runStamp("Intruder", cm::CmKind::BfgtsHw, options, nullptr,
+                     &bloom);
+    const QualityRecorder::Data &data = bloom.data();
+    EXPECT_EQ(data.estimateSamples, 4u);
+    const struct {
+        const QualityRecorder::ErrorStats &stats;
+        std::uint64_t count;
+        const char *sumSigned;
+        const char *sumAbs;
+    } cases[] = {
+        {data.eq2SetSize, 4, "0.3859238967884764", "0.3859238967884764"},
+        {data.eq3Intersection, 4, "0.05537879070844731",
+         "0.11024995659269798"},
+        {data.eq4Similarity, 4, "0.005537879070844742",
+         "0.011024995659269787"},
+    };
+    for (const auto &expected : cases) {
+        EXPECT_EQ(expected.stats.count, expected.count);
+        EXPECT_EQ(sim::jsonNumber(expected.stats.sumSigned),
+                  expected.sumSigned);
+        EXPECT_EQ(sim::jsonNumber(expected.stats.sumAbs),
+                  expected.sumAbs);
+    }
 }
 
 TEST(QualityIntegrationTest, LedgerReconcilesWithObsCounters)

@@ -197,6 +197,7 @@ TEST(Sampler, ManagerGaugesArePinned)
          "0"},
         {cm::CmKind::BfgtsHwBackoff, "743.6666666666665", "0",
          "3.020857477768327"},
+        {cm::CmKind::BfgtsNoOverhead, "437.99999999999994", "0", "0"},
         {cm::CmKind::Ats, "0", "0", "2.017383020786517"},
     };
     for (const auto &expected : cases) {
