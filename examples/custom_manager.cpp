@@ -3,17 +3,19 @@
  * Writing your own contention manager.
  *
  * cm::ContentionManager is the other main extension point (next to
- * Workload). Derive from it, implement the begin / start / abort /
- * commit hooks, report your bookkeeping's cycle cost, and call the
- * protected trackStart / trackEnd / trackSerialization helpers from
- * them; the simulator schedules around your decisions and reports
- * the manager's "cm" stats, serializations and CPU-table audit like
- * any built-in one. Override profileMemory, visitStatGroups,
- * sampleGauges or auditCheck to report more. This example builds a
- * deliberately simple manager -- "GreedyLimit" -- that caps the
- * number of concurrently running transactions per static site at a
- * fixed limit, with no learning at all, and compares it against
- * Backoff and BFGTS-HW.
+ * Workload). Derive from it, implement the begin / abort / commit
+ * hooks (and onTxStart, if the manager tracks what runs), report your
+ * bookkeeping's cycle cost, and call the protected trackSerialization
+ * helper for each begin-time serialization. The runner keeps the CPU
+ * Table (Services::cpuTable, already updated when a hook runs) and
+ * the commit and abort counts, schedules around your decisions and
+ * reports the manager's "cm" stats, serializations and CPU-table
+ * audit like any built-in one. Override profileMemory,
+ * visitStatGroups, sampleGauges or auditCheck to report more. This
+ * example builds a deliberately simple manager -- "GreedyLimit" --
+ * that caps the number of concurrently running transactions per
+ * static site at a fixed limit, with no learning at all, and compares
+ * it against Backoff and BFGTS-HW.
  *
  * GreedyLimit is a reasonable straw-man: on benchmarks whose
  * contention is concentrated in one hot site it behaves like a
@@ -35,9 +37,9 @@ namespace {
 class GreedyLimitManager : public cm::ContentionManager
 {
   public:
-    GreedyLimitManager(int num_cpus, int num_sites,
-                       const cm::Services &services, int limit)
-        : ContentionManager(num_cpus, services),
+    GreedyLimitManager(int num_sites, const cm::Services &services,
+                       int limit)
+        : ContentionManager(services),
           running_(static_cast<std::size_t>(num_sites), 0),
           limit_(limit)
     {
@@ -61,14 +63,12 @@ class GreedyLimitManager : public cm::ContentionManager
     void
     onTxStart(const cm::TxInfo &tx) override
     {
-        trackStart(tx);
         ++running_[static_cast<std::size_t>(tx.sTx)];
     }
 
     cm::AbortResponse
     onTxAbort(const cm::TxInfo &tx, const cm::TxInfo &) override
     {
-        trackEnd(tx, false);
         --running_[static_cast<std::size_t>(tx.sTx)];
         cm::AbortResponse resp;
         resp.backoff = services_.rng->below(600);
@@ -79,7 +79,6 @@ class GreedyLimitManager : public cm::ContentionManager
     onTxCommit(const cm::TxInfo &tx,
                const std::vector<mem::Addr> &) override
     {
-        trackEnd(tx, true);
         --running_[static_cast<std::size_t>(tx.sTx)];
         return cm::CmCost{.sched = 4, .kernel = 0};
     }
@@ -121,10 +120,10 @@ main(int argc, char **argv)
             runner::makeConfig(benchmark, cm::CmKind::Backoff,
                                options);
         config.managerFactory =
-            [limit](int num_cpus, const htm::TxIdSpace &ids,
+            [limit](const htm::TxIdSpace &ids,
                     const cm::Services &services) {
                 return std::make_unique<GreedyLimitManager>(
-                    num_cpus, ids.numStaticTx(), services, limit);
+                    ids.numStaticTx(), services, limit);
             };
         runner::Simulation simulation(config);
         const runner::SimResults r = simulation.run();

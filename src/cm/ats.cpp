@@ -10,10 +10,9 @@
 
 namespace cm {
 
-AtsManager::AtsManager(int num_cpus, int num_static_tx,
-                       const Services &services,
+AtsManager::AtsManager(int num_static_tx, const Services &services,
                        const AtsConfig &config)
-    : ContentionManager(num_cpus, services), config_(config),
+    : ContentionManager(services), config_(config),
       threshold_(config.threshold),
       pressure_(static_cast<std::size_t>(num_static_tx), 0.0)
 {
@@ -121,7 +120,6 @@ AbortResponse
 AtsManager::onTxAbort(const TxInfo &tx, const TxInfo &other)
 {
     (void)other;
-    trackEnd(tx, false);
     updatePressure(tx.sTx, true);
 
     AbortResponse resp;
@@ -139,7 +137,6 @@ AtsManager::onTxCommit(const TxInfo &tx,
                        const std::vector<mem::Addr> &rw_lines)
 {
     (void)rw_lines;
-    trackEnd(tx, true);
     updatePressure(tx.sTx, false);
     if (config_.dynamicThreshold)
         tuneThreshold();

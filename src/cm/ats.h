@@ -62,13 +62,12 @@ struct AtsConfig {
 class AtsManager : public ContentionManager
 {
   public:
-    AtsManager(int num_cpus, int num_static_tx,
-               const Services &services, const AtsConfig &config = {});
+    AtsManager(int num_static_tx, const Services &services,
+               const AtsConfig &config = {});
 
     std::string name() const override { return "ATS"; }
 
     BeginDecision onTxBegin(const TxInfo &tx) override;
-    void onTxStart(const TxInfo &tx) override { trackStart(tx); }
     CmCost onConflictDetected(const TxInfo &tx,
                               const TxInfo &other) override;
     AbortResponse onTxAbort(const TxInfo &tx,

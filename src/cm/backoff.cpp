@@ -10,7 +10,6 @@ AbortResponse
 BackoffManager::onTxAbort(const TxInfo &tx, const TxInfo &other)
 {
     (void)other;
-    trackEnd(tx, false);
     int &streak = streakFor(tx.thread);
     streak = std::min(streak + 1, config_.maxExponent);
 

@@ -30,9 +30,9 @@ struct BackoffConfig {
 class BackoffManager : public ContentionManager
 {
   public:
-    BackoffManager(int num_cpus, const Services &services,
-                   const BackoffConfig &config = {})
-        : ContentionManager(num_cpus, services), config_(config)
+    explicit BackoffManager(const Services &services,
+                            const BackoffConfig &config = {})
+        : ContentionManager(services), config_(config)
     {
     }
 
@@ -44,15 +44,12 @@ class BackoffManager : public ContentionManager
         return BeginDecision{}; // always proceed, zero cost
     }
 
-    void onTxStart(const TxInfo &tx) override { trackStart(tx); }
-
     AbortResponse onTxAbort(const TxInfo &tx,
                             const TxInfo &other) override;
 
     CmCost
     onTxCommit(const TxInfo &tx, const std::vector<mem::Addr> &) override
     {
-        trackEnd(tx, true);
         streakFor(tx.thread) = 0;
         return CmCost{};
     }

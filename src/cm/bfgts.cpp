@@ -6,6 +6,7 @@
 
 #include "bloom/estimate.h"
 #include "cpu/predictor.h"
+#include "htm/cpu_table.h"
 #include "sim/audit.h"
 #include "sim/event_queue.h"
 #include "sim/logging.h"
@@ -31,10 +32,10 @@ bfgtsVariantName(BfgtsVariant variant)
     return "BFGTS-?";
 }
 
-BfgtsManager::BfgtsManager(int num_cpus, const htm::TxIdSpace &ids,
+BfgtsManager::BfgtsManager(const htm::TxIdSpace &ids,
                            const Services &services,
                            const BfgtsConfig &config)
-    : ContentionManager(num_cpus, services), config_(config),
+    : ContentionManager(services), config_(config),
       ids_(ids), scratch_(config.bloom)
 {
     const auto slots = static_cast<std::size_t>(numSlots());
@@ -258,13 +259,14 @@ BfgtsManager::onTxBegin(const TxInfo &tx)
         decision.cost.sched += config_.swScanBase;
     else
         decision.cost.sched += 1;
+    const htm::CpuTable &table = *services_.cpuTable;
     std::uint32_t max_conf = 0;
-    for (int cpu = 0; cpu < numCpus(); ++cpu) {
+    for (int cpu = 0; cpu < table.numCpus(); ++cpu) {
         if (cpu == tx.cpu)
             continue;
         if (!noOverhead())
             decision.cost.sched += config_.swScanPerEntry;
-        const htm::DTxId running = runningOn(cpu);
+        const htm::DTxId running = table.runningOn(cpu);
         if (running == htm::kNoTx)
             continue;
         const std::uint32_t conf =
@@ -280,11 +282,10 @@ BfgtsManager::onTxBegin(const TxInfo &tx)
 void
 BfgtsManager::onTxStart(const TxInfo &tx)
 {
-    trackStart(tx);
     if (usesHardware()) {
         sim::ScopedPhase prof_phase(services_.profiler,
                                     sim::Profiler::kPredictor);
-        services_.predictors->broadcastBegin(tx.cpu, tx.dTx);
+        services_.predictors->broadcastBegin(tx.cpu);
     }
 }
 
@@ -314,7 +315,6 @@ BfgtsManager::onConflictDetected(const TxInfo &tx, const TxInfo &other)
 AbortResponse
 BfgtsManager::onTxAbort(const TxInfo &tx, const TxInfo &other)
 {
-    trackEnd(tx, false);
     if (usesHardware()) {
         sim::ScopedPhase prof_phase(services_.profiler,
                                     sim::Profiler::kPredictor);
@@ -357,6 +357,10 @@ BfgtsManager::profileMemory(sim::Profiler &profiler) const
     }
     profiler.recordBytes(sim::Profiler::kBloomSignatures,
                          signature_bytes);
+    if (usesHardware()) {
+        profiler.recordBytes(sim::Profiler::kPredictorCaches,
+                             services_.predictors->memoryFootprintBytes());
+    }
 }
 
 void
@@ -456,15 +460,6 @@ BfgtsManager::auditCheck(sim::AuditEngine &audit, sim::Tick tick) const
                     },
                     tick);
     }
-    if (usesHardware()) {
-        // The snooped hardware CPU Table mirrors the software view
-        // the broadcasts are generated from.
-        std::vector<htm::DTxId> expected(
-            static_cast<std::size_t>(numCpus()));
-        for (int cpu = 0; cpu < numCpus(); ++cpu)
-            expected[static_cast<std::size_t>(cpu)] = runningOn(cpu);
-        services_.predictors->auditCheck(audit, expected, tick);
-    }
 }
 
 void
@@ -556,7 +551,6 @@ CmCost
 BfgtsManager::onTxCommit(const TxInfo &tx,
                          const std::vector<mem::Addr> &rw_lines)
 {
-    trackEnd(tx, true);
     if (usesHardware()) {
         sim::ScopedPhase prof_phase(services_.profiler,
                                     sim::Profiler::kPredictor);

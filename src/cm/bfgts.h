@@ -149,14 +149,12 @@ class BfgtsManager : public ContentionManager
 {
   public:
     /**
-     * @param num_cpus  CPUs in the system.
      * @param ids       dTxID encode/decode shared with the runner.
-     * @param services  Scheduler/RNG/predictors. Hw and HwBackoff
-     *                  require services.predictors.
+     * @param services  CPU Table/scheduler/RNG/predictors. Hw and
+     *                  HwBackoff require services.predictors.
      * @param config    Variant and tunables.
      */
-    BfgtsManager(int num_cpus, const htm::TxIdSpace &ids,
-                 const Services &services,
+    BfgtsManager(const htm::TxIdSpace &ids, const Services &services,
                  const BfgtsConfig &config = {});
 
     std::string name() const override;
@@ -205,16 +203,15 @@ class BfgtsManager : public ContentionManager
      *  - cm.stats:        average footprints are non-negative and a
      *    recorded serialization target is a valid dTxID slot;
      *  - cm.pressure:     hybrid conflict-pressure EWMAs stay in
-     *    [0,1];
-     *  - predictor.cputable (Hw and HwBackoff): the snooped hardware
-     *    CPU Table mirrors this manager's software view.
+     *    [0,1].
      */
     void auditCheck(sim::AuditEngine &audit,
                     sim::Tick tick) const override;
 
-    /** Host-profiler byte gauges: confidence/pressure tables plus
-     *  the stored per-dTxID signatures (both grow with sTxID^2 and
-     *  thread count; this makes the growth visible). */
+    /** Host-profiler byte gauges: confidence/pressure tables, the
+     *  stored per-dTxID signatures (both grow with sTxID^2 and thread
+     *  count; this makes the growth visible) and, for Hw and
+     *  HwBackoff, the predictor caches. */
     void profileMemory(sim::Profiler &profiler) const override;
 
     /** The "bfgts" group: gating, skipped similarity updates and the

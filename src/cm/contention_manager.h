@@ -10,13 +10,12 @@
  * cycles, because the paper's evaluation (Fig. 5) is largely a story
  * about who pays how much overhead where.
  *
- * The class also keeps what every manager wants: the software view
- * of the CPU Table -- which dTxID is running on each CPU -- that PTS
- * and BFGTS-SW scan at begin time, and the commit, abort and
- * serialization counters. Services gives a CM controlled access to
- * the simulated machine: the OS scheduler (to wake blocked threads),
- * the RNG (for randomized backoff) and the hardware predictor system
- * (BFGTS-HW only).
+ * The class also keeps the serialization counter and edges every
+ * manager reports. Services gives a CM controlled access to the
+ * simulated machine: the CPU Table the runner keeps (which dTxID runs
+ * on each CPU, scanned at begin time by PTS and BFGTS-SW), the OS
+ * scheduler (to wake blocked threads), the RNG (for randomized
+ * backoff) and the hardware predictor system (BFGTS-HW only).
  *
  * Implementations: BackoffManager (reactive baseline), AtsManager
  * (Yoo & Lee), PtsManager (Blake et al., MICRO'09), BfgtsManager
@@ -27,7 +26,6 @@
 #ifndef BFGTS_CM_CONTENTION_MANAGER_H
 #define BFGTS_CM_CONTENTION_MANAGER_H
 
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -41,6 +39,9 @@
 #include "sim/stats.h"
 #include "sim/types.h"
 
+namespace htm {
+class CpuTable;
+}
 namespace os {
 class OsScheduler;
 }
@@ -59,9 +60,12 @@ namespace cm {
 
 /** Simulated-machine services a CM may use. */
 struct Services {
+    /** Which dTxID runs on each CPU; the runner writes it just before
+     *  onTxStart(), onTxAbort() and onTxCommit(). */
+    const htm::CpuTable *cpuTable = nullptr;
     os::OsScheduler *scheduler = nullptr;
     sim::Rng *rng = nullptr;
-    /** Only wired for BFGTS-HW / BFGTS-HW/Backoff. */
+    /** The BFGTS hardware accelerator; only the HW variants use it. */
     cpu::PredictorSystem *predictors = nullptr;
     /** Simulated clock, for throughput-based self-tuning. */
     const sim::EventQueue *events = nullptr;
@@ -169,23 +173,21 @@ struct AbortResponse {
 };
 
 /**
- * A contention manager: the lifecycle hooks, the per-CPU
- * running-transaction table and the counters.
+ * A contention manager: the lifecycle hooks and the serialization
+ * bookkeeping.
  *
  * A manager implements the pure hooks and calls the protected
- * track*() helpers from them: trackStart() from onTxStart(),
- * trackEnd() from onTxAbort()/onTxCommit(), trackSerialization() for
- * each begin-time serialization. The runner reports on every manager
- * the same way: the "cm" stats group from the counters, then the
- * four report hooks, whose defaults report nothing.
+ * trackSerialization() for each begin-time serialization. It keeps no
+ * CPU Table and no commit or abort count: the runner owns both and
+ * has updated the table (Services::cpuTable) by the time a hook runs.
+ * The runner reports on every manager the same way: the "cm" stats
+ * group, then the four report hooks, whose defaults report nothing.
  */
 class ContentionManager
 {
   public:
-    ContentionManager(int num_cpus, const Services &services)
-        : services_(services),
-          runningByCpu_(static_cast<std::size_t>(num_cpus), htm::kNoTx),
-          runningMask_((static_cast<std::size_t>(num_cpus) + 63) / 64, 0)
+    explicit ContentionManager(const Services &services)
+        : services_(services)
     {
     }
 
@@ -203,8 +205,13 @@ class ContentionManager
      */
     virtual BeginDecision onTxBegin(const TxInfo &tx) = 0;
 
-    /** The transaction passed its begin decision and is now running. */
-    virtual void onTxStart(const TxInfo &tx) = 0;
+    /** The transaction passed its begin decision and is now running.
+     *  The default does nothing. */
+    virtual void
+    onTxStart(const TxInfo &tx)
+    {
+        (void)tx;
+    }
 
     /**
      * Arbitrate a detected conflict (called once per conflicting
@@ -300,45 +307,8 @@ class ContentionManager
         (void)tick;
     }
 
-    // ---- shared bookkeeping
+    // ---- serialization bookkeeping
 
-    /** dTxID running on @p cpu, or kNoTx. */
-    htm::DTxId
-    runningOn(sim::CpuId cpu) const
-    {
-        return runningByCpu_[static_cast<std::size_t>(cpu)];
-    }
-
-    int
-    numCpus() const
-    {
-        return static_cast<int>(runningByCpu_.size());
-    }
-
-    /**
-     * First CPU at or after @p cpu that runs a transaction, or
-     * numCpus() when none does. Walks a bit per CPU, so a scan of the
-     * running CPUs in CPU order costs their number, not numCpus().
-     */
-    sim::CpuId
-    nextRunning(sim::CpuId cpu) const
-    {
-        auto index = static_cast<std::size_t>(cpu);
-        for (std::size_t word = index / 64; word < runningMask_.size();
-             ++word, index = word * 64) {
-            const std::uint64_t bits =
-                runningMask_[word] & (~0ULL << (index % 64));
-            if (bits != 0) {
-                return static_cast<sim::CpuId>(
-                    word * 64
-                    + static_cast<unsigned>(std::countr_zero(bits)));
-            }
-        }
-        return numCpus();
-    }
-
-    const sim::Counter &commits() const { return commits_; }
-    const sim::Counter &aborts() const { return aborts_; }
     const sim::Counter &serializations() const { return serializations_; }
 
     /**
@@ -356,25 +326,6 @@ class ContentionManager
     }
 
   protected:
-    /** Record that @p tx started running (call from onTxStart). */
-    void
-    trackStart(const TxInfo &tx)
-    {
-        setRunning(tx.cpu, tx.dTx);
-    }
-
-    /** Record that @p tx stopped (call from onTxAbort/onTxCommit). */
-    void
-    trackEnd(const TxInfo &tx, bool committed)
-    {
-        if (runningOn(tx.cpu) == tx.dTx)
-            setRunning(tx.cpu, htm::kNoTx);
-        if (committed)
-            commits_.inc();
-        else
-            aborts_.inc();
-    }
-
     /** Count a begin-time serialization decision and attribute the
      *  (winner, victim) site edge; kUnknownSite when the CM has no
      *  specific enemy (token-based schemes). */
@@ -388,24 +339,6 @@ class ContentionManager
     Services services_;
 
   private:
-    /** Set @p cpu's running dTxID and its bit in runningMask_. */
-    void
-    setRunning(sim::CpuId cpu, htm::DTxId dtx)
-    {
-        const auto index = static_cast<std::size_t>(cpu);
-        runningByCpu_[index] = dtx;
-        const std::uint64_t bit = 1ULL << (index % 64);
-        if (dtx != htm::kNoTx)
-            runningMask_[index / 64] |= bit;
-        else
-            runningMask_[index / 64] &= ~bit;
-    }
-
-    std::vector<htm::DTxId> runningByCpu_;
-    /** Bit per CPU: set while runningByCpu_ names a dTxID there. */
-    std::vector<std::uint64_t> runningMask_;
-    sim::Counter commits_;
-    sim::Counter aborts_;
     sim::Counter serializations_;
     std::map<std::pair<int, int>, std::uint64_t> serializationEdges_;
 };

@@ -73,24 +73,21 @@ isBfgts(CmKind kind)
 }
 
 std::unique_ptr<ContentionManager>
-makeManager(CmKind kind, int num_cpus, const htm::TxIdSpace &ids,
+makeManager(CmKind kind, const htm::TxIdSpace &ids,
             const Services &services, const CmTuning &tuning)
 {
     switch (kind) {
       case CmKind::Backoff:
-        return std::make_unique<BackoffManager>(num_cpus, services,
-                                                tuning.backoff);
+        return std::make_unique<BackoffManager>(services, tuning.backoff);
       case CmKind::Timestamp:
-        return std::make_unique<TimestampManager>(num_cpus, services);
+        return std::make_unique<TimestampManager>(services);
       case CmKind::Polka:
-        return std::make_unique<PolkaManager>(num_cpus, services);
+        return std::make_unique<PolkaManager>(services);
       case CmKind::Ats:
-        return std::make_unique<AtsManager>(num_cpus,
-                                            ids.numStaticTx(),
-                                            services, tuning.ats);
+        return std::make_unique<AtsManager>(ids.numStaticTx(), services,
+                                            tuning.ats);
       case CmKind::Pts:
-        return std::make_unique<PtsManager>(num_cpus, ids, services,
-                                            tuning.pts);
+        return std::make_unique<PtsManager>(ids, services, tuning.pts);
       case CmKind::BfgtsSw:
       case CmKind::BfgtsHw:
       case CmKind::BfgtsHwBackoff:
@@ -110,8 +107,7 @@ makeManager(CmKind kind, int num_cpus, const htm::TxIdSpace &ids,
             config.variant = BfgtsVariant::NoOverhead;
             break;
         }
-        return std::make_unique<BfgtsManager>(num_cpus, ids, services,
-                                              config);
+        return std::make_unique<BfgtsManager>(ids, services, config);
       }
     }
     sim_panic("unhandled CmKind");

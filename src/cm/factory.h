@@ -67,14 +67,13 @@ struct CmTuning {
  * Build a contention manager.
  *
  * @param kind     Which manager.
- * @param num_cpus CPUs in the system.
  * @param ids      Transaction ID space of the program under test.
- * @param services Scheduler/RNG/predictors (predictors required for
- *                 the HW variants).
+ * @param services CPU Table/scheduler/RNG/predictors (predictors
+ *                 required for the HW variants).
  * @param tuning   Tunables (defaults are the paper's settings).
  */
 std::unique_ptr<ContentionManager>
-makeManager(CmKind kind, int num_cpus, const htm::TxIdSpace &ids,
+makeManager(CmKind kind, const htm::TxIdSpace &ids,
             const Services &services, const CmTuning &tuning = {});
 
 } // namespace cm

@@ -2,19 +2,19 @@
 
 #include <algorithm>
 
+#include "htm/cpu_table.h"
 #include "sim/logging.h"
+#include "sim/profiler.h"
 
 namespace cm {
 
-PtsManager::PtsManager(int num_cpus, const htm::TxIdSpace &ids,
-                       const Services &services,
-                       const PtsConfig &config)
-    : ContentionManager(num_cpus, services), config_(config),
+PtsManager::PtsManager(const htm::TxIdSpace &ids,
+                       const Services &services, const PtsConfig &config)
+    : ContentionManager(services), config_(config),
       ids_(ids), proto_(config.bloom)
 {
     const auto n = static_cast<std::size_t>(ids.numDynamicTx());
     graph_.assign(n * (n + 1) / 2, 0.0);
-    edgeTouched_.assign(n * (n + 1) / 2, 0);
     stats_.resize(n);
 }
 
@@ -37,14 +37,7 @@ PtsManager::confidence(htm::DTxId a, htm::DTxId b) const
 void
 PtsManager::bumpConfidence(htm::DTxId a, htm::DTxId b, double delta)
 {
-    const std::size_t index = edgeIndex(a, b);
-    // Count first-touch like the old hash map counted entries: an
-    // edge stays materialized even when later decayed back to zero.
-    if (!edgeTouched_[index]) {
-        edgeTouched_[index] = 1;
-        ++graphEdges_;
-    }
-    double &conf = graph_[index];
+    double &conf = graph_[edgeIndex(a, b)];
     conf = std::clamp(conf + delta, 0.0, 255.0);
 }
 
@@ -61,32 +54,33 @@ PtsManager::onTxBegin(const TxInfo &tx)
     decision.cost.sched = config_.scanBaseCost;
 
     // Consult the running CPUs in CPU order, paying scanPerEntryCost
-    // for each, until the first edge over the threshold.
+    // for each, until the first edge over the threshold. The edges
+    // before it are at most the threshold, so max_conf is the
+    // triggering edge's confidence when one is found.
+    const htm::CpuTable &table = *services_.cpuTable;
     double max_conf = 0.0;
-    for (sim::CpuId cpu = nextRunning(0); cpu < numCpus();
-         cpu = nextRunning(cpu + 1)) {
-        if (cpu == tx.cpu)
-            continue;
-        const htm::DTxId running = runningOn(cpu);
-        decision.cost.sched += config_.scanPerEntryCost;
-        const double conf = confidence(tx.dTx, running);
-        max_conf = std::max(max_conf, conf);
-        if (conf > static_cast<double>(config_.confThreshold)) {
-            trackSerialization(ids_.staticOf(running), tx.sTx);
-            // Decay the consulted edge so repeated serializations
-            // eventually let the pair run concurrently again.
-            bumpConfidence(tx.dTx, running, -config_.suspendDecay);
-            statsFor(tx.dTx).waitedOn.push_back(running);
-            decision.waitOn = running;
-            decision.confidence = std::clamp(conf / 255.0, 0.0, 1.0);
-            decision.action =
-                statsFor(running).avgSize >= config_.smallTxLines
-                    ? BeginAction::YieldOn
-                    : BeginAction::StallOn;
-            return decision;
-        }
-    }
+    const sim::CpuId cpu = table.findRunning(
+        [&](sim::CpuId other, htm::DTxId running) {
+            if (other == tx.cpu)
+                return false;
+            decision.cost.sched += config_.scanPerEntryCost;
+            const double conf = confidence(tx.dTx, running);
+            max_conf = std::max(max_conf, conf);
+            return conf > static_cast<double>(config_.confThreshold);
+        });
     decision.confidence = std::clamp(max_conf / 255.0, 0.0, 1.0);
+    if (cpu == table.numCpus())
+        return decision;
+    const htm::DTxId running = table.runningOn(cpu);
+    trackSerialization(ids_.staticOf(running), tx.sTx);
+    // Decay the consulted edge so repeated serializations eventually
+    // let the pair run concurrently again.
+    bumpConfidence(tx.dTx, running, -config_.suspendDecay);
+    statsFor(tx.dTx).waitedOn.push_back(running);
+    decision.waitOn = running;
+    decision.action = statsFor(running).avgSize >= config_.smallTxLines
+                          ? BeginAction::YieldOn
+                          : BeginAction::StallOn;
     return decision;
 }
 
@@ -101,10 +95,8 @@ PtsManager::onConflictDetected(const TxInfo &tx, const TxInfo &other)
 }
 
 AbortResponse
-PtsManager::onTxAbort(const TxInfo &tx, const TxInfo &other)
+PtsManager::onTxAbort(const TxInfo &, const TxInfo &)
 {
-    (void)other;
-    trackEnd(tx, false);
     AbortResponse resp;
     // The edge was strengthened at conflict detection; the abort
     // only pays bookkeeping.
@@ -121,7 +113,6 @@ CmCost
 PtsManager::onTxCommit(const TxInfo &tx,
                        const std::vector<mem::Addr> &rw_lines)
 {
-    trackEnd(tx, true);
     CmCost cost;
     cost.sched = config_.commitBaseCost;
 
@@ -156,6 +147,24 @@ PtsManager::onTxCommit(const TxInfo &tx,
     }
     stats.waitedOn.clear();
     return cost;
+}
+
+void
+PtsManager::profileMemory(sim::Profiler &profiler) const
+{
+    profiler.recordBytes(sim::Profiler::kConfidenceTables,
+                         graph_.size() * sizeof(double));
+    // Stored signatures: a filter and its words per committed dTx.
+    std::uint64_t signature_bytes = 0;
+    for (const DtxStats &stats : stats_) {
+        if (stats.lastBloom) {
+            signature_bytes +=
+                sizeof(bloom::BloomFilter)
+                + stats.lastBloom->words().size() * sizeof(std::uint64_t);
+        }
+    }
+    profiler.recordBytes(sim::Profiler::kBloomSignatures,
+                         signature_bytes);
 }
 
 } // namespace cm

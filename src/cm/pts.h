@@ -66,13 +66,12 @@ struct PtsConfig {
 class PtsManager : public ContentionManager
 {
   public:
-    PtsManager(int num_cpus, const htm::TxIdSpace &ids,
-               const Services &services, const PtsConfig &config = {});
+    PtsManager(const htm::TxIdSpace &ids, const Services &services,
+               const PtsConfig &config = {});
 
     std::string name() const override { return "PTS"; }
 
     BeginDecision onTxBegin(const TxInfo &tx) override;
-    void onTxStart(const TxInfo &tx) override { trackStart(tx); }
     CmCost onConflictDetected(const TxInfo &tx,
                               const TxInfo &other) override;
     AbortResponse onTxAbort(const TxInfo &tx,
@@ -83,8 +82,9 @@ class PtsManager : public ContentionManager
     /** Edge confidence between two dTxIDs (tests). */
     double confidence(htm::DTxId a, htm::DTxId b) const;
 
-    /** Number of edges materialized in the graph (size accounting). */
-    std::size_t graphEdges() const { return graphEdges_; }
+    /** Host-profiler byte gauges: the conflict graph and the stored
+     *  per-dTxID Bloom filters. */
+    void profileMemory(sim::Profiler &profiler) const override;
 
   private:
     /**
@@ -117,9 +117,6 @@ class PtsManager : public ContentionManager
      * axis (ROADMAP item 2).
      */
     std::vector<double> graph_;
-    /** Which edges have ever been written (edge-count accounting). */
-    std::vector<std::uint8_t> edgeTouched_;
-    std::size_t graphEdges_ = 0;
     /** Per-dTx stats, indexed by TxIdSpace::denseIndex(). */
     std::vector<DtxStats> stats_;
     /** Empty filter a dTx's lastBloom is copied from at its first

@@ -7,10 +7,8 @@
 namespace cm {
 
 AbortResponse
-TimestampManager::onTxAbort(const TxInfo &tx, const TxInfo &other)
+TimestampManager::onTxAbort(const TxInfo &, const TxInfo &)
 {
-    (void)other;
-    trackEnd(tx, false);
     AbortResponse resp;
     sim_assert(services_.rng != nullptr);
     resp.backoff = services_.rng->below(
@@ -19,10 +17,8 @@ TimestampManager::onTxAbort(const TxInfo &tx, const TxInfo &other)
 }
 
 AbortResponse
-PolkaManager::onTxAbort(const TxInfo &tx, const TxInfo &other)
+PolkaManager::onTxAbort(const TxInfo &, const TxInfo &)
 {
-    (void)other;
-    trackEnd(tx, false);
     AbortResponse resp;
     sim_assert(services_.rng != nullptr);
     resp.backoff = services_.rng->below(

@@ -46,9 +46,9 @@ class TimestampManager : public ContentionManager
   public:
     using Config = TimestampConfig;
 
-    TimestampManager(int num_cpus, const Services &services,
-                     const Config &config = {})
-        : ContentionManager(num_cpus, services), config_(config)
+    explicit TimestampManager(const Services &services,
+                              const Config &config = {})
+        : ContentionManager(services), config_(config)
     {
     }
 
@@ -59,8 +59,6 @@ class TimestampManager : public ContentionManager
     {
         return BeginDecision{};
     }
-
-    void onTxStart(const TxInfo &tx) override { trackStart(tx); }
 
     ConflictArbitration
     arbitrate(const ArbitrationContext &context) override
@@ -78,9 +76,8 @@ class TimestampManager : public ContentionManager
                             const TxInfo &other) override;
 
     CmCost
-    onTxCommit(const TxInfo &tx, const std::vector<mem::Addr> &) override
+    onTxCommit(const TxInfo &, const std::vector<mem::Addr> &) override
     {
-        trackEnd(tx, true);
         return CmCost{};
     }
 
@@ -104,9 +101,9 @@ class PolkaManager : public ContentionManager
   public:
     using Config = PolkaConfig;
 
-    PolkaManager(int num_cpus, const Services &services,
-                 const Config &config = {})
-        : ContentionManager(num_cpus, services), config_(config)
+    explicit PolkaManager(const Services &services,
+                          const Config &config = {})
+        : ContentionManager(services), config_(config)
     {
     }
 
@@ -117,8 +114,6 @@ class PolkaManager : public ContentionManager
     {
         return BeginDecision{};
     }
-
-    void onTxStart(const TxInfo &tx) override { trackStart(tx); }
 
     ConflictArbitration
     arbitrate(const ArbitrationContext &context) override
@@ -141,9 +136,8 @@ class PolkaManager : public ContentionManager
                             const TxInfo &other) override;
 
     CmCost
-    onTxCommit(const TxInfo &tx, const std::vector<mem::Addr> &) override
+    onTxCommit(const TxInfo &, const std::vector<mem::Addr> &) override
     {
-        trackEnd(tx, true);
         return CmCost{};
     }
 

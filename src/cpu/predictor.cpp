@@ -1,57 +1,35 @@
 #include "predictor.h"
 
 #include <algorithm>
-#include <bit>
-#include <string>
 
-#include "sim/audit.h"
 #include "sim/logging.h"
 
 namespace cpu {
 
-PredictorSystem::PredictorSystem(int num_cpus,
+PredictorSystem::PredictorSystem(const htm::CpuTable &table,
                                  const htm::TxIdSpace &ids,
                                  const PredictorConfig &config)
-    : numCpus_(num_cpus), ids_(ids), config_(config)
+    : table_(table), ids_(ids), config_(config)
 {
-    sim_assert(num_cpus >= 1);
-    const auto cpus = static_cast<std::size_t>(num_cpus);
-    cpuTable_.assign(cpus, htm::kNoTx);
-    runningMask_.assign((cpus + 63) / 64, 0);
     const htm::STxId last = ids_.numStaticTx() - 1;
     lineWrites_.assign(tableLine(last, last) + 1, 0);
-    units_.assign(cpus, Unit{mem::Cache(config.confCache),
-                             std::vector<std::uint64_t>(
-                                 lineWrites_.size(), 0),
-                             0});
+    units_.assign(static_cast<std::size_t>(numCpus()),
+                  Unit{mem::Cache(config.confCache),
+                       std::vector<std::uint64_t>(lineWrites_.size(), 0),
+                       0});
 }
 
 void
-PredictorSystem::setRunning(sim::CpuId cpu, bool running)
+PredictorSystem::broadcastBegin(sim::CpuId cpu)
 {
-    const auto index = static_cast<std::size_t>(cpu);
-    const std::uint64_t bit = 1ULL << (index % 64);
-    if (running)
-        runningMask_[index / 64] |= bit;
-    else
-        runningMask_[index / 64] &= ~bit;
-}
-
-void
-PredictorSystem::broadcastBegin(sim::CpuId cpu, htm::DTxId dtx)
-{
-    sim_assert(cpu >= 0 && cpu < numCpus_);
-    cpuTable_[static_cast<std::size_t>(cpu)] = dtx;
-    setRunning(cpu, dtx != htm::kNoTx);
+    sim_assert(cpu >= 0 && cpu < numCpus());
     cpuTableUpdates_.inc();
 }
 
 void
 PredictorSystem::broadcastEnd(sim::CpuId cpu)
 {
-    sim_assert(cpu >= 0 && cpu < numCpus_);
-    cpuTable_[static_cast<std::size_t>(cpu)] = htm::kNoTx;
-    setRunning(cpu, false);
+    sim_assert(cpu >= 0 && cpu < numCpus());
     cpuTableUpdates_.inc();
 }
 
@@ -115,7 +93,8 @@ PredictorSystem::predict(sim::CpuId self, htm::STxId stx,
                          const ConfidenceFn &read_conf,
                          std::uint32_t threshold)
 {
-    sim_assert(self >= 0 && self < numCpus_);
+    const int num_cpus = numCpus();
+    sim_assert(self >= 0 && self < num_cpus);
     predictions_.inc();
 
     PredictResult result;
@@ -125,15 +104,10 @@ PredictorSystem::predict(sim::CpuId self, htm::STxId stx,
     // order, paying perEntryCost for each, until the first predicted
     // conflict. Only running entries need a lookup; the scan cost is
     // charged once the number of entries scanned is known.
-    for (std::size_t word = 0; word < runningMask_.size(); ++word) {
-        for (std::uint64_t bits = runningMask_[word]; bits != 0;
-             bits &= bits - 1) {
-            const auto remote = static_cast<sim::CpuId>(
-                word * 64 + static_cast<unsigned>(std::countr_zero(bits)));
-            if (remote == self)
-                continue;
-            const htm::DTxId running =
-                cpuTable_[static_cast<std::size_t>(remote)];
+    const sim::CpuId remote = table_.findRunning(
+        [&](sim::CpuId cpu, htm::DTxId running) {
+            if (cpu == self)
+                return false;
             // confidx = CPUTable[i] >> shift_value (paper Example 1).
             const htm::STxId confidx = ids_.staticOf(running);
             result.latency += lookup(self, stx, confidx)
@@ -141,62 +115,34 @@ PredictorSystem::predict(sim::CpuId self, htm::STxId stx,
                                   : config_.missLatency;
             const std::uint32_t conf = read_conf(stx, confidx);
             result.maxConfidence = std::max(result.maxConfidence, conf);
-            if (conf > threshold) {
-                // Entries 0..remote were scanned, except self's own.
-                const auto scanned = static_cast<sim::Cycles>(
-                    remote + (self > remote ? 1 : 0));
-                result.latency += scanned * config_.perEntryCost;
-                result.conflictPredicted = true;
-                result.waitOn = running;
-                conflictsPredicted_.inc();
-                return result;
-            }
-        }
+            return conf > threshold;
+        });
+    if (remote == num_cpus) {
+        result.latency +=
+            static_cast<sim::Cycles>(num_cpus - 1) * config_.perEntryCost;
+        return result;
     }
-    result.latency +=
-        static_cast<sim::Cycles>(numCpus_ - 1) * config_.perEntryCost;
+    // Entries 0..remote were scanned, except self's own.
+    const auto scanned =
+        static_cast<sim::Cycles>(remote + (self > remote ? 1 : 0));
+    result.latency += scanned * config_.perEntryCost;
+    result.conflictPredicted = true;
+    result.waitOn = table_.runningOn(remote);
+    conflictsPredicted_.inc();
     return result;
-}
-
-htm::DTxId
-PredictorSystem::cpuTableEntry(sim::CpuId owner) const
-{
-    sim_assert(owner >= 0 && owner < numCpus_);
-    return cpuTable_[static_cast<std::size_t>(owner)];
-}
-
-void
-PredictorSystem::auditCheck(sim::AuditEngine &audit,
-                            const std::vector<htm::DTxId> &expected,
-                            sim::Tick tick) const
-{
-    sim_assert(expected.size() == static_cast<std::size_t>(numCpus_));
-    for (int owner = 0; owner < numCpus_; ++owner) {
-        const htm::DTxId truth =
-            expected[static_cast<std::size_t>(owner)];
-        audit.check(cpuTable_[static_cast<std::size_t>(owner)] == truth,
-                    "predictor.cputable",
-                    [owner] {
-                        return "CPU Table disagrees with the running "
-                               "dTxID on cpu "
-                             + std::to_string(owner);
-                    },
-                    tick, static_cast<sim::CpuId>(owner),
-                    sim::kNoThread, -1, static_cast<std::int64_t>(truth));
-    }
 }
 
 const mem::Cache &
 PredictorSystem::confCache(sim::CpuId cpu) const
 {
-    sim_assert(cpu >= 0 && cpu < numCpus_);
+    sim_assert(cpu >= 0 && cpu < numCpus());
     return units_[static_cast<std::size_t>(cpu)].cache;
 }
 
 std::uint64_t
 PredictorSystem::refetches(sim::CpuId cpu) const
 {
-    sim_assert(cpu >= 0 && cpu < numCpus_);
+    sim_assert(cpu >= 0 && cpu < numCpus());
     const Unit &unit = units_[static_cast<std::size_t>(cpu)];
     const mem::Addr base = regionBase(cpu);
     std::uint64_t total = unit.settledRefetches;
@@ -213,8 +159,7 @@ PredictorSystem::memoryFootprintBytes() const
     const std::uint64_t per_cpu =
         config_.confCache.sizeBytes
         + lineWrites_.size() * sizeof(std::uint64_t);
-    return cpuTable_.size() * sizeof(htm::DTxId)
-         + lineWrites_.size() * sizeof(std::uint64_t)
+    return lineWrites_.size() * sizeof(std::uint64_t)
          + units_.size() * per_cpu;
 }
 

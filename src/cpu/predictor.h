@@ -21,8 +21,10 @@
  * The model keeps what is identical by construction only once, so
  * host cost does not grow with the CPU count on the write and
  * broadcast paths:
- *  - the snooped CPU Tables always agree, so there is one shared
- *    table (a broadcast still costs what the cycle model charges);
+ *  - the snooped CPU Tables always agree with the runner's
+ *    htm::CpuTable, so every unit walks that one table, and a
+ *    broadcast only counts the update (the cycle model charges
+ *    nothing for it);
  *  - a snoop refetch leaves the confidence cache's contents unchanged
  *    and matters only for the refetch count. Each table line counts
  *    its writes; a CPU records that count when it installs the line
@@ -39,14 +41,11 @@
 #include <functional>
 #include <vector>
 
+#include "htm/cpu_table.h"
 #include "htm/tx_id.h"
 #include "mem/cache.h"
 #include "sim/stats.h"
 #include "sim/types.h"
-
-namespace sim {
-class AuditEngine;
-}
 
 namespace cpu {
 
@@ -87,25 +86,24 @@ using ConfidenceFn =
     std::function<std::uint32_t(htm::STxId row, htm::STxId col)>;
 
 /**
- * The per-CPU predictor units plus the snooping interconnect glue
- * that keeps their CPU Tables coherent.
+ * The per-CPU predictor units. Each walks the one CPU Table the
+ * snooped broadcasts would keep coherent (see the file comment).
  */
 class PredictorSystem
 {
   public:
     /**
-     * @param num_cpus      CPUs in the system (one predictor each).
+     * @param table         The CPU Table every unit snoops (one
+     *                      predictor per CPU). Must outlive this.
      * @param ids           dTxID encode/decode (provides the shift).
      * @param config        Timing/geometry.
      */
-    PredictorSystem(int num_cpus, const htm::TxIdSpace &ids,
+    PredictorSystem(const htm::CpuTable &table, const htm::TxIdSpace &ids,
                     const PredictorConfig &config = {});
 
-    /**
-     * Broadcast: @p cpu started executing @p dtx. Every predictor's
-     * CPU Table entry for @p cpu now reads @p dtx.
-     */
-    void broadcastBegin(sim::CpuId cpu, htm::DTxId dtx);
+    /** Broadcast: @p cpu started executing a transaction (already in
+     *  the CPU Table). Counts one CPU Table update. */
+    void broadcastBegin(sim::CpuId cpu);
 
     /** Broadcast: @p cpu committed or aborted its transaction. */
     void broadcastEnd(sim::CpuId cpu);
@@ -130,30 +128,6 @@ class PredictorSystem
                           const ConfidenceFn &read_conf,
                           std::uint32_t threshold);
 
-    /** CPU Table entry of @p owner, as every predictor sees it. */
-    htm::DTxId cpuTableEntry(sim::CpuId owner) const;
-
-    /**
-     * Invariant audit (sim/audit.h): the snooped CPU Table matches
-     * @p expected (the committer's ground truth, expected[cpu] ==
-     * kNoTx when that CPU runs no transaction). Reports
-     * "predictor.cputable". O(CPUs).
-     */
-    void auditCheck(sim::AuditEngine &audit,
-                    const std::vector<htm::DTxId> &expected,
-                    sim::Tick tick) const;
-
-    /**
-     * Test hook for the audit mutation selftest: corrupt one CPU
-     * Table entry so predictor.cputable must fire. Never call outside
-     * tests.
-     */
-    void
-    testCorruptCpuTable(sim::CpuId owner, htm::DTxId dtx)
-    {
-        cpuTable_[static_cast<std::size_t>(owner)] = dtx;
-    }
-
     /** Confidence cache of @p cpu (stats/tests). */
     const mem::Cache &confCache(sim::CpuId cpu) const;
 
@@ -165,9 +139,9 @@ class PredictorSystem
      */
     std::uint64_t refetches(sim::CpuId cpu) const;
 
-    /** Bytes of predictor state (the shared CPU Table, every CPU's
-     *  confidence-cache capacity and refetch stamps, the per-line
-     *  write counts); host-profiler memory gauge. */
+    /** Bytes of predictor state (every CPU's confidence-cache
+     *  capacity and refetch stamps, the per-line write counts);
+     *  host-profiler memory gauge. */
     std::uint64_t memoryFootprintBytes() const;
 
     const sim::Counter &predictions() const { return predictions_; }
@@ -213,17 +187,11 @@ class PredictorSystem
      */
     bool lookup(sim::CpuId self, htm::STxId row, htm::STxId col);
 
-    /** Record whether @p cpu runs a transaction (predict() walk). */
-    void setRunning(sim::CpuId cpu, bool running);
+    int numCpus() const { return table_.numCpus(); }
 
-    int numCpus_;
+    const htm::CpuTable &table_;
     const htm::TxIdSpace &ids_;
     PredictorConfig config_;
-    /** The CPU Table every unit snoops into (one copy: the copies
-     *  are identical by construction). */
-    std::vector<htm::DTxId> cpuTable_;
-    /** Bit per CPU: set while its CPU Table entry names a dTxID. */
-    std::vector<std::uint64_t> runningMask_;
     /** Confidence writes per table line. */
     std::vector<std::uint64_t> lineWrites_;
     std::vector<Unit> units_;

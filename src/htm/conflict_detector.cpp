@@ -310,46 +310,6 @@ ConflictDetector::removeTx(TxState &tx)
     }
 }
 
-bool
-ConflictDetector::consistentWith(
-    const std::vector<TxState *> &active) const
-{
-    // Every read/write-set entry of every active tx must be present
-    // in the registry, and vice versa.
-    std::size_t expected_reads = 0;
-    std::size_t expected_writes = 0;
-    for (const TxState *tx : active) {
-        for (mem::Addr line : tx->readSet) {
-            const Entry &entry = slots_[find(line)];
-            if (entry.line == mem::kNoLine || !isReader(entry, tx))
-                return false;
-            ++expected_reads;
-        }
-        for (mem::Addr line : tx->writeSet) {
-            if (slots_[find(line)].writer != tx)
-                return false;
-            ++expected_writes;
-        }
-    }
-    std::size_t actual_reads = 0;
-    std::size_t actual_writes = 0;
-    // The walk visits slots in hash order; it only sums counts and
-    // rejects ownerless entries, which no order can change.
-    for (const Entry &entry : slots_) {
-        if (entry.line == mem::kNoLine)
-            continue;
-        if (entry.writer == nullptr && entry.head == kNil)
-            return false;
-        for (std::uint32_t node = entry.head; node != kNil;
-             node = readers_[node].next) {
-            ++actual_reads;
-        }
-        actual_writes += entry.writer != nullptr ? 1 : 0;
-    }
-    return actual_reads == expected_reads
-        && actual_writes == expected_writes;
-}
-
 void
 ConflictDetector::auditCheck(sim::AuditEngine &audit,
                              const std::vector<const TxState *> &active,

@@ -179,14 +179,7 @@ class ConflictDetector
     }
 
     /**
-     * Sanity check (tests): registry matches every active tx's sets,
-     * and every registry entry has a writer or a reader.
-     */
-    bool consistentWith(const std::vector<TxState *> &active) const;
-
-    /**
-     * Invariant audit (sim/audit.h): granular version of
-     * consistentWith() that reports which invariant broke.
+     * Invariant audit (sim/audit.h); reports which invariant broke.
      *  - htm.registry:  every read/write-set entry of every active tx
      *    is present in the line registry and vice versa, and every
      *    registry entry has a writer or a reader;

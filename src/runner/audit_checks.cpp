@@ -106,23 +106,6 @@ auditBreakdown(sim::AuditEngine &audit, const Breakdown &breakdown,
 }
 
 void
-auditResultTotals(sim::AuditEngine &audit, const SimResults &results,
-                  std::uint64_t cm_commits, std::uint64_t cm_aborts,
-                  sim::Tick tick)
-{
-    audit.check(results.commits == cm_commits, "cycles.results",
-                "runner commit total (" + std::to_string(results.commits)
-                    + ") != CM commit total ("
-                    + std::to_string(cm_commits) + ")",
-                tick);
-    audit.check(results.aborts == cm_aborts, "cycles.results",
-                "runner abort total (" + std::to_string(results.aborts)
-                    + ") != CM abort total ("
-                    + std::to_string(cm_aborts) + ")",
-                tick);
-}
-
-void
 auditCmCpuTable(sim::AuditEngine &audit,
                 const std::vector<std::int64_t> &cm_view,
                 const std::vector<std::int64_t> &running_dtxs,

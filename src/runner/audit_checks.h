@@ -12,12 +12,9 @@
  *    every thread must have finished outside a transaction
  *    ("fsm.balance").
  *
- *  - auditBreakdown / auditResultTotals: cycle-accounting
- *    conservation. The per-CPU buckets of the Fig. 5 breakdown must
- *    sum to the machine's cycle capacity ("cycles.conservation"),
- *    and the runner's commit/abort counters must agree with the
- *    contention manager's independently tracked totals
- *    ("cycles.results").
+ *  - auditBreakdown: cycle-accounting conservation. The per-CPU
+ *    buckets of the Fig. 5 breakdown must sum to the machine's cycle
+ *    capacity ("cycles.conservation").
  *
  *  - auditWaitGraph: the NACK wait-for relation. Timestamps of
  *    active transactions are unique and positive ("htm.timestamp"),
@@ -101,20 +98,10 @@ void auditBreakdown(sim::AuditEngine &audit,
                     int num_cpus, sim::Tick tick);
 
 /**
- * Totals cross-check: the runner-side and CM-side commit/abort
- * counters are maintained by different layers and must agree
- * ("cycles.results").
- */
-void auditResultTotals(sim::AuditEngine &audit,
-                       const SimResults &results,
-                       std::uint64_t cm_commits,
-                       std::uint64_t cm_aborts, sim::Tick tick);
-
-/**
- * CPU-table liveness: every transaction the contention manager's
- * software CPU Table names must actually be running
- * ("cm.cputable"). @p cm_view is indexed by CPU with -1 for empty
- * slots; @p running_dtxs lists the active transaction ids.
+ * CPU-table liveness: every transaction the CPU Table the contention
+ * manager scans names must actually be running ("cm.cputable").
+ * @p cm_view is indexed by CPU with -1 for empty slots;
+ * @p running_dtxs lists the active transaction ids.
  */
 void auditCmCpuTable(sim::AuditEngine &audit,
                      const std::vector<std::int64_t> &cm_view,

@@ -41,8 +41,7 @@ using WorkloadFactory =
 /** Builds a custom contention manager (overrides `cm` when set). */
 using ManagerFactory =
     std::function<std::unique_ptr<cm::ContentionManager>(
-        int num_cpus, const htm::TxIdSpace &ids,
-        const cm::Services &services)>;
+        const htm::TxIdSpace &ids, const cm::Services &services)>;
 
 /** Everything needed to run one simulation. */
 struct SimConfig {

@@ -13,7 +13,7 @@
 namespace runner {
 
 Simulation::Simulation(const SimConfig &config)
-    : config_(config), rng_(config.seed)
+    : config_(config), cpuTable_(config.numCpus), rng_(config.seed)
 {
     sim_assert(config_.numCpus >= 1);
     sim_assert(config_.threadsPerCpu >= 1);
@@ -42,7 +42,7 @@ Simulation::Simulation(const SimConfig &config)
     sched_ = std::make_unique<os::OsScheduler>(events_, sched_config);
 
     predictors_ = std::make_unique<cpu::PredictorSystem>(
-        config_.numCpus, *ids_, config_.predictor);
+        cpuTable_, *ids_, config_.predictor);
 
     if (config_.audit) {
         if (config_.auditEngine != nullptr) {
@@ -61,22 +61,19 @@ Simulation::Simulation(const SimConfig &config)
     events_.setProfiler(config_.profiler);
 
     cm::Services services;
+    services.cpuTable = &cpuTable_;
     services.scheduler = sched_.get();
     services.rng = &rng_;
+    services.predictors = predictors_.get();
     services.events = &events_;
     services.audit = audit_;
     services.profiler = config_.profiler;
     services.quality = config_.quality;
-    if (config_.cm == cm::CmKind::BfgtsHw
-        || config_.cm == cm::CmKind::BfgtsHwBackoff) {
-        services.predictors = predictors_.get();
-    }
     if (config_.managerFactory) {
-        cm_ = config_.managerFactory(config_.numCpus, *ids_,
-                                     services);
+        cm_ = config_.managerFactory(*ids_, services);
     } else {
-        cm_ = cm::makeManager(config_.cm, config_.numCpus, *ids_,
-                              services, config_.tuning);
+        cm_ = cm::makeManager(config_.cm, *ids_, services,
+                              config_.tuning);
     }
     sim_assert(cm_ != nullptr);
 
@@ -325,6 +322,7 @@ Simulation::doTxBegin(Worker &worker)
         worker.accessIndex = 0;
         worker.stallRetries = 0;
         worker.reportedEnemies.clear();
+        cpuTable_.start(info.cpu, info.dTx);
         {
             sim::ScopedPhase prof_phase(config_.profiler,
                                         sim::Profiler::kCmDecide);
@@ -524,7 +522,6 @@ Simulation::doTxAccess(Worker &worker)
                 result.resolution = htm::Resolution::AbortHolders;
             }
         }
-        conflicts_.inc();
         // Tell the CM about the conflict once per (attempt, enemy)
         // pair -- the granularity of the paper's txConflict() -- not
         // on every NACKed access or stall retry. Both sites are fixed
@@ -711,6 +708,7 @@ Simulation::abortTx(Worker &worker, const cm::TxInfo &enemy)
               {{"cycles", std::to_string(rollback)}});
     }
 
+    cpuTable_.end(worker.tx.cpu, worker.tx.dTxId);
     cm::AbortResponse resp;
     {
         sim::ScopedPhase prof_phase(config_.profiler,
@@ -764,6 +762,7 @@ Simulation::doCommitDone(Worker &worker)
     worker.committing = false;
     worker.waitHolders.clear();
 
+    cpuTable_.end(worker.tx.cpu, worker.tx.dTxId);
     cm::CmCost cost;
     {
         sim::ScopedPhase prof_phase(config_.profiler,
@@ -854,11 +853,11 @@ Simulation::auditSweep()
     }
     auditWaitGraph(*audit_, active_ts, edges, tick);
 
-    // The CM's software CPU Table only names running txs.
+    // The CPU Table the CM scans only names running txs.
     std::vector<std::int64_t> cm_view(
         static_cast<std::size_t>(config_.numCpus), -1);
     for (int cpu = 0; cpu < config_.numCpus; ++cpu) {
-        const htm::DTxId dtx = cm_->runningOn(cpu);
+        const htm::DTxId dtx = cpuTable_.runningOn(cpu);
         if (dtx != htm::kNoTx)
             cm_view[static_cast<std::size_t>(cpu)] =
                 static_cast<std::int64_t>(dtx);
@@ -1046,12 +1045,12 @@ Simulation::visitStatGroups(
         group.addScalar("accuracy", quality.accuracy());
         visit(group);
     }
-    // Contention manager: the counters every manager keeps, then
-    // the manager's own groups (BFGTS: "bfgts").
+    // Contention manager: the outcomes it saw and its serializations,
+    // then the manager's own groups (BFGTS: "bfgts").
     {
         sim::StatGroup group("cm");
-        group.addCounter("commits", &cm_->commits());
-        group.addCounter("aborts", &cm_->aborts());
+        group.addCounter("commits", &commits_);
+        group.addCounter("aborts", &aborts_);
         group.addCounter("serializations", &cm_->serializations());
         visit(group);
     }
@@ -1075,7 +1074,7 @@ Simulation::visitStatGroups(
     // Runner-level cycle distributions.
     {
         sim::StatGroup group("runner");
-        group.addCounter("conflicts", &conflicts_);
+        group.addCounter("conflicts", &detector_->conflictsDetected());
         group.addCounter("stallTimeouts", &stallTimeouts_);
         group.addHistogram("abortCycles", &abortCyclesHist_);
         group.addHistogram("stallCycles", &stallCyclesHist_);
@@ -1145,7 +1144,7 @@ Simulation::sampleSnapshot(sim::SampleCounts &counts,
 {
     counts.commits = commits_.value();
     counts.aborts = aborts_.value();
-    counts.conflicts = conflicts_.value();
+    counts.conflicts = detector_->conflictsDetected().value();
     counts.stallTimeouts = stallTimeouts_.value();
     counts.predictedStalls += predictionTotals().predictedStalls;
 
@@ -1220,9 +1219,6 @@ Simulation::run()
     if (config_.profiler != nullptr) {
         config_.profiler->endRun(executed, lastFinish_);
         cm_->profileMemory(*config_.profiler);
-        config_.profiler->recordBytes(
-            sim::Profiler::kPredictorCaches,
-            predictors_->memoryFootprintBytes());
     }
 
     SimResults results;
@@ -1231,7 +1227,7 @@ Simulation::run()
     results.runtime = lastFinish_;
     results.commits = commits_.value();
     results.aborts = aborts_.value();
-    results.conflicts = conflicts_.value();
+    results.conflicts = detector_->conflictsDetected().value();
     results.stallTimeouts = stallTimeouts_.value();
     const std::uint64_t attempts = results.commits + results.aborts;
     results.contentionRate =
@@ -1287,8 +1283,6 @@ Simulation::run()
                       lastFinish_);
         auditBreakdown(*audit_, results.breakdown, results.runtime,
                        config_.numCpus, lastFinish_);
-        auditResultTotals(*audit_, results, cm_->commits().value(),
-                          cm_->aborts().value(), lastFinish_);
         auditSweep();
     }
     return results;

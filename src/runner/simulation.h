@@ -32,6 +32,7 @@
 #include <set>
 #include <vector>
 
+#include "htm/cpu_table.h"
 #include "htm/version_log.h"
 #include "runner/audit_checks.h"
 #include "runner/config.h"
@@ -279,6 +280,10 @@ class Simulation
     std::unique_ptr<mem::MemSystem> mem_;
     std::unique_ptr<htm::ConflictDetector> detector_;
     std::unique_ptr<os::OsScheduler> sched_;
+    /** Which dTxID runs on each CPU. Written here only, just before
+     *  the CM's onTxStart/onTxAbort/onTxCommit; read by the CM (via
+     *  cm::Services) and the predictors. */
+    htm::CpuTable cpuTable_;
     std::unique_ptr<cpu::PredictorSystem> predictors_;
     std::unique_ptr<cm::ContentionManager> cm_;
     sim::Rng rng_;
@@ -295,7 +300,6 @@ class Simulation
     // Measurements.
     sim::Counter commits_;
     sim::Counter aborts_;
-    sim::Counter conflicts_;
     sim::Counter stallTimeouts_;
     sim::Tick lastFinish_ = 0;
     int finishedThreads_ = 0;

@@ -19,7 +19,7 @@ using cm::BeginAction;
 class AtsTest : public ::testing::Test
 {
   protected:
-    AtsTest() : manager_(4, 4, machine_.services(), config()) {}
+    AtsTest() : manager_(4, machine_.services(), config()) {}
 
     static AtsConfig
     config()
@@ -104,8 +104,8 @@ TEST_F(AtsTest, TokenHolderRetriesKeepToken)
 {
     raisePressure();
     manager_.onTxBegin(machine_.tx(0, 0));
-    manager_.onTxStart(machine_.tx(0, 0));
-    manager_.onTxAbort(machine_.tx(0, 0), machine_.tx(1, 0));
+    machine_.start(manager_, machine_.tx(0, 0));
+    machine_.abort(manager_, machine_.tx(0, 0), machine_.tx(1, 0));
     // Retry begin: still the holder, proceeds without queueing.
     cm::BeginDecision d = manager_.onTxBegin(machine_.tx(0, 0));
     EXPECT_EQ(d.action, BeginAction::Proceed);
@@ -117,8 +117,8 @@ TEST_F(AtsTest, CommitReleasesTokenWhenQueueEmpty)
 {
     raisePressure();
     manager_.onTxBegin(machine_.tx(0, 0));
-    manager_.onTxStart(machine_.tx(0, 0));
-    manager_.onTxCommit(machine_.tx(0, 0), {});
+    machine_.start(manager_, machine_.tx(0, 0));
+    machine_.commit(manager_, machine_.tx(0, 0));
     EXPECT_EQ(manager_.tokenHolder(), sim::kNoThread);
 }
 
@@ -126,11 +126,11 @@ TEST_F(AtsTest, CommitHandsTokenToQueueHead)
 {
     raisePressure();
     manager_.onTxBegin(machine_.tx(0, 0));
-    manager_.onTxStart(machine_.tx(0, 0));
+    machine_.start(manager_, machine_.tx(0, 0));
     manager_.onTxBegin(machine_.tx(1, 0)); // blocks, queued
     manager_.onTxBegin(machine_.tx(2, 0)); // blocks, queued
 
-    cm::CmCost cost = manager_.onTxCommit(machine_.tx(0, 0), {});
+    cm::CmCost cost = machine_.commit(manager_, machine_.tx(0, 0));
     EXPECT_GT(cost.kernel, 0u); // paid the wake
     EXPECT_EQ(manager_.queueLength(), 1u);
 

@@ -27,6 +27,7 @@
 #include "cm/factory.h"
 #include "cpu/predictor.h"
 #include "htm/conflict_detector.h"
+#include "htm/cpu_table.h"
 #include "htm/tx_id.h"
 #include "htm/tx_state.h"
 #include "os/scheduler.h"
@@ -232,17 +233,6 @@ TEST(AuditCycles, ConservationPassesWhenBalanced)
     EXPECT_EQ(engine.violationCount(), 0u);
 }
 
-TEST(AuditCycles, ResultTotalsFireOnCounterDrift)
-{
-    sim::AuditEngine engine = collectEngine();
-    runner::SimResults results;
-    results.commits = 10;
-    results.aborts = 4;
-    runner::auditResultTotals(engine, results, /*cm_commits=*/10,
-                              /*cm_aborts=*/5, /*tick=*/99);
-    EXPECT_TRUE(engine.fired("cycles.results"));
-}
-
 // ---- wait graph and timestamps --------------------------------------
 
 TEST(AuditWaitGraph, TimestampFiresOnDuplicateAges)
@@ -428,7 +418,7 @@ TEST(AuditBfgts, ConfidenceFiresOnRangeEscape)
     cm::Services services;
     cm::BfgtsConfig config;
     config.variant = cm::BfgtsVariant::Sw;
-    cm::BfgtsManager manager(4, ids, services, config);
+    cm::BfgtsManager manager(ids, services, config);
 
     manager.auditCheck(engine, 10);
     EXPECT_EQ(engine.violationCount(), 0u);
@@ -445,7 +435,7 @@ TEST(AuditBfgts, SimilarityFiresOnEwmaEscape)
     cm::Services services;
     cm::BfgtsConfig config;
     config.variant = cm::BfgtsVariant::Sw;
-    cm::BfgtsManager manager(4, ids, services, config);
+    cm::BfgtsManager manager(ids, services, config);
 
     manager.testCorruptSimilarity(ids.make(0, 0), 2.0);
     manager.auditCheck(engine, 10);
@@ -459,7 +449,7 @@ TEST(AuditBfgts, StatsFireOnNegativeFootprint)
     cm::Services services;
     cm::BfgtsConfig config;
     config.variant = cm::BfgtsVariant::Sw;
-    cm::BfgtsManager manager(4, ids, services, config);
+    cm::BfgtsManager manager(ids, services, config);
 
     manager.testCorruptAvgSize(ids.make(1, 2), -3.0);
     manager.auditCheck(engine, 10);
@@ -473,9 +463,10 @@ TEST(AuditBfgts, PressureFiresOnEwmaEscape)
     cm::Services services;
     cm::BfgtsConfig config;
     config.variant = cm::BfgtsVariant::HwBackoff;
-    cpu::PredictorSystem predictors(4, ids);
+    htm::CpuTable table(4);
+    cpu::PredictorSystem predictors(table, ids);
     services.predictors = &predictors;
-    cm::BfgtsManager manager(4, ids, services, config);
+    cm::BfgtsManager manager(ids, services, config);
 
     manager.testCorruptPressure(0, 1.5);
     manager.auditCheck(engine, 10);
@@ -490,7 +481,7 @@ TEST(AuditBfgts, EstimateFiresOnMisestimatingSignature)
     services.audit = &engine;
     cm::BfgtsConfig config;
     config.variant = cm::BfgtsVariant::NoOverhead;
-    cm::BfgtsManager manager(4, ids, services, config);
+    cm::BfgtsManager manager(ids, services, config);
 
     cm::TxInfo tx;
     tx.thread = 0;
@@ -513,7 +504,7 @@ TEST(AuditBfgts, HonestSignaturePassesTheEstimateAudit)
     services.audit = &engine;
     cm::BfgtsConfig config;
     config.variant = cm::BfgtsVariant::NoOverhead;
-    cm::BfgtsManager manager(4, ids, services, config);
+    cm::BfgtsManager manager(ids, services, config);
 
     cm::TxInfo tx;
     tx.thread = 0;
@@ -536,7 +527,7 @@ TEST(AuditBfgts, PartitionFiresOnClearedSignatureBit)
     cm::BfgtsConfig config;
     config.variant = cm::BfgtsVariant::Sw;
     config.bloom.partitioned = true;
-    cm::BfgtsManager manager(4, ids, services, config);
+    cm::BfgtsManager manager(ids, services, config);
 
     cm::TxInfo tx;
     tx.thread = 0;
@@ -568,7 +559,7 @@ TEST(AuditBfgts, PartitionedHonestSignaturePasses)
     cm::BfgtsConfig config;
     config.variant = cm::BfgtsVariant::Sw;
     config.bloom.partitioned = true;
-    cm::BfgtsManager manager(4, ids, services, config);
+    cm::BfgtsManager manager(ids, services, config);
 
     cm::TxInfo tx;
     tx.thread = 0;
@@ -584,28 +575,6 @@ TEST(AuditBfgts, PartitionedHonestSignaturePasses)
     EXPECT_GT(engine.checksRun(), 0u);
     EXPECT_EQ(engine.violationCount(), 0u);
     EXPECT_FALSE(engine.fired("bloom.partition"));
-}
-
-// ---- hardware predictor ---------------------------------------------
-
-TEST(AuditPredictor, CpuTableFiresOnIncoherentUnit)
-{
-    sim::AuditEngine engine = collectEngine();
-    htm::TxIdSpace ids(4, 4);
-    cpu::PredictorSystem predictors(4, ids);
-
-    const htm::DTxId dtx = ids.make(0, 1);
-    predictors.broadcastBegin(1, dtx);
-    std::vector<htm::DTxId> expected(4, htm::kNoTx);
-    expected[1] = dtx;
-    predictors.auditCheck(engine, expected, 10);
-    EXPECT_EQ(engine.violationCount(), 0u);
-
-    // A missed snoop: the CPU Table disagrees with the committer's
-    // ground truth.
-    predictors.testCorruptCpuTable(/*owner=*/1, ids.make(3, 3));
-    predictors.auditCheck(engine, expected, 20);
-    EXPECT_TRUE(engine.fired("predictor.cputable"));
 }
 
 // ---- OS scheduler ---------------------------------------------------
@@ -695,17 +664,17 @@ auditedConfig(cm::CmKind kind)
 
 TEST(AuditEndToEnd, ContendedRunsAreViolationFree)
 {
-    // Exact check counts: every checker of the sweep, the manager's
-    // own auditCheck and the predictor CPU-table mirror (BFGTS-HW)
-    // included, so dropping any one of them changes the count.
+    // Exact check counts: every checker of the sweep and the
+    // manager's own auditCheck included, so dropping any one of them
+    // changes the count.
     const struct {
         cm::CmKind kind;
         std::uint64_t checks;
     } cases[] = {
-        {cm::CmKind::Backoff, 12308},
-        {cm::CmKind::Ats, 13143},
-        {cm::CmKind::BfgtsHw, 26473},
-        {cm::CmKind::BfgtsNoOverhead, 26742},
+        {cm::CmKind::Backoff, 12306},
+        {cm::CmKind::Ats, 13141},
+        {cm::CmKind::BfgtsHw, 25807},
+        {cm::CmKind::BfgtsNoOverhead, 26740},
     };
     for (const auto &[kind, checks] : cases) {
         sim::AuditEngine engine = collectEngine();

@@ -16,7 +16,7 @@ using cm::BackoffManager;
 class BackoffTest : public ::testing::Test
 {
   protected:
-    BackoffTest() : manager_(4, machine_.services(), config()) {}
+    BackoffTest() : manager_(machine_.services(), config()) {}
 
     static BackoffConfig
     config()
@@ -102,27 +102,6 @@ TEST_F(BackoffTest, StreaksArePerThread)
         manager_.onTxCommit(machine_.tx(1, 0), {});
     }
     EXPECT_NEAR(mean / 300.0, 100.0, 30.0);
-}
-
-TEST_F(BackoffTest, TracksCommitAndAbortCounters)
-{
-    const cm::TxInfo tx = machine_.tx(0, 0);
-    manager_.onTxStart(tx);
-    manager_.onTxCommit(tx, {});
-    manager_.onTxStart(tx);
-    manager_.onTxAbort(tx, machine_.tx(1, 1));
-    EXPECT_EQ(manager_.commits().value(), 1u);
-    EXPECT_EQ(manager_.aborts().value(), 1u);
-    EXPECT_EQ(manager_.serializations().value(), 0u);
-}
-
-TEST_F(BackoffTest, RunningTableTracksStartAndEnd)
-{
-    const cm::TxInfo tx = machine_.tx(2, 1);
-    manager_.onTxStart(tx);
-    EXPECT_EQ(manager_.runningOn(tx.cpu), tx.dTx);
-    manager_.onTxCommit(tx, {});
-    EXPECT_EQ(manager_.runningOn(tx.cpu), htm::kNoTx);
 }
 
 } // namespace

@@ -36,7 +36,7 @@ class BfgtsSwTest : public ::testing::Test
 {
   protected:
     BfgtsSwTest()
-        : manager_(4, machine_.ids, machine_.services(),
+        : manager_(machine_.ids, machine_.services(),
                    baseConfig(BfgtsVariant::Sw))
     {
     }
@@ -98,7 +98,7 @@ TEST_F(BfgtsSwTest, BeginSerializesAgainstFlaggedRunningTx)
     const cm::TxInfo a = machine_.tx(0, 0), b = machine_.tx(1, 1);
     manager_.onConflictDetected(a, b);
     manager_.onConflictDetected(a, b); // conf 96 > 50
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     cm::BeginDecision d = manager_.onTxBegin(a);
     EXPECT_NE(d.action, BeginAction::Proceed);
     EXPECT_EQ(d.waitOn, b.dTx);
@@ -107,7 +107,7 @@ TEST_F(BfgtsSwTest, BeginSerializesAgainstFlaggedRunningTx)
 TEST_F(BfgtsSwTest, BeginIgnoresUnflaggedRunningTx)
 {
     const cm::TxInfo a = machine_.tx(0, 0), b = machine_.tx(1, 1);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     EXPECT_EQ(manager_.onTxBegin(a).action, BeginAction::Proceed);
 }
 
@@ -116,7 +116,7 @@ TEST_F(BfgtsSwTest, SuspendDecaysConsultedEdge)
     const cm::TxInfo a = machine_.tx(0, 0), b = machine_.tx(1, 1);
     manager_.onConflictDetected(a, b);
     manager_.onConflictDetected(a, b); // conf 96
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     manager_.onTxBegin(a); // suspend: decay = 40*(1-0.5) = 20
     EXPECT_EQ(manager_.confidence(0, 1), 76u);
     // The reverse edge is untouched by the suspend.
@@ -128,7 +128,7 @@ TEST_F(BfgtsSwTest, RepeatedSuspendsRestoreOptimism)
     const cm::TxInfo a = machine_.tx(0, 0), b = machine_.tx(1, 1);
     manager_.onConflictDetected(a, b);
     manager_.onConflictDetected(a, b);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     int suspends = 0;
     while (manager_.onTxBegin(a).action != BeginAction::Proceed) {
         ++suspends;
@@ -160,10 +160,10 @@ TEST_F(BfgtsSwTest, DissimilarPairsDecayFaster)
     const std::uint32_t conf_low = manager_.confidence(0, 2);
     const std::uint32_t conf_high = manager_.confidence(0, 3);
     // Suspend once against each; the low-similarity edge decays more.
-    manager_.onTxStart(low);
+    machine_.start(manager_, low);
     manager_.onTxBegin(a);
-    manager_.onTxAbort(low, a); // clear running
-    manager_.onTxStart(high);
+    machine_.abort(manager_, low, a); // clear running
+    machine_.start(manager_, high);
     manager_.onTxBegin(a);
     const std::uint32_t decay_low = conf_low
                                   - manager_.confidence(0, 2);
@@ -201,11 +201,11 @@ TEST_F(BfgtsSwTest, StallForSmallHolderYieldForLarge)
         manager_.onConflictDetected(a, small_holder);
         manager_.onConflictDetected(a, large_holder);
     }
-    manager_.onTxStart(small_holder);
+    machine_.start(manager_, small_holder);
     EXPECT_EQ(manager_.onTxBegin(a).action, BeginAction::StallOn);
-    manager_.onTxAbort(small_holder, a);
+    machine_.abort(manager_, small_holder, a);
 
-    manager_.onTxStart(large_holder);
+    machine_.start(manager_, large_holder);
     EXPECT_EQ(manager_.onTxBegin(a).action, BeginAction::YieldOn);
 }
 
@@ -263,7 +263,7 @@ TEST_F(BfgtsSwTest, CommitConfirmsJustifiedSerialization)
     manager_.onTxCommit(b, lines(0x100, 20)); // store b's filter
     manager_.onConflictDetected(a, b);
     manager_.onConflictDetected(a, b);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     manager_.onTxBegin(a); // suspend records waitingOn
     const std::uint32_t before = manager_.confidence(0, 1);
     manager_.onTxCommit(a, lines(0x100, 20)); // overlaps b
@@ -276,7 +276,7 @@ TEST_F(BfgtsSwTest, CommitWeakensDisprovenSerialization)
     manager_.onTxCommit(b, lines(0x100, 20));
     manager_.onConflictDetected(a, b);
     manager_.onConflictDetected(a, b);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     manager_.onTxBegin(a);
     const std::uint32_t before = manager_.confidence(0, 1);
     manager_.onTxCommit(a, lines(0x900000, 20)); // disjoint from b
@@ -297,9 +297,9 @@ TEST_F(BfgtsSwTest, CommitCostGrowsWithBloomSize)
     small_config.bloom.numBits = 512;
     BfgtsConfig large_config = baseConfig(BfgtsVariant::Sw);
     large_config.bloom.numBits = 8192;
-    BfgtsManager small_mgr(4, machine_.ids, machine_.services(),
+    BfgtsManager small_mgr(machine_.ids, machine_.services(),
                            small_config);
-    BfgtsManager large_mgr(4, machine_.ids, machine_.services(),
+    BfgtsManager large_mgr(machine_.ids, machine_.services(),
                            large_config);
     const cm::TxInfo a = machine_.tx(0, 0);
     const sim::Cycles small_cost =
@@ -315,7 +315,7 @@ class BfgtsHwTest : public ::testing::Test
 {
   protected:
     BfgtsHwTest()
-        : manager_(4, machine_.ids, machine_.services(true),
+        : manager_(machine_.ids, machine_.services(),
                    baseConfig(BfgtsVariant::Hw))
     {
     }
@@ -327,23 +327,23 @@ class BfgtsHwTest : public ::testing::Test
 TEST_F(BfgtsHwTest, StartBroadcastsToPredictors)
 {
     const cm::TxInfo a = machine_.tx(1, 2);
-    manager_.onTxStart(a);
-    EXPECT_EQ(machine_.predictors.cpuTableEntry(a.cpu), a.dTx);
-    manager_.onTxCommit(a, {1, 2, 3});
-    EXPECT_EQ(machine_.predictors.cpuTableEntry(a.cpu), htm::kNoTx);
+    machine_.start(manager_, a);
+    EXPECT_EQ(machine_.predictors.cpuTableUpdates().value(), 1u);
+    machine_.commit(manager_, a, {1, 2, 3});
+    EXPECT_EQ(machine_.predictors.cpuTableUpdates().value(), 2u);
 }
 
 TEST_F(BfgtsHwTest, AbortAlsoBroadcastsEnd)
 {
     const cm::TxInfo a = machine_.tx(1, 2);
-    manager_.onTxStart(a);
-    manager_.onTxAbort(a, machine_.tx(2, 1));
-    EXPECT_EQ(machine_.predictors.cpuTableEntry(a.cpu), htm::kNoTx);
+    machine_.start(manager_, a);
+    machine_.abort(manager_, a, machine_.tx(2, 1));
+    EXPECT_EQ(machine_.predictors.cpuTableUpdates().value(), 2u);
 }
 
 TEST_F(BfgtsHwTest, HwBeginIsCheaperThanSwScan)
 {
-    BfgtsManager sw(4, machine_.ids, machine_.services(),
+    BfgtsManager sw(machine_.ids, machine_.services(),
                     baseConfig(BfgtsVariant::Sw));
     const cm::TxInfo a = machine_.tx(0, 0);
     const sim::Cycles hw_cost = manager_.onTxBegin(a).cost.sched;
@@ -362,7 +362,7 @@ TEST_F(BfgtsHwTest, HwSerializesLikeSw)
     const cm::TxInfo a = machine_.tx(0, 0), b = machine_.tx(1, 1);
     manager_.onConflictDetected(a, b);
     manager_.onConflictDetected(a, b);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     cm::BeginDecision d = manager_.onTxBegin(a);
     EXPECT_NE(d.action, BeginAction::Proceed);
     EXPECT_EQ(d.waitOn, b.dTx);
@@ -375,7 +375,7 @@ class BfgtsHybridTest : public ::testing::Test
 {
   protected:
     BfgtsHybridTest()
-        : manager_(4, machine_.ids, machine_.services(true), config())
+        : manager_(machine_.ids, machine_.services(), config())
     {
     }
 
@@ -401,7 +401,7 @@ TEST_F(BfgtsHybridTest, LowPressureGatesPredictionOff)
     // Reset pressure via commits (alpha decay).
     for (int i = 0; i < 10; ++i)
         manager_.onTxCommit(a, {});
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     cm::BeginDecision d = manager_.onTxBegin(a);
     EXPECT_EQ(d.action, BeginAction::Proceed);
     EXPECT_GT(manager_.gatedBegins().value(), 0u);
@@ -415,7 +415,7 @@ TEST_F(BfgtsHybridTest, HighPressureEnablesBfgts)
     // Aborts raise site-0 pressure past 0.25.
     manager_.onTxAbort(a, b);
     ASSERT_GT(manager_.pressure(0), 0.25);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     EXPECT_NE(manager_.onTxBegin(a).action, BeginAction::Proceed);
 }
 
@@ -426,7 +426,7 @@ TEST_F(BfgtsHybridTest, PredictedConflictsRaisePressure)
     manager_.onConflictDetected(a, b);
     manager_.onTxAbort(a, b);
     const double before = manager_.pressure(0);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     manager_.onTxBegin(a); // suspendTx raises pressure
     EXPECT_GT(manager_.pressure(0), before);
 }
@@ -461,7 +461,7 @@ class BfgtsNoOverheadTest : public ::testing::Test
 {
   protected:
     BfgtsNoOverheadTest()
-        : manager_(4, machine_.ids, machine_.services(),
+        : manager_(machine_.ids, machine_.services(),
                    baseConfig(BfgtsVariant::NoOverhead))
     {
     }
@@ -500,7 +500,7 @@ TEST_F(BfgtsNoOverheadTest, SchedulingDecisionsStillHappen)
     const cm::TxInfo a = machine_.tx(0, 0), b = machine_.tx(1, 1);
     manager_.onConflictDetected(a, b);
     manager_.onConflictDetected(a, b);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     EXPECT_NE(manager_.onTxBegin(a).action, BeginAction::Proceed);
 }
 

@@ -93,7 +93,7 @@ class AliasingTest : public ::testing::Test
         cm::BfgtsConfig config;
         config.variant = cm::BfgtsVariant::Sw;
         config.confTableSlots = slots;
-        return cm::BfgtsManager(4, machine_.ids, machine_.services(),
+        return cm::BfgtsManager(machine_.ids, machine_.services(),
                                 config);
     }
 
@@ -291,10 +291,9 @@ TEST(ManagerFactory, CustomManagerIsUsed)
     options.txPerThread = 4;
     runner::SimConfig config =
         runner::makeConfig("Ssca2", cm::CmKind::BfgtsHw, options);
-    config.managerFactory = [](int num_cpus, const htm::TxIdSpace &,
+    config.managerFactory = [](const htm::TxIdSpace &,
                                const cm::Services &services) {
-        return std::make_unique<cm::BackoffManager>(num_cpus,
-                                                    services);
+        return std::make_unique<cm::BackoffManager>(services);
     };
     runner::Simulation simulation(config);
     const runner::SimResults r = simulation.run();

@@ -22,6 +22,7 @@
 #include "htm/tx_id.h"
 #include "runner/simulation.h"
 #include "runner/sweep.h"
+#include "sim/audit.h"
 #include "sim/random.h"
 #include "workloads/generator.h"
 #include "workloads/splash2.h"
@@ -164,7 +165,7 @@ struct DetectorFuzzParams {
  * Drive the detector and the reference with the same random accesses
  * and commits/aborts, and after every op require the exact ordered
  * holders, the first-write flag, the registry's line count, the
- * false-conflict count and a consistent registry.
+ * false-conflict count and a clean detector audit.
  * @return The most lines the registry ever held.
  */
 std::size_t
@@ -176,7 +177,7 @@ fuzzDetector(const DetectorFuzzParams &params)
     ReferenceModel reference(params.txCount, params.policy.signature);
     std::vector<htm::TxState> txs(
         static_cast<std::size_t>(params.txCount));
-    std::vector<htm::TxState *> active;
+    std::vector<const htm::TxState *> active;
     std::vector<htm::DTxId> dtx(static_cast<std::size_t>(params.txCount));
     const htm::TxIdSpace ids(params.sites, params.txCount);
     sim::Rng rng(params.seed);
@@ -198,6 +199,9 @@ fuzzDetector(const DetectorFuzzParams &params)
         active.push_back(&tx);
     }
 
+    sim::AuditEngine audit;
+    audit.setEnabled(true);
+    audit.setMode(sim::AuditEngine::Mode::Collect);
     std::uint64_t false_conflicts = 0;
     std::size_t max_owned = 0;
     for (int op = 0; op < params.ops; ++op) {
@@ -252,7 +256,8 @@ fuzzDetector(const DetectorFuzzParams &params)
             << "op " << op;
         EXPECT_EQ(detector.falseConflicts().value(), false_conflicts)
             << "op " << op;
-        EXPECT_TRUE(detector.consistentWith(active)) << "op " << op;
+        detector.auditCheck(audit, active, static_cast<sim::Tick>(op));
+        EXPECT_EQ(audit.violationCount(), 0u) << "op " << op;
         if (::testing::Test::HasFailure())
             return max_owned;
         max_owned = std::max(max_owned, detector.ownedLines());

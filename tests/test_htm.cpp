@@ -6,9 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "htm/conflict_detector.h"
+#include "htm/cpu_table.h"
 #include "htm/tx_id.h"
 #include "htm/tx_state.h"
+#include "sim/audit.h"
 
 namespace {
 
@@ -17,6 +23,18 @@ using htm::ConflictDetector;
 using htm::ConflictPolicy;
 using htm::Resolution;
 using htm::TxState;
+
+/** The detector's audit over @p active, collected, not panicking. */
+sim::AuditEngine
+audited(const ConflictDetector &detector,
+        const std::vector<const TxState *> &active)
+{
+    sim::AuditEngine audit;
+    audit.setEnabled(true);
+    audit.setMode(sim::AuditEngine::Mode::Collect);
+    detector.auditCheck(audit, active, /*tick=*/0);
+    return audit;
+}
 
 TEST(TxIdSpace, RoundTripsThreadAndStatic)
 {
@@ -28,6 +46,57 @@ TEST(TxIdSpace, RoundTripsThreadAndStatic)
             EXPECT_EQ(ids.staticOf(dtx), stx);
         }
     }
+}
+
+TEST(CpuTable, FindRunningWalksTheRunningCpusInOrder)
+{
+    for (int cpus : {1, 63, 64, 65, 130}) {
+        SCOPED_TRACE(std::to_string(cpus) + " CPUs");
+        htm::CpuTable table(cpus);
+        const auto never = [](sim::CpuId, htm::DTxId) { return false; };
+        EXPECT_EQ(table.findRunning(never), cpus);
+        // Every third CPU, each word's last CPU and the machine's last.
+        std::vector<sim::CpuId> running;
+        for (sim::CpuId cpu = 0; cpu < cpus; ++cpu) {
+            if (cpu % 3 == 0 || cpu % 64 == 63 || cpu == cpus - 1) {
+                table.start(cpu, 2 * cpu + 1);
+                running.push_back(cpu);
+            }
+        }
+        std::vector<sim::CpuId> walked;
+        const auto visit_all = [&](sim::CpuId cpu, htm::DTxId dtx) {
+            EXPECT_EQ(dtx, 2 * cpu + 1);
+            EXPECT_EQ(table.runningOn(cpu), dtx);
+            walked.push_back(cpu);
+            return false;
+        };
+        EXPECT_EQ(table.findRunning(visit_all), cpus);
+        EXPECT_EQ(walked, running);
+        // From any start, the walk stops at the first running CPU.
+        for (sim::CpuId from = 0; from <= cpus; ++from) {
+            const auto at_or_after = [from](sim::CpuId cpu, htm::DTxId) {
+                return cpu >= from;
+            };
+            const auto next =
+                std::lower_bound(running.begin(), running.end(), from);
+            EXPECT_EQ(table.findRunning(at_or_after),
+                      next == running.end() ? cpus : *next)
+                << "from " << from;
+        }
+        for (sim::CpuId cpu : running)
+            table.end(cpu, 2 * cpu + 1);
+        EXPECT_EQ(table.findRunning(never), cpus);
+        EXPECT_EQ(table.runningOn(cpus - 1), htm::kNoTx);
+    }
+}
+
+TEST(CpuTable, StartAndEndCheckTheEntry)
+{
+    htm::CpuTable table(2);
+    table.start(1, 7);
+    EXPECT_DEATH(table.end(1, 8), "ends on cpu 1");
+    EXPECT_DEATH(table.end(0, 7), "ends on cpu 0");
+    EXPECT_DEATH(table.start(1, 9), "already runs dTx 7");
 }
 
 TEST(TxIdSpace, StaticRecoveredByRightShift)
@@ -267,16 +336,17 @@ TEST_F(ConflictDetectorTest, ConsistencyCheckerSeesRegistry)
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
     detector_.access(a, 100, true, 0);
     detector_.access(b, 200, false, 0);
-    EXPECT_TRUE(detector_.consistentWith({&a, &b}));
+    EXPECT_EQ(audited(detector_, {&a, &b}).violationCount(), 0u);
     // A tx the registry does not know about breaks consistency.
     TxState ghost = makeTx(3, 3);
     ghost.readSet.push_back(300);
-    EXPECT_FALSE(detector_.consistentWith({&a, &b, &ghost}));
+    EXPECT_TRUE(
+        audited(detector_, {&a, &b, &ghost}).fired("htm.registry"));
     detector_.removeTx(a);
-    EXPECT_TRUE(detector_.consistentWith({&b}));
+    EXPECT_EQ(audited(detector_, {&b}).violationCount(), 0u);
     // So does an entry no transaction owns.
     detector_.testForceWriter(400, nullptr);
-    EXPECT_FALSE(detector_.consistentWith({&b}));
+    EXPECT_TRUE(audited(detector_, {&b}).fired("htm.registry"));
 }
 
 TEST_F(ConflictDetectorTest, ConflictCounterCounts)
@@ -353,11 +423,11 @@ TEST_F(SignatureDetectorTest, FalseConflictsLeaveNoRegistryEntries)
     for (mem::Addr line = 1000; line < 3000; ++line)
         detector.access(b, line, false, 0);
     ASSERT_GT(detector.falseConflicts().value(), 0u);
-    EXPECT_TRUE(detector.consistentWith({&a, &b}));
+    EXPECT_EQ(audited(detector, {&a, &b}).violationCount(), 0u);
     detector.removeTx(a);
     detector.removeTx(b);
     EXPECT_EQ(detector.ownedLines(), 0u);
-    EXPECT_TRUE(detector.consistentWith({}));
+    EXPECT_EQ(audited(detector, {}).violationCount(), 0u);
 }
 
 TEST_F(SignatureDetectorTest, DisjointLinesUsuallyProceed)

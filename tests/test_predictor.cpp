@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the hardware scheduling accelerator: CPU table
- * coherence, Example 1's lookup algorithm, confidence-cache timing
- * and refetch counting, plus a differential test against the
+ * Unit tests for the hardware scheduling accelerator: the CPU Table
+ * every unit walks, Example 1's lookup algorithm, confidence-cache
+ * timing and refetch counting, plus a differential test against the
  * N-table, N-snoop reference model the shared-table predictor
  * replaces.
  */
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cpu/predictor.h"
+#include "htm/cpu_table.h"
 #include "sim/random.h"
 
 namespace {
@@ -25,7 +26,25 @@ using cpu::PredictResult;
 class PredictorTest : public ::testing::Test
 {
   protected:
-    PredictorTest() : ids_(4, 16), predictors_(4, ids_) {}
+    PredictorTest() : ids_(4, 16), table_(4), predictors_(table_, ids_)
+    {
+    }
+
+    /** @p dtx starts on @p cpu: the CPU Table, then the broadcast. */
+    void
+    begin(sim::CpuId cpu, htm::DTxId dtx)
+    {
+        table_.start(cpu, dtx);
+        predictors_.broadcastBegin(cpu);
+    }
+
+    /** The transaction on @p cpu ends. */
+    void
+    end(sim::CpuId cpu)
+    {
+        table_.end(cpu, table_.runningOn(cpu));
+        predictors_.broadcastEnd(cpu);
+    }
 
     /** Confidence reader backed by a small matrix. */
     cpu::ConfidenceFn
@@ -37,6 +56,7 @@ class PredictorTest : public ::testing::Test
     }
 
     htm::TxIdSpace ids_;
+    htm::CpuTable table_;
     PredictorSystem predictors_;
     std::uint32_t conf_[4][4] = {};
 };
@@ -44,15 +64,15 @@ class PredictorTest : public ::testing::Test
 TEST_F(PredictorTest, CpuTablesStartEmpty)
 {
     for (int owner = 0; owner < 4; ++owner)
-        EXPECT_EQ(predictors_.cpuTableEntry(owner), htm::kNoTx);
+        EXPECT_EQ(table_.runningOn(owner), htm::kNoTx);
 }
 
 TEST_F(PredictorTest, BroadcastBeginUpdatesAllPredictors)
 {
     conf_[1][2] = 100;
     const htm::DTxId dtx = ids_.make(5, 2);
-    predictors_.broadcastBegin(1, dtx);
-    EXPECT_EQ(predictors_.cpuTableEntry(1), dtx);
+    begin(1, dtx);
+    EXPECT_EQ(predictors_.cpuTableUpdates().value(), 1u);
     // Every other CPU's predictor sees the new entry.
     for (int viewer : {0, 2, 3})
         EXPECT_EQ(predictors_.predict(viewer, 1, reader(), 50).waitOn,
@@ -61,9 +81,12 @@ TEST_F(PredictorTest, BroadcastBeginUpdatesAllPredictors)
 
 TEST_F(PredictorTest, BroadcastEndClearsEntry)
 {
-    predictors_.broadcastBegin(2, ids_.make(1, 1));
-    predictors_.broadcastEnd(2);
-    EXPECT_EQ(predictors_.cpuTableEntry(2), htm::kNoTx);
+    conf_[1][1] = 100;
+    begin(2, ids_.make(1, 1));
+    end(2);
+    EXPECT_EQ(table_.runningOn(2), htm::kNoTx);
+    EXPECT_FALSE(
+        predictors_.predict(0, 1, reader(), 50).conflictPredicted);
     EXPECT_EQ(predictors_.cpuTableUpdates().value(), 2u);
 }
 
@@ -79,7 +102,7 @@ TEST_F(PredictorTest, PredictsConflictAboveThreshold)
 {
     conf_[1][2] = 100;
     const htm::DTxId running = ids_.make(7, 2);
-    predictors_.broadcastBegin(3, running);
+    begin(3, running);
     PredictResult result = predictors_.predict(0, 1, reader(), 50);
     EXPECT_TRUE(result.conflictPredicted);
     EXPECT_EQ(result.waitOn, running);
@@ -88,7 +111,7 @@ TEST_F(PredictorTest, PredictsConflictAboveThreshold)
 TEST_F(PredictorTest, ThresholdIsStrict)
 {
     conf_[1][2] = 50;
-    predictors_.broadcastBegin(3, ids_.make(7, 2));
+    begin(3, ids_.make(7, 2));
     // conf == threshold does NOT trigger (Example 1: conf > threshold).
     EXPECT_FALSE(
         predictors_.predict(0, 1, reader(), 50).conflictPredicted);
@@ -100,7 +123,7 @@ TEST_F(PredictorTest, ThresholdIsStrict)
 TEST_F(PredictorTest, OwnCpuIsSkipped)
 {
     conf_[1][1] = 255;
-    predictors_.broadcastBegin(0, ids_.make(0, 1));
+    begin(0, ids_.make(0, 1));
     // Predicting on CPU 0 must not serialize against itself.
     EXPECT_FALSE(
         predictors_.predict(0, 1, reader(), 50).conflictPredicted);
@@ -112,8 +135,8 @@ TEST_F(PredictorTest, ReturnsFirstConflictingCpu)
     conf_[0][2] = 200;
     const htm::DTxId first = ids_.make(1, 1);
     const htm::DTxId second = ids_.make(2, 2);
-    predictors_.broadcastBegin(1, first);
-    predictors_.broadcastBegin(2, second);
+    begin(1, first);
+    begin(2, second);
     PredictResult result = predictors_.predict(0, 0, reader(), 50);
     EXPECT_TRUE(result.conflictPredicted);
     EXPECT_EQ(result.waitOn, first); // scan order: CPU 1 before 2
@@ -123,8 +146,8 @@ TEST_F(PredictorTest, LowConfidenceTxIsIgnored)
 {
     conf_[0][1] = 10;
     conf_[0][3] = 90;
-    predictors_.broadcastBegin(1, ids_.make(1, 1));
-    predictors_.broadcastBegin(2, ids_.make(2, 3));
+    begin(1, ids_.make(1, 1));
+    begin(2, ids_.make(2, 3));
     PredictResult result = predictors_.predict(0, 0, reader(), 50);
     EXPECT_TRUE(result.conflictPredicted);
     EXPECT_EQ(ids_.staticOf(result.waitOn), 3);
@@ -133,7 +156,7 @@ TEST_F(PredictorTest, LowConfidenceTxIsIgnored)
 TEST_F(PredictorTest, FirstLookupMissesThenHits)
 {
     conf_[1][2] = 10; // below threshold: full scan happens
-    predictors_.broadcastBegin(3, ids_.make(7, 2));
+    begin(3, ids_.make(7, 2));
     PredictResult cold = predictors_.predict(0, 1, reader(), 50);
     PredictResult warm = predictors_.predict(0, 1, reader(), 50);
     EXPECT_GT(cold.latency, warm.latency);
@@ -144,7 +167,7 @@ TEST_F(PredictorTest, FirstLookupMissesThenHits)
 TEST_F(PredictorTest, ConfidenceWriteInvalidatesButRefetches)
 {
     conf_[1][2] = 10;
-    predictors_.broadcastBegin(3, ids_.make(7, 2));
+    begin(3, ids_.make(7, 2));
     predictors_.predict(0, 1, reader(), 50); // warm the cache
     predictors_.onConfidenceWrite(1, 2);
     EXPECT_EQ(predictors_.refetches(0), 1u);
@@ -157,7 +180,7 @@ TEST_F(PredictorTest, ConfidenceWriteInvalidatesButRefetches)
 TEST_F(PredictorTest, RefetchCountsWritesWhileLineResident)
 {
     conf_[1][2] = 10;
-    predictors_.broadcastBegin(3, ids_.make(7, 2));
+    begin(3, ids_.make(7, 2));
     predictors_.onConfidenceWrite(1, 2); // nobody holds the line yet
     predictors_.predict(0, 1, reader(), 50);
     for (int i = 0; i < 3; ++i)
@@ -179,16 +202,18 @@ TEST(PredictorRefetch, RefetchesSettleWhenTheLineIsEvicted)
                         .hitLatency = 1};
     config.entryBytes = 64;
     const htm::TxIdSpace ids(4, 4);
-    PredictorSystem predictors(2, ids, config);
+    htm::CpuTable table(2);
+    PredictorSystem predictors(table, ids, config);
     const auto read = [](htm::STxId, htm::STxId) { return 0u; };
 
-    predictors.broadcastBegin(1, ids.make(1, 2));
+    table.start(1, ids.make(1, 2));
     predictors.predict(0, 1, read, 50); // installs confidence[1][2]
     predictors.onConfidenceWrite(1, 2);
     predictors.onConfidenceWrite(1, 2);
     EXPECT_EQ(predictors.refetches(0), 2u);
 
-    predictors.broadcastBegin(1, ids.make(1, 3));
+    table.end(1, ids.make(1, 2));
+    table.start(1, ids.make(1, 3));
     predictors.predict(0, 1, read, 50); // evicts confidence[1][2]
     predictors.onConfidenceWrite(1, 2); // no longer resident
     EXPECT_EQ(predictors.refetches(0), 2u);
@@ -209,7 +234,7 @@ TEST_F(PredictorTest, PredictionCountersTrack)
 {
     conf_[0][1] = 100;
     predictors_.predict(0, 0, reader(), 50);
-    predictors_.broadcastBegin(1, ids_.make(1, 1));
+    begin(1, ids_.make(1, 1));
     predictors_.predict(0, 0, reader(), 50);
     EXPECT_EQ(predictors_.predictions().value(), 2u);
     EXPECT_EQ(predictors_.conflictsPredicted().value(), 1u);
@@ -218,7 +243,7 @@ TEST_F(PredictorTest, PredictionCountersTrack)
 TEST_F(PredictorTest, DistinctCpusHaveDistinctCaches)
 {
     conf_[1][2] = 10;
-    predictors_.broadcastBegin(3, ids_.make(7, 2));
+    begin(3, ids_.make(7, 2));
     predictors_.predict(0, 1, reader(), 50);
     // CPU 1's cache is still cold.
     EXPECT_EQ(predictors_.confCache(1).misses().value(), 0u);
@@ -374,7 +399,8 @@ runDifferential(int cpus, const Geometry &geometry, std::uint64_t seed)
 {
     const int threads = 2 * cpus;
     const htm::TxIdSpace ids(geometry.staticTx, threads);
-    PredictorSystem fast(cpus, ids, geometry.config);
+    htm::CpuTable table(cpus);
+    PredictorSystem fast(table, ids, geometry.config);
     ReferencePredictor ref(cpus, ids, geometry.config);
     sim::Rng rng(seed);
 
@@ -386,7 +412,6 @@ runDifferential(int cpus, const Geometry &geometry, std::uint64_t seed)
         return conf[static_cast<std::size_t>(row) * sites
                     + static_cast<std::size_t>(col)];
     };
-    std::vector<bool> running(static_cast<std::size_t>(cpus), false);
     std::uint64_t conflicts = 0;
 
     for (int step = 0; step < 6000; ++step) {
@@ -395,7 +420,8 @@ runDifferential(int cpus, const Geometry &geometry, std::uint64_t seed)
         const auto stx = static_cast<htm::STxId>(rng.below(sites));
         switch (rng.below(6)) {
         case 0: // a transaction begins or ends on cpu
-            if (running[static_cast<std::size_t>(cpu)]) {
+            if (table.runningOn(cpu) != htm::kNoTx) {
+                table.end(cpu, table.runningOn(cpu));
                 fast.broadcastEnd(cpu);
                 ref.broadcastEnd(cpu);
             } else {
@@ -403,11 +429,10 @@ runDifferential(int cpus, const Geometry &geometry, std::uint64_t seed)
                     static_cast<sim::ThreadId>(
                         rng.below(static_cast<std::uint64_t>(threads))),
                     stx);
-                fast.broadcastBegin(cpu, dtx);
+                table.start(cpu, dtx);
+                fast.broadcastBegin(cpu);
                 ref.broadcastBegin(cpu, dtx);
             }
-            running[static_cast<std::size_t>(cpu)] =
-                !running[static_cast<std::size_t>(cpu)];
             break;
         case 1:
         case 2: { // the runtime writes a confidence entry

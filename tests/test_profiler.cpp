@@ -18,7 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "htm/tx_id.h"
 #include "runner/experiment.h"
+#include "runner/simulation.h"
 #include "runner/sweep.h"
 #include "sim/profiler.h"
 
@@ -203,6 +205,27 @@ TEST(ProfilerIntegrationTest, ProfiledRunLeavesResultsIdentical)
     EXPECT_GT(data.peakRssBytes, 0u);
     EXPECT_GT(data.structBytes[sim::Profiler::kStructEventQueue], 0u);
     EXPECT_GT(data.structBytes[sim::Profiler::kPredictorCaches], 0u);
+}
+
+TEST(ProfilerIntegrationTest, ByteGaugesReportTheManagersOwnStructures)
+{
+    // PTS holds a conflict graph of one double per dTxID pair and a
+    // filter per committed dTxID, and no predictor caches.
+    runner::SimConfig config =
+        runner::makeConfig("Intruder", cm::CmKind::Pts, smallOptions());
+    sim::Profiler prof;
+    config.profiler = &prof;
+    runner::Simulation simulation(config);
+    simulation.run();
+
+    const htm::TxIdSpace ids(simulation.workload().numStaticTx(),
+                             config.numThreads());
+    const auto n = static_cast<std::uint64_t>(ids.numDynamicTx());
+    const sim::Profiler::Data &data = prof.data();
+    EXPECT_EQ(data.structBytes[sim::Profiler::kConfidenceTables],
+              n * (n + 1) / 2 * sizeof(double));
+    EXPECT_GT(data.structBytes[sim::Profiler::kBloomSignatures], 0u);
+    EXPECT_EQ(data.structBytes[sim::Profiler::kPredictorCaches], 0u);
 }
 
 class ProfilerSweepTest : public ::testing::Test

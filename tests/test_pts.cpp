@@ -20,7 +20,7 @@ class PtsTest : public ::testing::Test
 {
   protected:
     PtsTest()
-        : manager_(4, machine_.ids, machine_.services(), config())
+        : manager_(machine_.ids, machine_.services(), config())
     {
     }
 
@@ -48,7 +48,6 @@ class PtsTest : public ::testing::Test
 
 TEST_F(PtsTest, GraphStartsEmpty)
 {
-    EXPECT_EQ(manager_.graphEdges(), 0u);
     EXPECT_DOUBLE_EQ(
         manager_.confidence(machine_.tx(0, 0).dTx,
                             machine_.tx(1, 1).dTx),
@@ -60,7 +59,6 @@ TEST_F(PtsTest, ConflictStrengthensEdge)
     const cm::TxInfo a = machine_.tx(0, 0), b = machine_.tx(1, 1);
     manager_.onConflictDetected(a, b);
     EXPECT_DOUBLE_EQ(manager_.confidence(a.dTx, b.dTx), 48.0);
-    EXPECT_EQ(manager_.graphEdges(), 1u);
 }
 
 TEST_F(PtsTest, EdgeIsSymmetric)
@@ -86,7 +84,7 @@ TEST_F(PtsTest, BeginSerializesAgainstHighConfidenceRunning)
 {
     const cm::TxInfo a = machine_.tx(0, 0), b = machine_.tx(1, 1);
     manager_.onConflictDetected(a, b); // edge 48 > threshold 40
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     cm::BeginDecision d = manager_.onTxBegin(a);
     EXPECT_NE(d.action, BeginAction::Proceed);
     EXPECT_EQ(d.waitOn, b.dTx);
@@ -96,7 +94,7 @@ TEST_F(PtsTest, BeginSerializesAgainstHighConfidenceRunning)
 TEST_F(PtsTest, BeginIgnoresLowConfidenceRunning)
 {
     const cm::TxInfo a = machine_.tx(0, 0), b = machine_.tx(1, 1);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     cm::BeginDecision d = manager_.onTxBegin(a);
     EXPECT_EQ(d.action, BeginAction::Proceed);
 }
@@ -105,8 +103,8 @@ TEST_F(PtsTest, BeginCostScalesWithRunningTransactions)
 {
     const cm::TxInfo a = machine_.tx(0, 0);
     const sim::Cycles empty_cost = manager_.onTxBegin(a).cost.sched;
-    manager_.onTxStart(machine_.tx(1, 1));
-    manager_.onTxStart(machine_.tx(2, 2));
+    machine_.start(manager_, machine_.tx(1, 1));
+    machine_.start(manager_, machine_.tx(2, 2));
     const sim::Cycles busy_cost = manager_.onTxBegin(a).cost.sched;
     EXPECT_GT(busy_cost, empty_cost);
 }
@@ -124,12 +122,12 @@ TEST_F(PtsTest, SmallHolderStallsLargeHolderYields)
     commit(large_holder, big);
 
     manager_.onConflictDetected(a, small_holder);
-    manager_.onTxStart(small_holder);
+    machine_.start(manager_, small_holder);
     EXPECT_EQ(manager_.onTxBegin(a).action, BeginAction::StallOn);
-    manager_.onTxAbort(small_holder, a); // clears running table
+    machine_.abort(manager_, small_holder, a); // clears the CPU Table
 
     manager_.onConflictDetected(a, large_holder);
-    manager_.onTxStart(large_holder);
+    machine_.start(manager_, large_holder);
     EXPECT_EQ(manager_.onTxBegin(a).action, BeginAction::YieldOn);
 }
 
@@ -139,7 +137,7 @@ TEST_F(PtsTest, CommitConfirmsJustifiedSerialization)
     // b commits lines {1..8}; its Bloom filter is stored.
     commit(b, {1, 2, 3, 4, 5, 6, 7, 8});
     manager_.onConflictDetected(a, b);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     manager_.onTxBegin(a); // serializes behind b, waitedOn recorded
     const double before = manager_.confidence(a.dTx, b.dTx);
     // a commits an overlapping set: serialization was justified.
@@ -155,7 +153,7 @@ TEST_F(PtsTest, CommitWeakensDisprovenSerialization)
     // in place, so only the commit below may count.
     commit(a, {1, 2, 3, 4});
     manager_.onConflictDetected(a, b);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     manager_.onTxBegin(a);
     const double before = manager_.confidence(a.dTx, b.dTx);
     // a's set is far away from b's: serialization was wasted.
@@ -180,7 +178,7 @@ TEST_F(PtsTest, CommitTracksAverageSize)
     // decision of a waiter (avg 6 < smallTxLines 10 -> stall).
     const cm::TxInfo waiter = machine_.tx(1, 1);
     manager_.onConflictDetected(waiter, a);
-    manager_.onTxStart(a);
+    machine_.start(manager_, a);
     EXPECT_EQ(manager_.onTxBegin(waiter).action,
               BeginAction::StallOn);
 }
@@ -190,10 +188,10 @@ TEST_F(PtsTest, AbortKeepsWaitHistoryForRetry)
     const cm::TxInfo a = machine_.tx(0, 0), b = machine_.tx(1, 1);
     commit(b, {1, 2, 3});
     manager_.onConflictDetected(a, b);
-    manager_.onTxStart(b);
+    machine_.start(manager_, b);
     manager_.onTxBegin(a); // waits behind b
-    manager_.onTxStart(a);
-    manager_.onTxAbort(a, b);
+    machine_.start(manager_, a);
+    machine_.abort(manager_, a, b);
     const double before = manager_.confidence(a.dTx, b.dTx);
     // The eventual commit still verifies the earlier serialization.
     commit(a, {2, 50});

@@ -412,46 +412,57 @@ TEST(QualityIntegrationTest, RecordedRunLeavesResultsIdentical)
 
 TEST(QualityIntegrationTest, EstimatorErrorsArePinned)
 {
-    // Intruder 16x4 at 5 tx/thread. Perfect signatures estimate every
-    // Eq. 2-4 value exactly; the Bloom errors under BFGTS-HW are
-    // pinned, so a change to the signature build, the stored
+    // Intruder 16x4 at 5 tx/thread (its first 4 Eq. 2-4 estimates)
+    // and at the default length (all 582). Perfect signatures
+    // estimate every value exactly; the Bloom errors under BFGTS-HW
+    // are pinned, so a change to the signature build, the stored
     // filters or the recorder's exact intersection shows here.
-    runner::RunOptions options;
-    options.txPerThread = 5;
-
-    QualityRecorder exact;
-    runner::runStamp("Intruder", cm::CmKind::BfgtsNoOverhead, options,
-                     nullptr, &exact);
-    for (const QualityRecorder::ErrorStats *stats :
-         {&exact.data().eq2SetSize, &exact.data().eq3Intersection,
-          &exact.data().eq4Similarity}) {
-        EXPECT_GT(stats->count, 0u);
-        EXPECT_EQ(stats->maxAbs, 0.0);
-    }
-
-    QualityRecorder bloom;
-    runner::runStamp("Intruder", cm::CmKind::BfgtsHw, options, nullptr,
-                     &bloom);
-    const QualityRecorder::Data &data = bloom.data();
-    EXPECT_EQ(data.estimateSamples, 4u);
-    const struct {
-        const QualityRecorder::ErrorStats &stats;
+    struct Pin {
         std::uint64_t count;
         const char *sumSigned;
         const char *sumAbs;
-    } cases[] = {
-        {data.eq2SetSize, 4, "0.3859238967884764", "0.3859238967884764"},
-        {data.eq3Intersection, 4, "0.05537879070844731",
-         "0.11024995659269798"},
-        {data.eq4Similarity, 4, "0.005537879070844742",
-         "0.011024995659269787"},
     };
-    for (const auto &expected : cases) {
-        EXPECT_EQ(expected.stats.count, expected.count);
-        EXPECT_EQ(sim::jsonNumber(expected.stats.sumSigned),
-                  expected.sumSigned);
-        EXPECT_EQ(sim::jsonNumber(expected.stats.sumAbs),
-                  expected.sumAbs);
+    const struct {
+        int txPerThread; // 0: the workload's default length
+        std::uint64_t samples;
+        Pin eq2, eq3, eq4;
+    } runs[] = {
+        {5, 4, {4, "0.3859238967884764", "0.3859238967884764"},
+         {4, "0.05537879070844731", "0.11024995659269798"},
+         {4, "0.005537879070844742", "0.011024995659269787"}},
+        {0, 582, {582, "0.5574656280104673", "29.062040719955093"},
+         {582, "17.590069866340556", "20.186994604274098"},
+         {582, "2.610526921148011", "3.1583189183898903"}},
+    };
+    for (const auto &run : runs) {
+        SCOPED_TRACE("tx/thread " + std::to_string(run.txPerThread));
+        runner::RunOptions options;
+        options.txPerThread = run.txPerThread;
+
+        QualityRecorder exact;
+        runner::runStamp("Intruder", cm::CmKind::BfgtsNoOverhead,
+                         options, nullptr, &exact);
+        for (const QualityRecorder::ErrorStats *stats :
+             {&exact.data().eq2SetSize, &exact.data().eq3Intersection,
+              &exact.data().eq4Similarity}) {
+            EXPECT_GT(stats->count, 0u);
+            EXPECT_EQ(stats->maxAbs, 0.0);
+        }
+
+        QualityRecorder bloom;
+        runner::runStamp("Intruder", cm::CmKind::BfgtsHw, options,
+                         nullptr, &bloom);
+        const QualityRecorder::Data &data = bloom.data();
+        EXPECT_EQ(data.estimateSamples, run.samples);
+        const std::pair<const QualityRecorder::ErrorStats &, Pin>
+            cases[] = {{data.eq2SetSize, run.eq2},
+                       {data.eq3Intersection, run.eq3},
+                       {data.eq4Similarity, run.eq4}};
+        for (const auto &[stats, pin] : cases) {
+            EXPECT_EQ(stats.count, pin.count);
+            EXPECT_EQ(sim::jsonNumber(stats.sumSigned), pin.sumSigned);
+            EXPECT_EQ(sim::jsonNumber(stats.sumAbs), pin.sumAbs);
+        }
     }
 }
 

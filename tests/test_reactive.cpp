@@ -21,8 +21,8 @@ class ReactiveTest : public ::testing::Test
 {
   protected:
     ReactiveTest()
-        : timestamp_(4, machine_.services()),
-          polka_(4, machine_.services())
+        : timestamp_(machine_.services()),
+          polka_(machine_.services())
     {
     }
 
@@ -47,7 +47,7 @@ class ReactiveTest : public ::testing::Test
 
 TEST_F(ReactiveTest, DefaultArbitrationDefersToSubstrate)
 {
-    cm::BackoffManager backoff(4, machine_.services());
+    cm::BackoffManager backoff(machine_.services());
     EXPECT_EQ(backoff.arbitrate(context(1, 0, 0, 0)),
               ConflictArbitration::UseSubstrate);
 }

@@ -11,6 +11,7 @@
 #include <memory>
 
 #include "cm/contention_manager.h"
+#include "htm/cpu_table.h"
 #include "runner/experiment.h"
 #include "runner/simulation.h"
 #include "workloads/generator.h"
@@ -21,8 +22,8 @@ namespace {
 class AlwaysStallManager : public cm::ContentionManager
 {
   public:
-    AlwaysStallManager(int num_cpus, const cm::Services &services)
-        : ContentionManager(num_cpus, services)
+    explicit AlwaysStallManager(const cm::Services &services)
+        : ContentionManager(services)
     {
     }
 
@@ -31,14 +32,15 @@ class AlwaysStallManager : public cm::ContentionManager
     cm::BeginDecision
     onTxBegin(const cm::TxInfo &tx) override
     {
+        const htm::CpuTable &table = *services_.cpuTable;
         cm::BeginDecision decision;
-        for (int cpu = 0; cpu < numCpus(); ++cpu) {
+        for (int cpu = 0; cpu < table.numCpus(); ++cpu) {
             if (cpu == tx.cpu)
                 continue;
-            if (runningOn(cpu) != htm::kNoTx) {
+            if (table.runningOn(cpu) != htm::kNoTx) {
                 trackSerialization(kUnknownSite, tx.sTx);
                 decision.action = cm::BeginAction::StallOn;
-                decision.waitOn = runningOn(cpu);
+                decision.waitOn = table.runningOn(cpu);
                 decision.cost.sched = 5;
                 return decision;
             }
@@ -46,20 +48,15 @@ class AlwaysStallManager : public cm::ContentionManager
         return decision;
     }
 
-    void onTxStart(const cm::TxInfo &tx) override { trackStart(tx); }
-
     cm::AbortResponse
-    onTxAbort(const cm::TxInfo &tx, const cm::TxInfo &) override
+    onTxAbort(const cm::TxInfo &, const cm::TxInfo &) override
     {
-        trackEnd(tx, false);
         return cm::AbortResponse{};
     }
 
     cm::CmCost
-    onTxCommit(const cm::TxInfo &tx,
-               const std::vector<mem::Addr> &) override
+    onTxCommit(const cm::TxInfo &, const std::vector<mem::Addr> &) override
     {
-        trackEnd(tx, true);
         return cm::CmCost{};
     }
 };
@@ -68,9 +65,8 @@ class AlwaysStallManager : public cm::ContentionManager
 class YieldNTimesManager : public cm::ContentionManager
 {
   public:
-    YieldNTimesManager(int num_cpus, int yields,
-                       const cm::Services &services)
-        : ContentionManager(num_cpus, services), yields_(yields)
+    YieldNTimesManager(int yields, const cm::Services &services)
+        : ContentionManager(services), yields_(yields)
     {
     }
 
@@ -88,20 +84,15 @@ class YieldNTimesManager : public cm::ContentionManager
         return decision;
     }
 
-    void onTxStart(const cm::TxInfo &tx) override { trackStart(tx); }
-
     cm::AbortResponse
-    onTxAbort(const cm::TxInfo &tx, const cm::TxInfo &) override
+    onTxAbort(const cm::TxInfo &, const cm::TxInfo &) override
     {
-        trackEnd(tx, false);
         return cm::AbortResponse{};
     }
 
     cm::CmCost
-    onTxCommit(const cm::TxInfo &tx,
-               const std::vector<mem::Addr> &) override
+    onTxCommit(const cm::TxInfo &, const std::vector<mem::Addr> &) override
     {
-        trackEnd(tx, true);
         return cm::CmCost{};
     }
 
@@ -138,10 +129,9 @@ tinyConfig()
 TEST(RunnerPaths, BeginStallWaitsAndReleases)
 {
     runner::SimConfig config = tinyConfig();
-    config.managerFactory = [](int num_cpus, const htm::TxIdSpace &,
+    config.managerFactory = [](const htm::TxIdSpace &,
                                const cm::Services &services) {
-        return std::make_unique<AlwaysStallManager>(num_cpus,
-                                                    services);
+        return std::make_unique<AlwaysStallManager>(services);
     };
     runner::Simulation simulation(config);
     const runner::SimResults r = simulation.run();
@@ -159,10 +149,9 @@ TEST(RunnerPaths, StallTimeoutValveFires)
     // Force the timeout: make every wait instantly "too long".
     runner::SimConfig config = tinyConfig();
     config.beginStallTimeout = 1;
-    config.managerFactory = [](int num_cpus, const htm::TxIdSpace &,
+    config.managerFactory = [](const htm::TxIdSpace &,
                                const cm::Services &services) {
-        return std::make_unique<AlwaysStallManager>(num_cpus,
-                                                    services);
+        return std::make_unique<AlwaysStallManager>(services);
     };
     runner::Simulation simulation(config);
     const runner::SimResults r = simulation.run();
@@ -218,10 +207,9 @@ TEST(RunnerPaths, StallTimeoutAndPreemptionArePinned)
 TEST(RunnerPaths, YieldRoundTripsReturnToBegin)
 {
     runner::SimConfig config = tinyConfig();
-    config.managerFactory = [](int num_cpus, const htm::TxIdSpace &,
+    config.managerFactory = [](const htm::TxIdSpace &,
                                const cm::Services &services) {
-        return std::make_unique<YieldNTimesManager>(num_cpus, 3,
-                                                    services);
+        return std::make_unique<YieldNTimesManager>(3, services);
     };
     runner::Simulation simulation(config);
     const runner::SimResults r = simulation.run();

@@ -57,6 +57,7 @@ TEST(StatsDump, CountsMatchResults)
     EXPECT_EQ(statValue(dump, "htm.commits"), results.commits);
     EXPECT_EQ(statValue(dump, "htm.aborts"), results.aborts);
     EXPECT_EQ(statValue(dump, "cm.commits"), results.commits);
+    EXPECT_EQ(statValue(dump, "cm.aborts"), results.aborts);
     EXPECT_EQ(statValue(dump, "cm.serializations"),
               results.serializations);
 }
