@@ -131,33 +131,30 @@ struct TxInfo {
 };
 
 /**
- * A contention manager's verdict on a detected conflict. Reactive
- * managers in the Scherer & Scott tradition (Timestamp, Polka)
- * arbitrate conflicts themselves; the proactive managers of the
- * paper's evaluation leave arbitration to the HTM substrate and act
+ * A contention manager's verdict on one conflicting holder, ordered
+ * by severity for the requester: AbortHolders < StallRequester <
+ * AbortRequester. Reactive managers in the Scherer & Scott tradition
+ * (Timestamp, Polka) pick their own victims; the proactive managers
+ * of the paper's evaluation keep the default, LogTM's policy, and act
  * at begin time instead.
  */
 enum class ConflictArbitration {
-    /** Let the substrate's LogTM-style policy decide. */
-    UseSubstrate,
+    /** The holder(s) abort; the requester retries. */
+    AbortHolders,
     /** NACK the requester; it retries the access. */
     StallRequester,
     /** The requester aborts itself. */
     AbortRequester,
-    /** The holder(s) abort; the requester retries. */
-    AbortHolders,
 };
 
 /** What the arbitration hook gets to look at. */
 struct ArbitrationContext {
-    TxInfo requester;
     /** Accesses the requester has performed this attempt (karma). */
     int requesterAccesses = 0;
     /** Consecutive stalls already suffered on this access. */
     int stallRetries = 0;
     /** Times the requester's section has aborted (starvation). */
     int priorAborts = 0;
-    TxInfo holder;
     /** Accesses the holder has performed this attempt (karma). */
     int holderAccesses = 0;
     /** The holder's age timestamp relative to the requester's:
@@ -213,19 +210,36 @@ class ContentionManager
         (void)tx;
     }
 
+    /** LogTM's policy: NACKs a requester takes on one access before
+     *  it aborts itself (the possible-cycle heuristic fires quickly;
+     *  sustained conflicts in an eager HTM end in aborts). */
+    static constexpr int kMaxStallRetries = 1;
+    /** LogTM's policy: self-aborts of a section after which an older
+     *  requester aborts younger holders instead, which bounds the
+     *  starvation of long transactions (Bobba et al.'s pathologies). */
+    static constexpr int kSelfAbortEscape = 8;
+
     /**
-     * Arbitrate a detected conflict (called once per conflicting
-     * holder, before onConflictDetected). The default defers to the
-     * substrate; reactive managers override this to implement their
-     * victim-selection heuristic. When several holders conflict, the
-     * most severe verdict against the requester wins, and
-     * AbortHolders is only honored if every holder loses.
+     * Decide a detected conflict with one holder. For each holder in
+     * turn the runner calls arbitrate(), then, on that holder's first
+     * report in the attempt, onConflictDetected(); the severest
+     * verdict for the requester stands, so the holders abort only
+     * when every holder loses. The default is LogTM's policy: stall
+     * and retry kMaxStallRetries times, then self-abort, except that
+     * a requester whose section has aborted kSelfAbortEscape times
+     * aborts the holders younger than it. Reactive managers override
+     * this with their victim-selection heuristic.
      */
     virtual ConflictArbitration
     arbitrate(const ArbitrationContext &context)
     {
-        (void)context;
-        return ConflictArbitration::UseSubstrate;
+        if (context.stallRetries < kMaxStallRetries)
+            return ConflictArbitration::StallRequester;
+        if (context.priorAborts >= kSelfAbortEscape
+            && context.holderAgeDelta > 0) {
+            return ConflictArbitration::AbortHolders;
+        }
+        return ConflictArbitration::AbortRequester;
     }
 
     /**

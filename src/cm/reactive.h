@@ -4,8 +4,10 @@
  *
  * The paper's Section 2 traces contention management back to these
  * heuristic managers, which pick a victim when a conflict happens
- * instead of preventing the conflict. Two representatives are
- * implemented on the arbitrate() hook:
+ * instead of preventing the conflict. Every conflict is decided by
+ * ContentionManager::arbitrate(), whose default is the LogTM
+ * substrate's policy (stall, then self-abort); two representatives
+ * override it:
  *
  *  - Timestamp: the older transaction always wins; a younger
  *    requester stalls briefly and then aborts itself. Livelock-free

@@ -192,8 +192,7 @@ ConflictDetector::findConflicts(const TxState &tx, bool is_write,
 }
 
 AccessResult
-ConflictDetector::access(TxState &tx, mem::Addr line, bool is_write,
-                         int stall_retries, int prior_aborts)
+ConflictDetector::access(TxState &tx, mem::Addr line, bool is_write)
 {
     sim_assert(tx.active);
 
@@ -210,68 +209,39 @@ ConflictDetector::access(TxState &tx, mem::Addr line, bool is_write,
         sigGeometry_.positions(line, pos);
     }
     findConflicts(tx, is_write, slots_[slot], pos, result.conflicts);
-
-    if (result.conflicts.empty()) {
-        // Conflict-free: record ownership. The entry says whether tx
-        // already holds the line, so each set gets a line once.
-        Entry &entry = claim(slot, line);
-        if (is_write) {
-            result.firstWrite = entry.writer != &tx;
-            if (result.firstWrite) {
-                entry.writer = &tx;
-                tx.writeSet.push_back(line);
-            }
-        } else if (!isReader(entry, &tx)) {
-            appendReader(entry, &tx);
-            tx.readSet.push_back(line);
-        }
-        if (signature) {
-            if (sigOwners_[thread] == nullptr) {
-                sigOwners_[thread] = &tx;
-                const LiveSig live{tx.dTxId, thread};
-                liveSigs_.insert(
-                    std::lower_bound(liveSigs_.begin(), liveSigs_.end(),
-                                     live,
-                                     [](const LiveSig &a, const LiveSig &b) {
-                                         return a.dTxId < b.dTxId;
-                                     }),
-                    live);
-            }
-            bloom::BloomFilter::setPositions(
-                sigWords(thread) + (is_write ? wordsPerSig_ : 0), pos,
-                policy_.signature.numHashes);
-        }
-        result.resolution = Resolution::Proceed;
+    if (!result.conflicts.empty()) {
+        conflicts_.inc();
         return result;
     }
 
-    conflicts_.inc();
-    nackRetryHist_.sample(static_cast<double>(stall_retries));
-
-    // LogTM-flavored: the requester stalls and retries (the holder
-    // NACKs it), hoping the holder finishes. When the stall budget
-    // runs out -- a possible deadlock cycle -- the *requester*
-    // aborts itself, as LogTM does. There is no age priority in the
-    // common case, so repeated mutual aborts can starve long
-    // transactions (the reactive-manager pathology); only a
-    // transaction that has already been beaten selfAbortEscape times
-    // gets age-based arbitration, which bounds starvation.
-    if (stall_retries < policy_.maxStallRetries) {
-        result.resolution = Resolution::StallRequester;
-        return result;
-    }
-    if (prior_aborts >= policy_.selfAbortEscape) {
-        const bool requester_oldest = std::all_of(
-            result.conflicts.begin(), result.conflicts.end(),
-            [&](const TxState *holder) {
-                return tx.timestamp < holder->timestamp;
-            });
-        if (requester_oldest) {
-            result.resolution = Resolution::AbortHolders;
-            return result;
+    // Conflict-free: record ownership. The entry says whether tx
+    // already holds the line, so each set gets a line once.
+    Entry &entry = claim(slot, line);
+    if (is_write) {
+        result.firstWrite = entry.writer != &tx;
+        if (result.firstWrite) {
+            entry.writer = &tx;
+            tx.writeSet.push_back(line);
         }
+    } else if (!isReader(entry, &tx)) {
+        appendReader(entry, &tx);
+        tx.readSet.push_back(line);
     }
-    result.resolution = Resolution::AbortRequester;
+    if (signature) {
+        if (sigOwners_[thread] == nullptr) {
+            sigOwners_[thread] = &tx;
+            const LiveSig live{tx.dTxId, thread};
+            liveSigs_.insert(
+                std::lower_bound(liveSigs_.begin(), liveSigs_.end(), live,
+                                 [](const LiveSig &a, const LiveSig &b) {
+                                     return a.dTxId < b.dTxId;
+                                 }),
+                live);
+        }
+        bloom::BloomFilter::setPositions(
+            sigWords(thread) + (is_write ? wordsPerSig_ : 0), pos,
+            policy_.signature.numHashes);
+    }
     return result;
 }
 

@@ -16,14 +16,11 @@
  * attempt it makes. An access hashes its line once and tests the
  * same bit positions against every remote slot.
  *
- * Resolution policy (LogTM-flavored, hybrid "eldest wins"):
- *   - If the requester is older than every conflicting holder, the
- *     holders abort (the oldest transaction in the system can always
- *     make progress -- no livelock).
- *   - Otherwise the requester stalls and retries; after a bounded
- *     number of consecutive stalls on the same access it aborts
- *     itself (breaks potential deadlock cycles, as LogTM's
- *     possible-cycle heuristic does).
+ * The detector only detects: it reports the holders of a conflicting
+ * access and records an access that has none. What the requester
+ * does about a conflict is the contention manager's verdict
+ * (cm::ContentionManager::arbitrate(), whose default is LogTM's
+ * policy).
  */
 
 #ifndef BFGTS_HTM_CONFLICT_DETECTOR_H
@@ -57,59 +54,30 @@ enum class DetectionMode {
     Signature,
 };
 
-/** What the requester must do about a conflicting access. */
-enum class Resolution {
-    /** No conflict: the access was recorded; proceed. */
-    Proceed,
-    /** Conflict: requester must stall and retry this access. */
-    StallRequester,
-    /** Conflict: requester must abort itself. */
-    AbortRequester,
-    /** Conflict: the holders listed must abort; requester retries. */
-    AbortHolders,
-};
-
 /** Outcome of one requested access. */
 struct AccessResult {
-    Resolution resolution = Resolution::Proceed;
     /**
-     * On Proceed: this store is the requester's first write of the
-     * line in this attempt, so the undo log must save the old value
-     * (the hardware filters later stores to a logged line).
+     * With no conflict: this store is the requester's first write of
+     * the line in this attempt, so the undo log must save the old
+     * value (the hardware filters later stores to a logged line).
      */
     bool firstWrite = false;
     /**
-     * Conflicting transactions (holders), when resolution != Proceed:
-     * the writer first, then readers in registration order (exact
-     * mode), or remote transactions in dTxID order (signature mode).
+     * Conflicting transactions (holders); empty when the access was
+     * recorded. The writer first, then readers in registration order
+     * (exact mode), or remote transactions in dTxID order (signature
+     * mode).
      */
     std::vector<TxState *> conflicts;
 };
 
-/** Tunables of the resolution policy. */
+/** How the detector checks accesses. */
 struct ConflictPolicy {
-    /**
-     * Consecutive stalls on one access before the conflict escalates
-     * to an abort (LogTM's possible-cycle heuristic fires quickly;
-     * sustained conflicts in an eager HTM end in aborts).
-     */
-    int maxStallRetries = 1;
-
     /** Conflict check mechanism (exact, or Bloom signatures). */
     DetectionMode detectionMode = DetectionMode::Exact;
 
     /** Signature geometry when detectionMode == Signature. */
     bloom::BloomConfig signature{.numBits = 2048, .numHashes = 4};
-
-    /**
-     * LogTM aborts the *requester* on a possible cycle, with no age
-     * priority -- which is what lets repeated mutual aborts starve
-     * long transactions under reactive managers (Bobba et al.'s
-     * pathologies). Only after a transaction has self-aborted this
-     * many times does age-based arbitration kick in and let an old
-     * requester kill younger holders, bounding worst-case starvation.
-     */
-    int selfAbortEscape = 8;
 };
 
 /**
@@ -133,20 +101,14 @@ class ConflictDetector
     /**
      * Attempt an access and record it if conflict-free.
      *
-     * @param tx            Requesting transaction (must be active).
-     * @param line          Line number (mem::lineNumber of the addr).
-     * @param is_write      Store or load.
-     * @param stall_retries Consecutive stalls the requester has already
-     *                      suffered on this same access.
-     * @param prior_aborts  Times this transactional section has
-     *                      already aborted (starvation escape hatch).
-     * @return Resolution and the conflicting holders, if any. On
-     *         Proceed the line was added to tx's read/write set and
-     *         the registry. On AbortHolders the caller must abort
-     *         every holder (abortTx) and then retry the access.
+     * @param tx       Requesting transaction (must be active).
+     * @param line     Line number (mem::lineNumber of the addr).
+     * @param is_write Store or load.
+     * @return The conflicting holders, if any. With none, the line
+     *         was added to tx's read/write set and the registry;
+     *         otherwise nothing was recorded.
      */
-    AccessResult access(TxState &tx, mem::Addr line, bool is_write,
-                        int stall_retries, int prior_aborts = 0);
+    AccessResult access(TxState &tx, mem::Addr line, bool is_write);
 
     /**
      * Remove @p tx from the registry (commit or abort). The caller
@@ -166,16 +128,6 @@ class ConflictDetector
     const sim::Counter &falseConflicts() const
     {
         return falseConflicts_;
-    }
-
-    /**
-     * Distribution of consecutive NACK retries a requester had
-     * already suffered each time a conflict was resolved (how long
-     * stalls last before resolution or escalation).
-     */
-    const sim::Histogram &nackRetryHist() const
-    {
-        return nackRetryHist_;
     }
 
     /**
@@ -321,7 +273,6 @@ class ConflictDetector
     std::vector<LiveSig> liveSigs_;
     sim::Counter conflicts_;
     sim::Counter falseConflicts_;
-    sim::Histogram nackRetryHist_ = sim::Histogram::makeLog2(12);
 };
 
 } // namespace htm

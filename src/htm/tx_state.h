@@ -13,7 +13,6 @@
 #ifndef BFGTS_HTM_TX_STATE_H
 #define BFGTS_HTM_TX_STATE_H
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -42,9 +41,6 @@ struct TxState {
      */
     std::uint64_t timestamp = 0;
 
-    /** Tick this attempt started executing (for wasted-work stats). */
-    sim::Tick attemptStart = 0;
-
     /**
      * Exact read set (line numbers) in first-read order. The conflict
      * detector appends each line once per attempt; its registry, not
@@ -55,33 +51,15 @@ struct TxState {
     /** Exact write set (line numbers) in first-write order. */
     std::vector<mem::Addr> writeSet;
 
-    /** Cycles of useful work done in this attempt (for abort cost). */
-    sim::Cycles workDone = 0;
-
-    /** Number of accesses performed in this attempt. */
+    /** Accesses recorded in this attempt: also the index of the
+     *  descriptor's next access. */
     int accessesDone = 0;
 
     /** True between begin and commit/abort. */
     bool active = false;
 
-    /** Read/write set footprint in lines. */
-    std::size_t
-    footprint() const
-    {
-        // Sets may overlap (read-then-write lines live in both);
-        // count the union.
-        std::size_t unique_writes = 0;
-        for (mem::Addr line : writeSet) {
-            if (std::find(readSet.begin(), readSet.end(), line)
-                == readSet.end()) {
-                ++unique_writes;
-            }
-        }
-        return readSet.size() + unique_writes;
-    }
-
     /**
-     * Reset per-attempt state (sets, work), keeping identity/age. The
+     * Reset per-attempt state (sets, accesses), keeping identity/age. The
      * sets keep their capacity, so a retry or the next transaction
      * reuses it.
      */
@@ -90,7 +68,6 @@ struct TxState {
     {
         readSet.clear();
         writeSet.clear();
-        workDone = 0;
         accessesDone = 0;
         active = false;
     }

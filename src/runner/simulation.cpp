@@ -318,8 +318,6 @@ Simulation::doTxBegin(Worker &worker)
         worker.lastConfidence = -1.0;
         trace(worker, sim::TraceCategory::Tx, "start");
         worker.tx.active = true;
-        worker.tx.attemptStart = events_.curTick();
-        worker.accessIndex = 0;
         worker.stallRetries = 0;
         worker.reportedEnemies.clear();
         cpuTable_.start(info.cpu, info.dTx);
@@ -460,100 +458,18 @@ Simulation::doBeginStall(Worker &worker)
 bool
 Simulation::doTxAccess(Worker &worker)
 {
-    if (static_cast<std::size_t>(worker.accessIndex)
-        >= worker.desc.accesses.size()) {
+    const auto index = static_cast<std::size_t>(worker.tx.accessesDone);
+    if (index >= worker.desc.accesses.size()) {
         worker.phase = Phase::Commit;
         return true;
     }
-    const workloads::TxAccess &access =
-        worker.desc.accesses[static_cast<std::size_t>(
-            worker.accessIndex)];
+    const workloads::TxAccess &access = worker.desc.accesses[index];
     const mem::Addr line = mem::lineNumber(access.addr);
 
-    htm::AccessResult result = detector_->access(
-        worker.tx, line, access.write, worker.stallRetries,
-        worker.descriptorAborts);
+    htm::AccessResult result =
+        detector_->access(worker.tx, line, access.write);
 
-    // Extra charges from CM conflict notification, folded into the
-    // next advance so bucket totals match consumed CPU time.
-    Charges notify_charges;
-    if (result.resolution != htm::Resolution::Proceed) {
-        // Conflict arbitration + notification is CM decide-path work.
-        sim::ScopedPhase prof_phase(config_.profiler,
-                                    sim::Profiler::kCmDecide);
-        // Reactive managers may arbitrate the conflict themselves
-        // (Timestamp, Polka); the substrate's verdict stands unless
-        // every holder's arbitration agrees on an override, with the
-        // most requester-hostile verdict winning.
-        bool cm_arbitrated = true;
-        bool any_requester_abort = false;
-        bool any_stall = false;
-        for (const htm::TxState *holder : result.conflicts) {
-            cm::ArbitrationContext context;
-            context.requester = infoFor(worker);
-            context.requesterAccesses = worker.tx.accessesDone;
-            context.stallRetries = worker.stallRetries;
-            context.priorAborts = worker.descriptorAborts;
-            context.holder = infoFor(*holder);
-            context.holderAccesses = holder->accessesDone;
-            context.holderAgeDelta =
-                static_cast<std::int64_t>(holder->timestamp)
-                - static_cast<std::int64_t>(worker.tx.timestamp);
-            switch (cm_->arbitrate(context)) {
-              case cm::ConflictArbitration::UseSubstrate:
-                cm_arbitrated = false;
-                break;
-              case cm::ConflictArbitration::StallRequester:
-                any_stall = true;
-                break;
-              case cm::ConflictArbitration::AbortRequester:
-                any_requester_abort = true;
-                break;
-              case cm::ConflictArbitration::AbortHolders:
-                break;
-            }
-        }
-        if (cm_arbitrated) {
-            if (any_requester_abort) {
-                result.resolution = htm::Resolution::AbortRequester;
-            } else if (any_stall) {
-                result.resolution = htm::Resolution::StallRequester;
-            } else {
-                result.resolution = htm::Resolution::AbortHolders;
-            }
-        }
-        // Tell the CM about the conflict once per (attempt, enemy)
-        // pair -- the granularity of the paper's txConflict() -- not
-        // on every NACKed access or stall retry. Both sites are fixed
-        // for the attempt, so the conflict graph needs the same one
-        // insert per enemy.
-        for (const htm::TxState *holder : result.conflicts) {
-            if (!worker.reportedEnemies.insert(holder->dTxId))
-                continue;
-            const int a = ids_->staticOf(worker.tx.dTxId);
-            const int b = ids_->staticOf(holder->dTxId);
-            conflictGraph_.insert({std::min(a, b), std::max(a, b)});
-            if (wantsTrace(sim::TraceCategory::Cm)) {
-                std::vector<std::pair<std::string, std::string>>
-                    details;
-                details.reserve(3);
-                details.emplace_back("enemy",
-                                     std::to_string(holder->dTxId));
-                details.emplace_back("line", std::to_string(line));
-                details.emplace_back("write",
-                                     access.write ? "1" : "0");
-                trace(worker, sim::TraceCategory::Cm, "conflict",
-                      std::move(details));
-            }
-            const cm::CmCost cost = cm_->onConflictDetected(
-                infoFor(worker), infoFor(*holder));
-            notify_charges.kernel += cost.kernel;
-            notify_charges.sched += cost.sched;
-        }
-    }
-
-    switch (result.resolution) {
-      case htm::Resolution::Proceed: {
+    if (result.conflicts.empty()) {
         worker.stallRetries = 0;
         if (auditing()) {
             worker.waitHolders.clear();
@@ -571,13 +487,62 @@ Simulation::doTxAccess(Worker &worker)
         // value to the undo log.
         if (result.firstWrite)
             latency += worker.undoLog.append();
-        worker.tx.workDone += latency;
         ++worker.tx.accessesDone;
-        ++worker.accessIndex;
         advance(worker, {.attempt = latency});
         return false;
-      }
-      case htm::Resolution::StallRequester: {
+    }
+
+    nackRetryHist_.sample(static_cast<double>(worker.stallRetries));
+    // The manager decides each holder in turn and the severest
+    // verdict for the requester stands. It also hears of each enemy
+    // once per (attempt, enemy) pair -- the granularity of the
+    // paper's txConflict() -- not on every NACKed access or stall
+    // retry; its cycles fold into the next advance so bucket totals
+    // match consumed CPU time.
+    const cm::TxInfo self = infoFor(worker);
+    cm::ConflictArbitration verdict = cm::ConflictArbitration::AbortHolders;
+    Charges notify_charges;
+    {
+        sim::ScopedPhase prof_phase(config_.profiler,
+                                    sim::Profiler::kCmDecide);
+        cm::ArbitrationContext context;
+        context.requesterAccesses = worker.tx.accessesDone;
+        context.stallRetries = worker.stallRetries;
+        context.priorAborts = worker.descriptorAborts;
+        for (const htm::TxState *holder : result.conflicts) {
+            context.holderAccesses = holder->accessesDone;
+            context.holderAgeDelta =
+                static_cast<std::int64_t>(holder->timestamp)
+                - static_cast<std::int64_t>(worker.tx.timestamp);
+            verdict = std::max(verdict, cm_->arbitrate(context));
+            if (!worker.reportedEnemies.insert(holder->dTxId))
+                continue;
+            // Both sites are fixed for the attempt, so the conflict
+            // graph needs the same one insert per enemy.
+            const int a = self.sTx;
+            const int b = ids_->staticOf(holder->dTxId);
+            conflictGraph_.insert({std::min(a, b), std::max(a, b)});
+            if (wantsTrace(sim::TraceCategory::Cm)) {
+                std::vector<std::pair<std::string, std::string>>
+                    details;
+                details.reserve(3);
+                details.emplace_back("enemy",
+                                     std::to_string(holder->dTxId));
+                details.emplace_back("line", std::to_string(line));
+                details.emplace_back("write",
+                                     access.write ? "1" : "0");
+                trace(worker, sim::TraceCategory::Cm, "conflict",
+                      std::move(details));
+            }
+            const cm::CmCost cost =
+                cm_->onConflictDetected(self, infoFor(*holder));
+            notify_charges.kernel += cost.kernel;
+            notify_charges.sched += cost.sched;
+        }
+    }
+
+    switch (verdict) {
+      case cm::ConflictArbitration::StallRequester: {
         ++worker.stallRetries;
         if (auditing()) {
             worker.waitHolders.clear();
@@ -589,12 +554,12 @@ Simulation::doTxAccess(Worker &worker)
         advance(worker, notify_charges);
         return false;
       }
-      case htm::Resolution::AbortRequester: {
-        sim_assert(!result.conflicts.empty());
+      case cm::ConflictArbitration::AbortRequester: {
+        // Drops notify_charges; charging them moves simulated numbers.
         abortTx(worker, infoFor(*result.conflicts.front()));
         return false;
       }
-      case htm::Resolution::AbortHolders: {
+      case cm::ConflictArbitration::AbortHolders: {
         // A holder that already reached its commit point cannot be
         // aborted; back off and retry instead.
         const bool any_committing = std::any_of(
@@ -615,17 +580,16 @@ Simulation::doTxAccess(Worker &worker)
             advance(worker, notify_charges);
             return false;
         }
-        const cm::TxInfo enemy = infoFor(worker);
         for (htm::TxState *holder : result.conflicts) {
             abortTx(workers_[static_cast<std::size_t>(holder->thread)],
-                    enemy);
+                    self);
         }
         worker.stallRetries = 0;
         advance(worker, notify_charges);
         return false;
       }
     }
-    sim_panic("unhandled Resolution");
+    sim_panic("unhandled ConflictArbitration");
 }
 
 void
@@ -719,7 +683,6 @@ Simulation::abortTx(Worker &worker, const cm::TxInfo &enemy)
         auditSweep();
 
     worker.tx.resetAttempt();
-    worker.accessIndex = 0;
     worker.stallRetries = 0;
     worker.phase = Phase::TxBegin;
     advance(worker, {.kernel = resp.cost.kernel,
@@ -995,8 +958,7 @@ Simulation::visitStatGroups(
         group.addCounter("undoLog.highWaterSum", &log_high_water);
         group.addCounter("commits", &commits_);
         group.addCounter("aborts", &aborts_);
-        group.addHistogram("nackRetries",
-                           &detector_->nackRetryHist());
+        group.addHistogram("nackRetries", &nackRetryHist_);
         visit(group);
     }
     // Predictor hardware (meaningful for the HW variants).

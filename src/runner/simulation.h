@@ -152,7 +152,7 @@ class Simulation
         sim::Cycles nonTxRemaining = 0;
         htm::TxState tx;
         htm::VersionLog undoLog;
-        int accessIndex = 0;
+        /** Consecutive NACKs on the current access. */
         int stallRetries = 0;
         sim::Tick stallStart = 0;
         htm::DTxId stallOn = htm::kNoTx;
@@ -319,6 +319,10 @@ class Simulation
     sim::Histogram abortCyclesHist_ = sim::Histogram::makeLog2(34);
     /** Cycles spent in each begin-stall (prediction wait time). */
     sim::Histogram stallCyclesHist_ = sim::Histogram::makeLog2(34);
+    /** NACKs the requester had already taken on the access, sampled
+     *  once per conflicting access (how long stalls last before they
+     *  resolve or escalate). */
+    sim::Histogram nackRetryHist_ = sim::Histogram::makeLog2(12);
 
     struct SimTrack {
         /** The last committed set, ascending (Eq. 1's previous

@@ -29,8 +29,7 @@
  *   cycles.*     cycle-accounting conservation laws
  *   htm.*        conflict-detector registry / isolation / wait graph
  *   bloom.*      signature membership and Eq. 2-4 estimate bounds
- *   cm.*         contention-manager table ranges
- *   predictor.*  snooped CPU-table coherence
+ *   cm.*         contention-manager table ranges, CPU-Table liveness
  *   os.*         thread-affinity and ready-queue exclusivity
  */
 

@@ -2,162 +2,79 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "sim/json.h"
 #include "sim/logging.h"
 
 namespace sim {
 
-namespace {
-
-/** log2 bucket edges shared with Histogram: 0 | 1 | 2-3 | 4-7 ... */
-int
-log2Bucket(std::uint64_t v, int num_buckets)
-{
-    if (v < 1)
-        return 0;
-    const int idx = 1 + std::ilogb(static_cast<double>(v));
-    return std::min(idx, num_buckets - 1);
-}
-
-double
-log2BucketLo(int i)
-{
-    return i == 0 ? 0.0 : std::ldexp(1.0, i - 1);
-}
-
-double
-log2BucketHi(int i, int num_buckets)
-{
-    if (i == num_buckets - 1)
-        return std::numeric_limits<double>::infinity();
-    return std::ldexp(1.0, i);
-}
-
-int
-linearBucket(double v, double lo, double hi, int num_buckets)
-{
-    if (v < lo)
-        return 0;
-    const double width = (hi - lo) / static_cast<double>(num_buckets);
-    const double idx = (v - lo) / width;
-    if (idx >= static_cast<double>(num_buckets - 1))
-        return num_buckets - 1;
-    return static_cast<int>(idx);
-}
-
-} // namespace
-
 void
 QualityRecorder::ErrorStats::sample(double signed_error,
                                     std::uint64_t true_size,
                                     double occupancy)
 {
-    ++count;
-    sumSigned += signed_error;
+    signedError.sample(signed_error);
     const double abs_error = std::abs(signed_error);
     sumAbs += abs_error;
     maxAbs = std::max(maxAbs, abs_error);
-    ++buckets[static_cast<std::size_t>(
-        linearBucket(signed_error, lo, hi, kBuckets))];
-    const auto size_bucket = static_cast<std::size_t>(
-        log2Bucket(true_size, kSizeBuckets));
-    ++sizeCount[size_bucket];
-    sizeSumAbs[size_bucket] += abs_error;
-    const auto occ_bucket = static_cast<std::size_t>(
-        linearBucket(occupancy, 0.0, 1.0, kOccBuckets));
-    ++occCount[occ_bucket];
-    occSumAbs[occ_bucket] += abs_error;
-}
-
-double
-QualityRecorder::ErrorStats::meanSigned() const
-{
-    if (count == 0)
-        return 0.0;
-    return sumSigned / static_cast<double>(count);
+    const auto size = static_cast<double>(true_size);
+    sizeSumAbs[static_cast<std::size_t>(bySize.bucketOf(size))] +=
+        abs_error;
+    bySize.sample(size);
+    occSumAbs[static_cast<std::size_t>(byOccupancy.bucketOf(occupancy))] +=
+        abs_error;
+    byOccupancy.sample(occupancy);
 }
 
 double
 QualityRecorder::ErrorStats::meanAbs() const
 {
-    if (count == 0)
+    if (count() == 0)
         return 0.0;
-    return sumAbs / static_cast<double>(count);
+    return sumAbs / static_cast<double>(count());
 }
 
-double
-QualityRecorder::ErrorStats::bucketLo(int i) const
+namespace {
+
+/** Write @p hist's non-empty buckets, each with the mean |error| of
+ *  its samples (@p sum_abs per bucket), as a JSON array. */
+template <std::size_t N>
+void
+writeAbsErrorBuckets(JsonWriter &jw, const char *name,
+                     const Histogram &hist,
+                     const std::array<double, N> &sum_abs)
 {
-    const double width = (hi - lo) / static_cast<double>(kBuckets);
-    return lo + width * static_cast<double>(i);
+    jw.beginArray(name);
+    for (int i = 0; i < hist.numBuckets(); ++i) {
+        const std::uint64_t n = hist.bucketCount(i);
+        if (n == 0)
+            continue;
+        jw.beginObject();
+        jw.kv("lo", hist.bucketLo(i));
+        // +inf in the last log2 bucket's edge serializes as null.
+        jw.kv("hi", hist.bucketHi(i));
+        jw.kv("n", n);
+        jw.kv("meanAbs", sum_abs[static_cast<std::size_t>(i)]
+                             / static_cast<double>(n));
+        jw.endObject();
+    }
+    jw.endArray();
 }
 
-double
-QualityRecorder::ErrorStats::bucketHi(int i) const
-{
-    const double width = (hi - lo) / static_cast<double>(kBuckets);
-    return i == kBuckets - 1 ? hi
-                             : lo + width * static_cast<double>(i + 1);
-}
+} // namespace
 
 void
 QualityRecorder::ErrorStats::writeJson(JsonWriter &jw) const
 {
-    jw.kv("count", count);
+    jw.kv("count", count());
     jw.kv("meanSigned", meanSigned());
     jw.kv("meanAbs", meanAbs());
     jw.kv("maxAbs", maxAbs);
     jw.beginObject("hist");
-    jw.kv("count", count);
-    jw.kv("mean", meanSigned());
-    jw.kv("scale", "linear");
-    jw.beginArray("buckets");
-    for (int i = 0; i < kBuckets; ++i) {
-        const std::uint64_t n = buckets[static_cast<std::size_t>(i)];
-        if (n == 0)
-            continue;
-        jw.beginObject();
-        jw.kv("lo", bucketLo(i));
-        jw.kv("hi", bucketHi(i));
-        jw.kv("n", n);
-        jw.endObject();
-    }
-    jw.endArray();
+    signedError.writeJson(jw);
     jw.endObject();
-    jw.beginArray("byTrueSetSize");
-    for (int i = 0; i < kSizeBuckets; ++i) {
-        const std::uint64_t n =
-            sizeCount[static_cast<std::size_t>(i)];
-        if (n == 0)
-            continue;
-        jw.beginObject();
-        jw.kv("lo", log2BucketLo(i));
-        // +inf in the last bucket's edge serializes as null.
-        jw.kv("hi", log2BucketHi(i, kSizeBuckets));
-        jw.kv("n", n);
-        jw.kv("meanAbs", sizeSumAbs[static_cast<std::size_t>(i)]
-                             / static_cast<double>(n));
-        jw.endObject();
-    }
-    jw.endArray();
-    jw.beginArray("byOccupancy");
-    const double occ_width =
-        1.0 / static_cast<double>(kOccBuckets);
-    for (int i = 0; i < kOccBuckets; ++i) {
-        const std::uint64_t n = occCount[static_cast<std::size_t>(i)];
-        if (n == 0)
-            continue;
-        jw.beginObject();
-        jw.kv("lo", occ_width * static_cast<double>(i));
-        jw.kv("hi", occ_width * static_cast<double>(i + 1));
-        jw.kv("n", n);
-        jw.kv("meanAbs", occSumAbs[static_cast<std::size_t>(i)]
-                             / static_cast<double>(n));
-        jw.endObject();
-    }
-    jw.endArray();
+    writeAbsErrorBuckets(jw, "byTrueSetSize", bySize, sizeSumAbs);
+    writeAbsErrorBuckets(jw, "byOccupancy", byOccupancy, occSumAbs);
 }
 
 double
@@ -317,9 +234,10 @@ QualityRecorder::recordOutcome(Tick tick, std::int64_t enemy_stx,
                        || outcome == Outcome::PredictedAbort;
 
     if (confidence >= 0.0) {
-        const auto bin = static_cast<std::size_t>(linearBucket(
-            confidence, 0.0, 1.0, Data::kCalibrationBins));
-        CalibrationBin &b = data_.calibration[bin];
+        static const Histogram bins =
+            Histogram::makeLinear(0.0, 1.0, Data::kCalibrationBins);
+        CalibrationBin &b = data_.calibration[static_cast<std::size_t>(
+            bins.bucketOf(confidence))];
         ++b.decisions;
         if (stalled)
             ++b.stalls;

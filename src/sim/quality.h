@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "mem/addr.h"
+#include "sim/stats.h"
 #include "sim/types.h"
 
 namespace sim {
@@ -89,34 +90,31 @@ public:
         /** Linear buckets over Bloom occupancy in [0, 1]. */
         static constexpr int kOccBuckets = 8;
 
+        /** @p histogram_lo and @p histogram_hi give the nominal
+         *  signed-error range [lo, hi). */
         ErrorStats(double histogram_lo, double histogram_hi)
-            : lo(histogram_lo), hi(histogram_hi)
+            : signedError(Histogram::makeLinear(histogram_lo,
+                                                histogram_hi, kBuckets))
         {
         }
 
-        /** Nominal signed-error histogram range [lo, hi). */
-        double lo;
-        double hi;
-
-        std::uint64_t count = 0;
-        double sumSigned = 0.0;
+        /** Signed error, clamped into the nominal range. */
+        Histogram signedError;
         double sumAbs = 0.0;
         double maxAbs = 0.0;
-        /** Signed error clamped into [lo, hi). */
-        std::array<std::uint64_t, kBuckets> buckets{};
-        /** |error| totals bucketed by true set size (log2). */
-        std::array<std::uint64_t, kSizeBuckets> sizeCount{};
+        /** Samples by true set size, with their |error| totals. */
+        Histogram bySize = Histogram::makeLog2(kSizeBuckets);
         std::array<double, kSizeBuckets> sizeSumAbs{};
-        /** |error| totals bucketed by Bloom occupancy (linear). */
-        std::array<std::uint64_t, kOccBuckets> occCount{};
+        /** Samples by Bloom occupancy, with their |error| totals. */
+        Histogram byOccupancy = Histogram::makeLinear(0.0, 1.0, kOccBuckets);
         std::array<double, kOccBuckets> occSumAbs{};
 
         void sample(double signed_error, std::uint64_t true_size,
                     double occupancy);
-        double meanSigned() const;
+        std::uint64_t count() const { return signedError.count(); }
+        double sumSigned() const { return signedError.sum(); }
+        double meanSigned() const { return signedError.mean(); }
         double meanAbs() const;
-        double bucketLo(int i) const;
-        double bucketHi(int i) const;
         void writeJson(JsonWriter &jw) const;
     };
 

@@ -61,6 +61,27 @@ Histogram::bucketOf(double v) const
 }
 
 void
+Histogram::writeJson(JsonWriter &jw) const
+{
+    jw.kv("count", count());
+    jw.kv("mean", mean());
+    jw.kv("scale", scale_ == Scale::Log2 ? "log2" : "linear");
+    jw.beginArray("buckets");
+    for (int i = 0; i < numBuckets(); ++i) {
+        if (bucketCount(i) == 0)
+            continue;
+        jw.beginObject();
+        jw.kv("lo", bucketLo(i));
+        // +inf is not valid JSON; the overflow bucket's upper edge is
+        // emitted as null by jsonNumber.
+        jw.kv("hi", bucketHi(i));
+        jw.kv("n", bucketCount(i));
+        jw.endObject();
+    }
+    jw.endArray();
+}
+
+void
 StatGroup::dump(std::ostream &os) const
 {
     for (const auto &[stat_name, c] : counters_) {
@@ -112,24 +133,7 @@ StatGroup::dumpJson(JsonWriter &jw) const
     }
     for (const auto &[stat_name, h] : histograms_) {
         jw.beginObject(stat_name);
-        jw.kv("count", h->count());
-        jw.kv("mean", h->mean());
-        jw.kv("scale",
-              h->scale() == Histogram::Scale::Log2 ? "log2"
-                                                   : "linear");
-        jw.beginArray("buckets");
-        for (int i = 0; i < h->numBuckets(); ++i) {
-            if (h->bucketCount(i) == 0)
-                continue;
-            jw.beginObject();
-            jw.kv("lo", h->bucketLo(i));
-            // +inf is not valid JSON; the overflow bucket's upper
-            // edge is emitted as null by jsonNumber.
-            jw.kv("hi", h->bucketHi(i));
-            jw.kv("n", h->bucketCount(i));
-            jw.endObject();
-        }
-        jw.endArray();
+        h->writeJson(jw);
         jw.endObject();
     }
     for (const auto &[stat_name, v] : scalars_)

@@ -165,7 +165,6 @@ class Histogram
         return count_ ? sum_ / static_cast<double>(count_) : 0.0;
     }
 
-    Scale scale() const { return scale_; }
     int numBuckets() const { return static_cast<int>(counts_.size()); }
 
     std::uint64_t
@@ -182,6 +181,12 @@ class Histogram
 
     /** Bucket index a value of @p v falls into. */
     int bucketOf(double v) const;
+
+    /**
+     * Write the histogram's members -- count, mean, scale and the
+     * non-empty buckets -- into the JSON object open in @p jw.
+     */
+    void writeJson(JsonWriter &jw) const;
 
     /** Reset to empty (bucket geometry is retained). */
     void

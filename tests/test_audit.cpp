@@ -317,8 +317,7 @@ TEST(AuditConflictDetector, IsolationFiresOnForcedWriter)
     writer.timestamp = 2;
     writer.active = true;
 
-    ASSERT_EQ(detector.access(reader, 100, false, 0).resolution,
-              htm::Resolution::Proceed);
+    ASSERT_TRUE(detector.access(reader, 100, false).conflicts.empty());
     detector.auditCheck(engine, {&reader, &writer}, 10);
     EXPECT_EQ(engine.violationCount(), 0u);
 
@@ -341,8 +340,7 @@ TEST(AuditConflictDetector, RegistryFiresOnUntrackedSetEntry)
     tx.cpu = 0;
     tx.timestamp = 1;
     tx.active = true;
-    ASSERT_EQ(detector.access(tx, 100, true, 0).resolution,
-              htm::Resolution::Proceed);
+    ASSERT_TRUE(detector.access(tx, 100, true).conflicts.empty());
 
     // A write-set entry the registry never saw.
     tx.writeSet.push_back(200);
@@ -375,8 +373,7 @@ TEST(AuditConflictDetector, BloomMembershipFiresOnFalseNegative)
     tx.cpu = 0;
     tx.timestamp = 1;
     tx.active = true;
-    ASSERT_EQ(detector.access(tx, 100, false, 0).resolution,
-              htm::Resolution::Proceed);
+    ASSERT_TRUE(detector.access(tx, 100, false).conflicts.empty());
     detector.auditCheck(engine, {&tx}, 10);
     EXPECT_EQ(engine.violationCount(), 0u);
 
@@ -400,8 +397,7 @@ TEST(AuditConflictDetector, BloomMembershipFiresOnLeakedSignature)
     tx.cpu = 0;
     tx.timestamp = 1;
     tx.active = true;
-    ASSERT_EQ(detector.access(tx, 100, false, 0).resolution,
-              htm::Resolution::Proceed);
+    ASSERT_TRUE(detector.access(tx, 100, false).conflicts.empty());
 
     // The tx is gone from the active set but removeTx() was never
     // called, so its hardware signature leaked.

@@ -165,7 +165,7 @@ struct DetectorFuzzParams {
  * Drive the detector and the reference with the same random accesses
  * and commits/aborts, and after every op require the exact ordered
  * holders, the first-write flag, the registry's line count, the
- * false-conflict count and a clean detector audit.
+ * conflict and false-conflict counts and a clean detector audit.
  * @return The most lines the registry ever held.
  */
 std::size_t
@@ -202,6 +202,7 @@ fuzzDetector(const DetectorFuzzParams &params)
     sim::AuditEngine audit;
     audit.setEnabled(true);
     audit.setMode(sim::AuditEngine::Mode::Collect);
+    std::uint64_t conflicts = 0;
     std::uint64_t false_conflicts = 0;
     std::size_t max_owned = 0;
     for (int op = 0; op < params.ops; ++op) {
@@ -235,24 +236,23 @@ fuzzDetector(const DetectorFuzzParams &params)
                 }
             }
             const htm::AccessResult result =
-                detector.access(state, line, write, 0);
+                detector.access(state, line, write);
             std::vector<int> reported;
             for (const htm::TxState *holder : result.conflicts)
                 reported.push_back(holder->thread);
             EXPECT_EQ(reported, expected) << "op " << op;
             if (expected.empty()) {
-                EXPECT_EQ(result.resolution, htm::Resolution::Proceed)
-                    << "op " << op;
                 EXPECT_EQ(result.firstWrite,
                           reference.record(tx, line, write))
                     << "op " << op;
             } else {
-                EXPECT_NE(result.resolution, htm::Resolution::Proceed)
-                    << "op " << op;
+                ++conflicts;
                 EXPECT_FALSE(result.firstWrite) << "op " << op;
             }
         }
         EXPECT_EQ(detector.ownedLines(), reference.lines.size())
+            << "op " << op;
+        EXPECT_EQ(detector.conflictsDetected().value(), conflicts)
             << "op " << op;
         EXPECT_EQ(detector.falseConflicts().value(), false_conflicts)
             << "op " << op;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for transaction IDs, transaction state, and the eager
- * conflict detector with its LogTM-style resolution policy.
+ * conflict detector.
  */
 
 #include <gtest/gtest.h>
@@ -20,8 +20,6 @@ namespace {
 
 using htm::AccessResult;
 using htm::ConflictDetector;
-using htm::ConflictPolicy;
-using htm::Resolution;
 using htm::TxState;
 
 /** The detector's audit over @p active, collected, not panicking. */
@@ -139,14 +137,6 @@ TEST(TxIdSpace, SingleThreadSingleSite)
     EXPECT_EQ(ids.numDynamicTx(), 1);
 }
 
-TEST(TxState, FootprintCountsUnionOfSets)
-{
-    TxState tx;
-    tx.readSet = {1, 2, 3};
-    tx.writeSet = {3, 4};
-    EXPECT_EQ(tx.footprint(), 4u);
-}
-
 TEST(TxState, ResetAttemptKeepsIdentity)
 {
     TxState tx;
@@ -154,7 +144,6 @@ TEST(TxState, ResetAttemptKeepsIdentity)
     tx.timestamp = 7;
     tx.readSet = {1};
     tx.writeSet = {2};
-    tx.workDone = 100;
     tx.accessesDone = 3;
     tx.active = true;
     tx.resetAttempt();
@@ -162,7 +151,6 @@ TEST(TxState, ResetAttemptKeepsIdentity)
     EXPECT_EQ(tx.timestamp, 7u);
     EXPECT_TRUE(tx.readSet.empty());
     EXPECT_TRUE(tx.writeSet.empty());
-    EXPECT_EQ(tx.workDone, 0u);
     EXPECT_FALSE(tx.active);
 }
 
@@ -186,19 +174,16 @@ class ConflictDetectorTest : public ::testing::Test
 TEST_F(ConflictDetectorTest, ReadReadSharingIsFine)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    EXPECT_EQ(detector_.access(a, 100, false, 0).resolution,
-              Resolution::Proceed);
-    EXPECT_EQ(detector_.access(b, 100, false, 0).resolution,
-              Resolution::Proceed);
+    EXPECT_TRUE(detector_.access(a, 100, false).conflicts.empty());
+    EXPECT_TRUE(detector_.access(b, 100, false).conflicts.empty());
     EXPECT_EQ(detector_.conflictsDetected().value(), 0u);
 }
 
 TEST_F(ConflictDetectorTest, WriteAfterReadConflicts)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_.access(a, 100, false, 0);
-    AccessResult result = detector_.access(b, 100, true, 0);
-    EXPECT_EQ(result.resolution, Resolution::StallRequester);
+    detector_.access(a, 100, false);
+    AccessResult result = detector_.access(b, 100, true);
     ASSERT_EQ(result.conflicts.size(), 1u);
     EXPECT_EQ(result.conflicts[0], &a);
 }
@@ -206,9 +191,8 @@ TEST_F(ConflictDetectorTest, WriteAfterReadConflicts)
 TEST_F(ConflictDetectorTest, ReadAfterWriteConflicts)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_.access(a, 100, true, 0);
-    AccessResult result = detector_.access(b, 100, false, 0);
-    EXPECT_EQ(result.resolution, Resolution::StallRequester);
+    detector_.access(a, 100, true);
+    AccessResult result = detector_.access(b, 100, false);
     ASSERT_EQ(result.conflicts.size(), 1u);
     EXPECT_EQ(result.conflicts[0], &a);
 }
@@ -216,30 +200,25 @@ TEST_F(ConflictDetectorTest, ReadAfterWriteConflicts)
 TEST_F(ConflictDetectorTest, WriteWriteConflicts)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_.access(a, 100, true, 0);
-    EXPECT_EQ(detector_.access(b, 100, true, 0).resolution,
-              Resolution::StallRequester);
+    detector_.access(a, 100, true);
+    EXPECT_FALSE(detector_.access(b, 100, true).conflicts.empty());
 }
 
 TEST_F(ConflictDetectorTest, OwnAccessesNeverConflict)
 {
     TxState a = makeTx(1, 1);
-    EXPECT_EQ(detector_.access(a, 100, false, 0).resolution,
-              Resolution::Proceed);
-    EXPECT_EQ(detector_.access(a, 100, true, 0).resolution,
-              Resolution::Proceed);
-    EXPECT_EQ(detector_.access(a, 100, false, 0).resolution,
-              Resolution::Proceed);
+    EXPECT_TRUE(detector_.access(a, 100, false).conflicts.empty());
+    EXPECT_TRUE(detector_.access(a, 100, true).conflicts.empty());
+    EXPECT_TRUE(detector_.access(a, 100, false).conflicts.empty());
     EXPECT_EQ(detector_.conflictsDetected().value(), 0u);
 }
 
 TEST_F(ConflictDetectorTest, UpgradeAgainstOtherReadersConflicts)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_.access(a, 100, false, 0);
-    detector_.access(b, 100, false, 0);
-    AccessResult result = detector_.access(a, 100, true, 0);
-    EXPECT_NE(result.resolution, Resolution::Proceed);
+    detector_.access(a, 100, false);
+    detector_.access(b, 100, false);
+    AccessResult result = detector_.access(a, 100, true);
     ASSERT_EQ(result.conflicts.size(), 1u);
     EXPECT_EQ(result.conflicts[0], &b);
 }
@@ -248,84 +227,37 @@ TEST_F(ConflictDetectorTest, WriterAlsoReaderReportedOnce)
 {
     // a reads then writes the line; b's write must report a once.
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_.access(a, 100, false, 0);
-    detector_.access(a, 100, true, 0);
-    AccessResult result = detector_.access(b, 100, true, 0);
+    detector_.access(a, 100, false);
+    detector_.access(a, 100, true);
+    AccessResult result = detector_.access(b, 100, true);
     EXPECT_EQ(result.conflicts.size(), 1u);
 }
 
 TEST_F(ConflictDetectorTest, MultipleReadersAllReported)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2), c = makeTx(3, 3);
-    detector_.access(a, 100, false, 0);
-    detector_.access(b, 100, false, 0);
-    AccessResult result = detector_.access(c, 100, true, 0);
+    detector_.access(a, 100, false);
+    detector_.access(b, 100, false);
+    AccessResult result = detector_.access(c, 100, true);
     EXPECT_EQ(result.conflicts.size(), 2u);
-}
-
-TEST_F(ConflictDetectorTest, StallsEscalateToRequesterAbort)
-{
-    ConflictPolicy policy;
-    policy.maxStallRetries = 3;
-    ConflictDetector detector(policy);
-    TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector.access(a, 100, true, 0);
-    for (int retry = 0; retry < 3; ++retry) {
-        EXPECT_EQ(detector.access(b, 100, true, retry).resolution,
-                  Resolution::StallRequester);
-    }
-    EXPECT_EQ(detector.access(b, 100, true, 3).resolution,
-              Resolution::AbortRequester);
-}
-
-TEST_F(ConflictDetectorTest, StarvedOldRequesterKillsHolders)
-{
-    ConflictPolicy policy;
-    policy.maxStallRetries = 0;
-    policy.selfAbortEscape = 2;
-    ConflictDetector detector(policy);
-    TxState old_tx = makeTx(1, 1), young = makeTx(2, 99);
-    detector.access(young, 100, true, 0);
-    // Old requester, not yet starved: aborts itself.
-    EXPECT_EQ(detector.access(old_tx, 100, true, 0, 1).resolution,
-              Resolution::AbortRequester);
-    // Starved past the escape threshold: age wins.
-    AccessResult result = detector.access(old_tx, 100, true, 0, 2);
-    EXPECT_EQ(result.resolution, Resolution::AbortHolders);
-    ASSERT_EQ(result.conflicts.size(), 1u);
-    EXPECT_EQ(result.conflicts[0], &young);
-}
-
-TEST_F(ConflictDetectorTest, StarvedYoungRequesterStillSelfAborts)
-{
-    ConflictPolicy policy;
-    policy.maxStallRetries = 0;
-    policy.selfAbortEscape = 2;
-    ConflictDetector detector(policy);
-    TxState old_tx = makeTx(1, 1), young = makeTx(2, 99);
-    detector.access(old_tx, 100, true, 0);
-    EXPECT_EQ(detector.access(young, 100, true, 0, 50).resolution,
-              Resolution::AbortRequester);
 }
 
 TEST_F(ConflictDetectorTest, RemoveTxReleasesIsolation)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_.access(a, 100, true, 0);
-    detector_.access(a, 200, false, 0);
+    detector_.access(a, 100, true);
+    detector_.access(a, 200, false);
     detector_.removeTx(a);
-    EXPECT_EQ(detector_.access(b, 100, true, 0).resolution,
-              Resolution::Proceed);
-    EXPECT_EQ(detector_.access(b, 200, true, 0).resolution,
-              Resolution::Proceed);
+    EXPECT_TRUE(detector_.access(b, 100, true).conflicts.empty());
+    EXPECT_TRUE(detector_.access(b, 200, true).conflicts.empty());
     EXPECT_EQ(detector_.ownedLines(), 2u);
 }
 
 TEST_F(ConflictDetectorTest, RegistryShrinksOnRemove)
 {
     TxState a = makeTx(1, 1);
-    detector_.access(a, 100, true, 0);
-    detector_.access(a, 200, false, 0);
+    detector_.access(a, 100, true);
+    detector_.access(a, 200, false);
     EXPECT_EQ(detector_.ownedLines(), 2u);
     detector_.removeTx(a);
     EXPECT_EQ(detector_.ownedLines(), 0u);
@@ -334,8 +266,8 @@ TEST_F(ConflictDetectorTest, RegistryShrinksOnRemove)
 TEST_F(ConflictDetectorTest, ConsistencyCheckerSeesRegistry)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_.access(a, 100, true, 0);
-    detector_.access(b, 200, false, 0);
+    detector_.access(a, 100, true);
+    detector_.access(b, 200, false);
     EXPECT_EQ(audited(detector_, {&a, &b}).violationCount(), 0u);
     // A tx the registry does not know about breaks consistency.
     TxState ghost = makeTx(3, 3);
@@ -352,17 +284,17 @@ TEST_F(ConflictDetectorTest, ConsistencyCheckerSeesRegistry)
 TEST_F(ConflictDetectorTest, ConflictCounterCounts)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_.access(a, 100, true, 0);
-    detector_.access(b, 100, true, 0);
-    detector_.access(b, 100, true, 1);
+    detector_.access(a, 100, true);
+    detector_.access(b, 100, true);
+    detector_.access(b, 100, true);
     EXPECT_EQ(detector_.conflictsDetected().value(), 2u);
 }
 
 TEST_F(ConflictDetectorTest, FailedAccessDoesNotRecordOwnership)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_.access(a, 100, true, 0);
-    detector_.access(b, 100, true, 0); // conflicts, not recorded
+    detector_.access(a, 100, true);
+    detector_.access(b, 100, true); // conflicts, not recorded
     EXPECT_TRUE(b.writeSet.empty());
     detector_.removeTx(a);
     EXPECT_EQ(detector_.ownedLines(), 0u);
@@ -400,9 +332,8 @@ class SignatureDetectorTest : public ::testing::Test
 TEST_F(SignatureDetectorTest, RealConflictsAreNeverMissed)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_->access(a, 100, true, 0);
-    AccessResult result = detector_->access(b, 100, true, 0);
-    EXPECT_NE(result.resolution, Resolution::Proceed);
+    detector_->access(a, 100, true);
+    AccessResult result = detector_->access(b, 100, true);
     ASSERT_FALSE(result.conflicts.empty());
     EXPECT_EQ(result.conflicts.front(), &a);
 }
@@ -419,9 +350,9 @@ TEST_F(SignatureDetectorTest, FalseConflictsLeaveNoRegistryEntries)
     ConflictDetector detector(policy);
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
     for (mem::Addr line = 0; line < 40; ++line)
-        detector.access(a, line, true, 0);
+        detector.access(a, line, true);
     for (mem::Addr line = 1000; line < 3000; ++line)
-        detector.access(b, line, false, 0);
+        detector.access(b, line, false);
     ASSERT_GT(detector.falseConflicts().value(), 0u);
     EXPECT_EQ(audited(detector, {&a, &b}).violationCount(), 0u);
     detector.removeTx(a);
@@ -433,11 +364,10 @@ TEST_F(SignatureDetectorTest, FalseConflictsLeaveNoRegistryEntries)
 TEST_F(SignatureDetectorTest, DisjointLinesUsuallyProceed)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_->access(a, 100, true, 0);
+    detector_->access(a, 100, true);
     // One line in a 4096-bit signature: a false positive on a
     // specific other line is overwhelmingly unlikely.
-    EXPECT_EQ(detector_->access(b, 50000, true, 0).resolution,
-              Resolution::Proceed);
+    EXPECT_TRUE(detector_->access(b, 50000, true).conflicts.empty());
     EXPECT_EQ(detector_->falseConflicts().value(), 0u);
 }
 
@@ -451,13 +381,11 @@ TEST_F(SignatureDetectorTest, TinySignaturesManufactureConflicts)
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
     // Crowd a's signature, then probe many disjoint lines from b.
     for (mem::Addr line = 0; line < 30; ++line)
-        detector.access(a, line, true, 0);
+        detector.access(a, line, true);
     int rejected = 0;
     for (mem::Addr line = 1000; line < 1030; ++line) {
-        if (detector.access(b, line, true, 0).resolution
-            != Resolution::Proceed) {
+        if (!detector.access(b, line, true).conflicts.empty())
             ++rejected;
-        }
     }
     EXPECT_GT(rejected, 0);
     EXPECT_EQ(detector.falseConflicts().value(),
@@ -467,18 +395,16 @@ TEST_F(SignatureDetectorTest, TinySignaturesManufactureConflicts)
 TEST_F(SignatureDetectorTest, RemoveTxClearsSignatures)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_->access(a, 100, true, 0);
+    detector_->access(a, 100, true);
     detector_->removeTx(a);
     a.resetAttempt();
     a.active = true;
-    EXPECT_EQ(detector_->access(b, 100, true, 0).resolution,
-              Resolution::Proceed);
+    EXPECT_TRUE(detector_->access(b, 100, true).conflicts.empty());
 }
 
 TEST_F(SignatureDetectorTest, ReadersDoNotConflictWithReaders)
 {
     TxState a = makeTx(1, 1), b = makeTx(2, 2);
-    detector_->access(a, 100, false, 0);
-    EXPECT_EQ(detector_->access(b, 100, false, 0).resolution,
-              Resolution::Proceed);
+    detector_->access(a, 100, false);
+    EXPECT_TRUE(detector_->access(b, 100, false).conflicts.empty());
 }

@@ -54,12 +54,12 @@ TEST(QualityEstimate, FirstSampleRecordsEq2Only)
                             /*avg_size=*/4.0);
     const QualityRecorder::Data &data = recorder.data();
     EXPECT_EQ(data.estimateSamples, 1u);
-    EXPECT_EQ(data.eq2SetSize.count, 1u);
+    EXPECT_EQ(data.eq2SetSize.count(), 1u);
     // No previous exact set for key 3: Eq. 3/4 have no ground truth.
-    EXPECT_EQ(data.eq3Intersection.count, 0u);
-    EXPECT_EQ(data.eq4Similarity.count, 0u);
+    EXPECT_EQ(data.eq3Intersection.count(), 0u);
+    EXPECT_EQ(data.eq4Similarity.count(), 0u);
     // est 5 vs true 4 -> signed error +1.
-    EXPECT_DOUBLE_EQ(data.eq2SetSize.sumSigned, 1.0);
+    EXPECT_DOUBLE_EQ(data.eq2SetSize.sumSigned(), 1.0);
 }
 
 TEST(QualityEstimate, ComparesAgainstNotedExactSet)
@@ -73,12 +73,12 @@ TEST(QualityEstimate, ComparesAgainstNotedExactSet)
                             /*est_sim=*/0.75, /*occupancy=*/0.2,
                             /*avg_size=*/4.0);
     const QualityRecorder::Data &data = recorder.data();
-    EXPECT_EQ(data.eq2SetSize.count, 1u);
-    EXPECT_DOUBLE_EQ(data.eq2SetSize.sumSigned, 0.0);
-    ASSERT_EQ(data.eq3Intersection.count, 1u);
-    EXPECT_DOUBLE_EQ(data.eq3Intersection.sumSigned, 1.0);
-    ASSERT_EQ(data.eq4Similarity.count, 1u);
-    EXPECT_DOUBLE_EQ(data.eq4Similarity.sumSigned, 0.25);
+    EXPECT_EQ(data.eq2SetSize.count(), 1u);
+    EXPECT_DOUBLE_EQ(data.eq2SetSize.sumSigned(), 0.0);
+    ASSERT_EQ(data.eq3Intersection.count(), 1u);
+    EXPECT_DOUBLE_EQ(data.eq3Intersection.sumSigned(), 1.0);
+    ASSERT_EQ(data.eq4Similarity.count(), 1u);
+    EXPECT_DOUBLE_EQ(data.eq4Similarity.sumSigned(), 0.25);
 }
 
 TEST(QualityEstimate, NoteSetReplacesGroundTruthPerKey)
@@ -90,12 +90,12 @@ TEST(QualityEstimate, NoteSetReplacesGroundTruthPerKey)
     // first one, identical to nothing -> exact intersection 0.
     recorder.recordEstimate(1, lines({1, 2}), 2.0, 0.0, 0.0, 0.1,
                             2.0);
-    EXPECT_DOUBLE_EQ(recorder.data().eq3Intersection.sumSigned, 0.0);
-    EXPECT_DOUBLE_EQ(recorder.data().eq4Similarity.sumSigned, 0.0);
+    EXPECT_DOUBLE_EQ(recorder.data().eq3Intersection.sumSigned(), 0.0);
+    EXPECT_DOUBLE_EQ(recorder.data().eq4Similarity.sumSigned(), 0.0);
 
     // Keys are independent: key 2 has no previous set yet.
     recorder.recordEstimate(2, lines({1}), 1.0, 5.0, 1.0, 0.1, 1.0);
-    EXPECT_EQ(recorder.data().eq3Intersection.count, 1u);
+    EXPECT_EQ(recorder.data().eq3Intersection.count(), 1u);
 }
 
 TEST(QualityEstimate, EverySignedErrorBucketPopulates)
@@ -109,14 +109,15 @@ TEST(QualityEstimate, EverySignedErrorBucketPopulates)
     for (int i = 0; i < QualityRecorder::ErrorStats::kBuckets; ++i)
         stats.sample(-16.0 + width * (0.5 + i), 8, 0.5);
     for (int i = 0; i < QualityRecorder::ErrorStats::kBuckets; ++i)
-        EXPECT_EQ(stats.buckets[static_cast<std::size_t>(i)], 1u)
+        EXPECT_EQ(stats.signedError.bucketCount(i), 1u)
             << "signed-error bucket " << i << " never populated";
     // Out-of-range samples clamp into the edge buckets, never drop.
     stats.sample(-100.0, 8, 0.5);
     stats.sample(+100.0, 8, 0.5);
-    EXPECT_EQ(stats.buckets[0], 2u);
-    EXPECT_EQ(
-        stats.buckets[QualityRecorder::ErrorStats::kBuckets - 1], 2u);
+    EXPECT_EQ(stats.signedError.bucketCount(0), 2u);
+    EXPECT_EQ(stats.signedError.bucketCount(
+                  QualityRecorder::ErrorStats::kBuckets - 1),
+              2u);
 }
 
 TEST(QualityEstimate, EverySizeAndOccupancyBucketPopulates)
@@ -128,7 +129,7 @@ TEST(QualityEstimate, EverySizeAndOccupancyBucketPopulates)
         const std::uint64_t size =
             i == 0 ? 0 : (1ULL << (i - 1));
         stats.sample(1.0, size, 0.5);
-        EXPECT_EQ(stats.sizeCount[static_cast<std::size_t>(i)], 1u)
+        EXPECT_EQ(stats.bySize.bucketCount(i), 1u)
             << "size bucket " << i << " never populated";
     }
     // Linear occupancy buckets over [0, 1].
@@ -136,7 +137,7 @@ TEST(QualityEstimate, EverySizeAndOccupancyBucketPopulates)
     const int num_occ = QualityRecorder::ErrorStats::kOccBuckets;
     for (int i = 0; i < num_occ; ++i) {
         occ.sample(1.0, 8, (0.5 + i) / num_occ);
-        EXPECT_EQ(occ.occCount[static_cast<std::size_t>(i)], 1u)
+        EXPECT_EQ(occ.byOccupancy.bucketCount(i), 1u)
             << "occupancy bucket " << i << " never populated";
     }
 }
@@ -445,7 +446,7 @@ TEST(QualityIntegrationTest, EstimatorErrorsArePinned)
         for (const QualityRecorder::ErrorStats *stats :
              {&exact.data().eq2SetSize, &exact.data().eq3Intersection,
               &exact.data().eq4Similarity}) {
-            EXPECT_GT(stats->count, 0u);
+            EXPECT_GT(stats->count(), 0u);
             EXPECT_EQ(stats->maxAbs, 0.0);
         }
 
@@ -459,8 +460,8 @@ TEST(QualityIntegrationTest, EstimatorErrorsArePinned)
                        {data.eq3Intersection, run.eq3},
                        {data.eq4Similarity, run.eq4}};
         for (const auto &[stats, pin] : cases) {
-            EXPECT_EQ(stats.count, pin.count);
-            EXPECT_EQ(sim::jsonNumber(stats.sumSigned), pin.sumSigned);
+            EXPECT_EQ(stats.count(), pin.count);
+            EXPECT_EQ(sim::jsonNumber(stats.sumSigned()), pin.sumSigned);
             EXPECT_EQ(sim::jsonNumber(stats.sumAbs), pin.sumAbs);
         }
     }

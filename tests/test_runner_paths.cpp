@@ -220,11 +220,11 @@ TEST(RunnerPaths, YieldRoundTripsReturnToBegin)
 
 TEST(RunnerPaths, RemoteAbortsInterruptInFlightWork)
 {
-    // A starvation-prone setup: the escape hatch lets old requesters
-    // kill in-flight holders (AbortHolders), which must cancel the
-    // victim's pending event cleanly.
+    // Timestamp lets every older requester kill its in-flight holders
+    // (AbortHolders), which must cancel the victim's pending event
+    // cleanly.
     runner::SimConfig config = tinyConfig();
-    config.conflict.selfAbortEscape = 0; // age arbitration always on
+    config.cm = cm::CmKind::Timestamp;
     config.numCpus = 4;
     config.threadsPerCpu = 2;
     runner::Simulation simulation(config);

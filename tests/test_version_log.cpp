@@ -50,9 +50,8 @@ struct LoggedTx {
     sim::Cycles
     store(mem::Addr line)
     {
-        const htm::AccessResult result =
-            detector.access(tx, line, true, 0);
-        EXPECT_EQ(result.resolution, htm::Resolution::Proceed);
+        const htm::AccessResult result = detector.access(tx, line, true);
+        EXPECT_TRUE(result.conflicts.empty());
         return result.firstWrite ? log.append() : 0;
     }
 

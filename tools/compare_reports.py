@@ -11,6 +11,11 @@ any other divergence is a determinism bug or a moved simulated
 number, which is what the baseline gates (tools/bench_compare.py)
 and the CI audit-on/off comparison exist to catch.
 
+A file that holds more than one JSON value -- a JSON Lines report
+such as ``bfgts_cli --ts``, ``--trace F --trace-jsonl`` or
+``--quality-jsonl`` -- is read as the list of its lines' documents,
+so a missing, extra or changed line is a difference.
+
 Usage
 -----
   compare_reports.py A.json B.json [more.json...]
@@ -24,6 +29,20 @@ import sys
 
 IGNORED_KEYS = {"git", "gitDirty", "wall_ns_per_cycle",
                 "events_per_sec"}
+
+
+def load(path):
+    """The file's JSON document, or the list of its lines' documents
+    when it holds more than one JSON value (JSON Lines)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        if err.msg != "Extra data":
+            raise
+    return [json.loads(line) for line in text.splitlines()
+            if line.strip()]
 
 
 def strip(value):
@@ -60,10 +79,7 @@ def diff_paths(path, a, b, out):
 def compare_files(paths):
     """Compare every file in ``paths`` against the first; 0 when all
     match, 1 otherwise (the differences are printed)."""
-    docs = []
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            docs.append(strip(json.load(fh)))
+    docs = [strip(load(path)) for path in paths]
     status = 0
     for path, doc in zip(paths[1:], docs[1:]):
         if doc == docs[0]:

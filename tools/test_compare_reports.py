@@ -6,7 +6,9 @@ tools/compare_reports.py and tools/bench_compare.py --candidate on
 them: documents that differ only in the provenance keys (``git``,
 ``gitDirty``) and the host wall keys must match (exit 0), and a
 document whose one simulated number moved, however little, must not
-(exit 1).
+(exit 1). It also runs compare_reports.py on JSON Lines time series
+(bfgts-ts-v1): an equal file matches, and one changed window count or
+one missing line does not.
 """
 
 import copy
@@ -51,9 +53,54 @@ CASES = [
 ]
 
 
+# A bfgts-ts-v1 time series: a header line, then one line per window.
+TS_LINES = [
+    {"schema": "bfgts-ts-v1", "kind": "header", "interval": 10000},
+    {"window": 0, "start": 0, "end": 10000, "commits": 52,
+     "aborts": 58},
+    {"window": 1, "start": 10000, "end": 20000, "commits": 58,
+     "aborts": 31},
+]
+
+
+# (what differs, the lines, expected exit status)
+TS_CASES = [
+    ("nothing", TS_LINES, 0),
+    ("one window's commit count",
+     TS_LINES[:2] + [dict(TS_LINES[2], commits=59)], 1),
+    ("a missing line", TS_LINES[:-1], 1),
+]
+
+
+def write_lines(path, lines):
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(json.dumps(line) + "\n")
+
+
+def compare_ts_cases(tmp):
+    """Run compare_reports.py on each TS_CASES file against TS_LINES;
+    return the number of cases with the wrong exit status."""
+    failures = 0
+    base_path = os.path.join(tmp, "base.ts")
+    write_lines(base_path, TS_LINES)
+    for i, (what, lines, expected) in enumerate(TS_CASES):
+        path = os.path.join(tmp, "case%d.ts" % i)
+        write_lines(path, lines)
+        status = subprocess.run(
+            [sys.executable, os.path.join(TOOLS, "compare_reports.py"),
+             base_path, path], stdout=subprocess.DEVNULL).returncode
+        if status != expected:
+            failures += 1
+            print("FAIL compare_reports.py: ts files differing in %s "
+                  "exit %d, expected %d" % (what, status, expected))
+    return failures
+
+
 def main():
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
+        failures += compare_ts_cases(tmp)
         base_path = os.path.join(tmp, "base.json")
         with open(base_path, "w", encoding="utf-8") as fh:
             json.dump(BASE, fh)
@@ -74,7 +121,8 @@ def main():
                                             expected))
     if failures:
         return 1
-    print("compare_reports selftest: OK (%d cases)" % len(CASES))
+    print("compare_reports selftest: OK (%d cases)"
+          % (len(CASES) + len(TS_CASES)))
     return 0
 
 
